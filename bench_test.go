@@ -185,6 +185,37 @@ func BenchmarkBitParallelKernel(b *testing.B) {
 	b.SetBytes(int64(ref.Len()) / 4)
 }
 
+// BenchmarkKernelCrossover times one uncancelable Align of a 20-residue
+// query at 0.85 per kernel across reference sizes: "cold" scans a fresh
+// Reference (the bit-parallel side packs its planes), "warm" rescans a
+// resident one (cached planes). Where the fused bit-parallel kernel
+// overtakes the scalar engine sets bitParThresholdLen.
+func BenchmarkKernelCrossover(b *testing.B) {
+	q, err := NewQuery(strings.Repeat("MKWVTFISLL", 2))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, size := range []int{64, 128, 256, 1 << 10, 4 << 10, 16 << 10, 64 << 10} {
+		ref, _ := SyntheticReference(int64(size), size, 1, 20)
+		for _, k := range []Kernel{KernelScalar, KernelBitParallel} {
+			a, err := NewAligner(q, WithThresholdFraction(0.85), WithKernelType(k))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Run(fmt.Sprintf("%s/cold/%dnt", k, size), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					a.Align(&Reference{seq: ref.seq})
+				}
+			})
+			b.Run(fmt.Sprintf("%s/warm/%dnt", k, size), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					a.Align(ref)
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkBatchAlign measures the shared-context multi-query scan (eight
 // 50-residue queries over 1 Mnt).
 func BenchmarkBatchAlign(b *testing.B) {

@@ -300,7 +300,7 @@ func (a *Aligner) databaseScan(d *Database) (scan func(lo, hi int) []core.Hit, s
 	}
 	ctxs := core.Contexts(d.d.Seq())
 	return func(lo, hi int) []core.Hit {
-		return a.engine.AlignContexts(ctxs, lo, hi)
+		return a.engine().AlignContexts(ctxs, lo, hi)
 	}, starts
 }
 
@@ -324,7 +324,7 @@ func (a *Aligner) referenceScan(ref *Reference) (scan func(lo, hi int) []core.Hi
 	}
 	ctxs := core.Contexts(ref.seq)
 	return func(lo, hi int) []core.Hit {
-		return a.engine.AlignContexts(ctxs, lo, hi)
+		return a.engine().AlignContexts(ctxs, lo, hi)
 	}, starts
 }
 

@@ -223,7 +223,7 @@ type Kernel int
 
 const (
 	// KernelAuto picks per scan: the bit-parallel kernel for references
-	// above ~64 knt, the scalar engine below. The default.
+	// of at least 128 nt, the scalar engine below. The default.
 	KernelAuto Kernel = iota
 	// KernelScalar always runs the scalar table-lookup engine.
 	KernelScalar
@@ -264,10 +264,16 @@ func ParseKernel(s string) (Kernel, error) {
 // software model of the accelerator (proven equivalent to the generated
 // netlist in the test suite) and safe for concurrent use once built.
 type Aligner struct {
-	query  *Query
-	engine *core.Engine
-	kernel *bitpar.Kernel
-	mode   Kernel
+	query *Query
+	// kernel is the compiled fused bit-parallel query. The scalar engine
+	// (a 64-byte truth table per element) is built on first scalar use —
+	// most aligners never take that path.
+	kernel     *bitpar.Kernel
+	engineOnce sync.Once
+	eng        *core.Engine
+	mode       Kernel
+	// parallelism bounds the scalar engine's fan-out (0 = GOMAXPROCS).
+	parallelism int
 	// pool executes database-scan shards; shared process-wide unless
 	// WithParallelism built a private one.
 	pool *sched.Pool
@@ -321,10 +327,11 @@ func WithThresholdFraction(f float64) AlignerOption {
 	}
 }
 
-// WithParallelism bounds the worker goroutines, for both in-kernel
-// fan-out and the database shard pool. Zero is the documented default
-// (GOMAXPROCS on the shared process-wide pool); negative values are an
-// error.
+// WithParallelism bounds the worker goroutines of the aligner's shard
+// pool — the only source of parallelism on the bit-parallel path (the
+// scalar engine's own fan-out honors it too). Zero is the documented
+// default (GOMAXPROCS on the shared process-wide pool); negative values
+// are an error.
 func WithParallelism(p int) AlignerOption {
 	return func(c *alignerConfig) {
 		if p < 0 {
@@ -415,36 +422,43 @@ func NewAligner(q *Query, opts ...AlignerOption) (*Aligner, error) {
 		}
 		threshold = t
 	}
-	engine, err := core.NewEngine(q.program, threshold)
-	if err != nil {
-		return nil, badOption(err)
-	}
 	kernel, err := bitpar.NewKernel(q.program, threshold)
 	if err != nil {
 		return nil, badOption(err)
 	}
 	pool := sched.Shared()
 	if cfg.parallelism > 0 {
-		engine.SetParallelism(cfg.parallelism)
-		kernel.SetParallelism(cfg.parallelism)
 		pool = sched.NewPool(cfg.parallelism)
 		pool.SetMetrics(cfg.metrics.reg)
 	}
 	return &Aligner{
-		query: q, engine: engine, kernel: kernel, mode: cfg.kernel,
-		pool: pool, shardLen: cfg.shardLen,
+		query: q, kernel: kernel, mode: cfg.kernel,
+		parallelism: cfg.parallelism, pool: pool, shardLen: cfg.shardLen,
 		metrics: cfg.metrics, tm: newAlignerMetrics(cfg.metrics.reg),
 		retryPolicy: cfg.retryPolicy, partial: cfg.partial,
 	}, nil
+}
+
+// engine returns the scalar engine, building it on first use.
+func (a *Aligner) engine() *core.Engine {
+	a.engineOnce.Do(func() {
+		// NewKernel already validated the program and threshold.
+		a.eng, _ = core.NewEngine(a.query.program, a.kernel.Threshold())
+		if a.parallelism > 0 {
+			a.eng.SetParallelism(a.parallelism)
+		}
+	})
+	return a.eng
 }
 
 // Metrics returns the collector this aligner reports to (DefaultMetrics
 // unless WithTelemetry supplied a private one).
 func (a *Aligner) Metrics() *Metrics { return a.metrics }
 
-// bitParThresholdLen is the reference size above which "auto" switches to
-// the bit-parallel kernel.
-const bitParThresholdLen = 64 << 10
+// bitParThresholdLen is the reference size from which "auto" switches to
+// the bit-parallel kernel: the measured crossover (BenchmarkKernelCrossover;
+// EXPERIMENTS.md), where the fused kernel overtakes the scalar engine.
+const bitParThresholdLen = 128
 
 // useBitpar decides the implementation for a reference length.
 func (a *Aligner) useBitpar(refLen int) bool {
@@ -461,20 +475,43 @@ func (a *Aligner) useBitpar(refLen int) bool {
 func (a *Aligner) Kernel() Kernel { return a.mode }
 
 // Threshold returns the configured hit threshold.
-func (a *Aligner) Threshold() int { return a.engine.Threshold() }
+func (a *Aligner) Threshold() int { return a.kernel.Threshold() }
 
-// alignSeq dispatches to the selected kernel and normalizes the hit type.
-func (a *Aligner) alignSeq(seq bio.NucSeq) []core.Hit {
-	a.tm.kernelChosen(a.useBitpar(len(seq)))
-	if a.useBitpar(len(seq)) {
-		raw := a.kernel.Align(seq)
-		hits := make([]core.Hit, len(raw))
-		for i, h := range raw {
-			hits[i] = core.Hit{Pos: h.Pos, Score: h.Score}
-		}
-		return hits
+// alignSeq is the uncancelable whole-sequence scan under the selected
+// kernel. The bit-parallel branch scans pp (seq's packed planes; nil packs
+// them for this call) shard by shard on the aligner's pool, the only
+// source of parallelism on that path.
+func (a *Aligner) alignSeq(seq bio.NucSeq, pp *bitpar.Planes) []core.Hit {
+	useBitpar := a.useBitpar(len(seq))
+	a.tm.kernelChosen(useBitpar)
+	if !useBitpar {
+		return a.engine().Align(seq)
 	}
-	return a.engine.Align(seq)
+	starts := len(seq) - a.query.Elements() + 1
+	if starts <= 0 {
+		return nil
+	}
+	if pp == nil {
+		pp = bitpar.PackReference(seq)
+	}
+	shards := sched.Plan(starts, a.shardLen)
+	a.tm.shardsPlanned.Add(uint64(len(shards)))
+	scan := instrumentShard(&a.tm, func(lo, hi int) []core.Hit {
+		return bitparToCore(a.kernel.AlignPlanesRange(pp, lo, hi))
+	})
+	return sched.Gather(a.pool, len(shards), func(i int) []core.Hit {
+		return scan(shards[i].Lo, shards[i].Hi)
+	})
+}
+
+// refPlanes returns ref's shared cached planes when the bit-parallel
+// kernel will scan it (nil otherwise), counted as a plane lookup.
+func (a *Aligner) refPlanes(ref *Reference) *bitpar.Planes {
+	if !a.useBitpar(ref.Len()) {
+		return nil
+	}
+	a.tm.planeLookups.Inc()
+	return planesForReference(ref)
 }
 
 // Align scans the reference and returns every hit in position order. It
@@ -518,7 +555,7 @@ func (a *Aligner) executeReferenceScan(ctx context.Context, ref *Reference) (*Sc
 	var raw []core.Hit
 	var perr error
 	if ctx.Done() == nil && !a.resilientScans() {
-		raw = a.alignSeq(ref.seq)
+		raw = a.alignSeq(ref.seq, a.refPlanes(ref))
 	} else {
 		// Cancelable contexts — and any scan under a retry policy, partial
 		// mode or fault injection — go through the shard scheduler so the
@@ -573,7 +610,7 @@ func (a *Aligner) AlignStreamContext(ctx context.Context, r io.Reader, emit func
 	var err error
 	if a.mode == KernelScalar {
 		a.tm.kernelChosen(false)
-		err = a.engine.AlignReaderContext(ctx, r, func(h core.Hit) error {
+		err = a.engine().AlignReaderContext(ctx, r, func(h core.Hit) error {
 			a.tm.hits.Inc()
 			return emit(Hit{Pos: h.Pos, Score: h.Score})
 		})
@@ -604,7 +641,7 @@ func (a *Aligner) AlignStreamContext(ctx context.Context, r io.Reader, emit func
 // a refLen-nucleotide scan, from the exact null score distribution — the
 // significance annotation for a reported hit.
 func (a *Aligner) EValueOf(score, refLen int) float64 {
-	return a.engine.EValue(score, refLen)
+	return a.engine().EValue(score, refLen)
 }
 
 // Best returns the single highest-scoring position regardless of the
@@ -622,7 +659,7 @@ func (a *Aligner) Best(ref *Reference) (Hit, bool) {
 		h, ok := a.kernel.BestHit(ref.seq)
 		return Hit{Pos: h.Pos, Score: h.Score}, ok
 	}
-	h, ok := a.engine.BestHit(ref.seq)
+	h, ok := a.engine().BestHit(ref.seq)
 	return Hit{Pos: h.Pos, Score: h.Score}, ok
 }
 
@@ -634,7 +671,7 @@ func (a *Aligner) ScoreAt(ref *Reference, pos int) (int, error) {
 	}
 	a.tm.queries.Inc()
 	t0 := time.Now()
-	score := a.engine.Score(ref.seq, pos)
+	score := a.engine().Score(ref.seq, pos)
 	observeSince(a.tm.alignLatency, t0)
 	return score, nil
 }

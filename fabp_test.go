@@ -2,8 +2,12 @@ package fabp
 
 import (
 	"errors"
+	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
+
+	"fabp/internal/bio"
 )
 
 func TestNewQueryBasics(t *testing.T) {
@@ -495,4 +499,40 @@ func TestExperimentFacade(t *testing.T) {
 	if BackTranslationTable() == "" {
 		t.Error("encoding table empty")
 	}
+}
+
+// TestAlignerFootprint pins the retained heap of a resident aligner: a
+// stream deployment holds one per query, so 1024 aligners for a 12/16/20 aa
+// panel at 0.9 must stay within 3.7 KiB each (one compiled fused kernel;
+// the scalar engine's truth tables are built only on first scalar use).
+func TestAlignerFootprint(t *testing.T) {
+	const n, budget = 1024, 3.7 * 1024
+	rng := rand.New(rand.NewSource(1))
+	queries := make([]*Query, n)
+	for i := range queries {
+		q, err := NewQuery(bio.RandomProtSeq(rng, []int{12, 16, 20}[i%3]).String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		queries[i] = q
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	aligners := make([]*Aligner, n)
+	for i, q := range queries {
+		a, err := NewAligner(q, WithThresholdFraction(0.9))
+		if err != nil {
+			t.Fatal(err)
+		}
+		aligners[i] = a
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perAligner := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / n
+	t.Logf("retained heap per aligner: %.0f B", perAligner)
+	if perAligner > budget {
+		t.Errorf("retained heap per aligner %.0f B, want <= %.0f B", perAligner, budget)
+	}
+	runtime.KeepAlive(aligners)
 }

@@ -3,7 +3,8 @@
 // uses, evaluating the two-LUT comparator for 64 alignment positions per
 // machine word. The reference is held as two bit-planes (one per
 // nucleotide-encoding bit); each query element compiles to a handful of
-// bitwise operations plus a vertical-counter score accumulation.
+// bitwise operations plus a vertical-counter score accumulation. The fused
+// kernel in batch.go is the one scan loop; Kernel is its K=1 view.
 //
 // It is bit-exact with core.Engine / the generated netlist (asserted in
 // tests) and roughly an order of magnitude faster than the scalar engine,
@@ -12,10 +13,6 @@
 package bitpar
 
 import (
-	"fmt"
-	"math/bits"
-	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"fabp/internal/backtrans"
@@ -121,77 +118,25 @@ func prevFor2(dep backtrans.DepSource, s uint8) bio.Nucleotide {
 	return bio.A
 }
 
-// maskEval evaluates a 4-entry accept mask over the current-nucleotide
-// planes: returns the positions whose nucleotide is in the mask.
-func maskEval(mask uint8, c0, c1 uint64) uint64 {
-	var m uint64
-	if mask&1 != 0 { // A = 00
-		m |= ^c1 & ^c0
-	}
-	if mask&2 != 0 { // C = 01
-		m |= ^c1 & c0
-	}
-	if mask&4 != 0 { // G = 10
-		m |= c1 & ^c0
-	}
-	if mask&8 != 0 { // U = 11
-		m |= c1 & c0
-	}
-	return m
-}
-
-// Kernel is a compiled bit-parallel query.
+// Kernel is a compiled bit-parallel query: a thin K=1 view over the fused
+// BatchKernel, whose scan loop it shares.
 type Kernel struct {
-	elems     []compiledElem
-	threshold int
-	// scoreBits is the vertical-counter depth (fits the max score).
-	scoreBits int
-	// parallelism bounds Align's workers (0 = GOMAXPROCS).
-	parallelism int
-	// scratch pools per-call scan state (vertical counters + hit staging)
-	// so small-shard scans allocate nothing per shard beyond their result.
-	scratch sync.Pool
-}
-
-// kernelScratch is one scan call's reusable state. Hits accumulate here
-// (growth amortized across reuses) and are copied out exactly sized.
-type kernelScratch struct {
-	counters []uint64
-	hits     []Hit
-}
-
-func (k *Kernel) getScratch() *kernelScratch {
-	s := k.scratch.Get().(*kernelScratch)
-	s.hits = s.hits[:0]
-	return s
+	bk BatchKernel
 }
 
 // NewKernel compiles an encoded query for the given hit threshold.
 func NewKernel(prog isa.Program, threshold int) (*Kernel, error) {
-	if len(prog) == 0 {
-		return nil, fmt.Errorf("bitpar: empty program")
+	if err := validate(prog, threshold); err != nil {
+		return nil, err
 	}
-	if threshold < 0 || threshold > len(prog) {
-		return nil, fmt.Errorf("bitpar: threshold %d outside [0,%d]", threshold, len(prog))
-	}
-	k := &Kernel{threshold: threshold, scoreBits: 1}
-	for 1<<uint(k.scoreBits) <= len(prog) {
-		k.scoreBits++
-	}
-	for _, ins := range prog {
-		k.elems = append(k.elems, compile(ins))
-	}
-	k.scratch.New = func() any {
-		return &kernelScratch{counters: make([]uint64, k.scoreBits)}
-	}
-	return k, nil
+	return &Kernel{bk: *newBatchKernel([]batchQuery{compileQuery(prog).withThreshold(threshold)})}, nil
 }
 
 // QueryElems returns the compiled query length.
-func (k *Kernel) QueryElems() int { return len(k.elems) }
+func (k *Kernel) QueryElems() int { return k.bk.QueryElems(0) }
 
 // Threshold returns the configured hit threshold.
-func (k *Kernel) Threshold() int { return k.threshold }
+func (k *Kernel) Threshold() int { return k.bk.Threshold(0) }
 
 // Planes is a reference packed into bit-planes, reusable across many
 // kernels — the batch workload packs the database once and scans it with
@@ -225,7 +170,7 @@ func (pp *Planes) SizeBytes() int64 {
 
 // AlignPlanes scans a pre-packed reference (see PackReference).
 func (k *Kernel) AlignPlanes(pp *Planes) []Hit {
-	return k.alignPacked(pp.p)
+	return k.AlignPlanesRange(pp, 0, k.bk.Starts(pp.Len()))
 }
 
 // AlignPlanesRange scans only the windows starting in [lo, hi) of a
@@ -234,156 +179,41 @@ func (k *Kernel) AlignPlanes(pp *Planes) []Hit {
 // past its end and the dependent-bit context before its start), and
 // per-shard hit lists concatenate into exactly AlignPlanes' output.
 func (k *Kernel) AlignPlanesRange(pp *Planes, lo, hi int) []Hit {
-	return k.alignPackedRange(pp.p, lo, hi)
+	var dst [1][]Hit
+	k.bk.AlignPlanesRange(pp, lo, hi, dst[:])
+	return dst[0]
 }
 
 // AlignRange packs the reference and scans windows starting in [lo, hi) —
 // the chunked-streaming primitive (positions are chunk-local).
 func (k *Kernel) AlignRange(ref bio.NucSeq, lo, hi int) []Hit {
-	return k.alignPackedRange(packPlanes(ref), lo, hi)
-}
-
-func (k *Kernel) alignPackedRange(p *planes, lo, hi int) []Hit {
-	n := p.n - len(k.elems) + 1
-	if hi > n {
-		hi = n
-	}
-	if lo < 0 {
-		lo = 0
-	}
-	if lo >= hi {
-		return nil
-	}
-	// Blocks are 64-position aligned: scan from the aligned start and drop
-	// the lanes below lo.
-	s := k.getScratch()
-	k.alignBlocks(p, lo&^63, hi, s)
-	trim := 0
-	for trim < len(s.hits) && s.hits[trim].Pos < lo {
-		trim++
-	}
-	hits := copyHits(s.hits[trim:])
-	k.scratch.Put(s)
-	return hits
-}
-
-// copyHits copies a scratch hit list into an exact-size result (nil when
-// empty), so the pooled buffer can be reused.
-func copyHits(src []Hit) []Hit {
-	if len(src) == 0 {
-		return nil
-	}
-	out := make([]Hit, len(src))
-	copy(out, src)
-	return out
+	return k.AlignPlanesRange(&Planes{p: packPlanes(ref)}, lo, hi)
 }
 
 // Align scans the reference and returns every window position whose score
-// reaches the threshold, in position order. Large references parallelize
-// across blocks (set Parallelism to bound workers).
+// reaches the threshold, in position order. It runs on the calling
+// goroutine; callers parallelize by sharding AlignPlanesRange.
 func (k *Kernel) Align(ref bio.NucSeq) []Hit {
-	return k.alignPacked(packPlanes(ref))
+	return k.AlignPlanes(&Planes{p: packPlanes(ref)})
 }
 
-func (k *Kernel) alignPacked(p *planes) []Hit {
-	n := p.n - len(k.elems) + 1
-	if n <= 0 {
-		return nil
-	}
-
-	workers := k.parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if w := n/(1<<16) + 1; workers > w {
-		workers = w
-	}
-	if workers <= 1 {
-		s := k.getScratch()
-		k.alignBlocks(p, 0, n, s)
-		hits := copyHits(s.hits)
-		k.scratch.Put(s)
-		return hits
-	}
-	// Split into worker ranges aligned to 64-position blocks. Each worker
-	// scans into pooled scratch; the merge is one exact-size allocation
-	// (no copy-append growth) and the scratch returns to the pool.
-	blocks := (n + 63) / 64
-	per := (blocks + workers - 1) / workers
-	results := make([]*kernelScratch, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * per * 64
-		hi := (w + 1) * per * 64
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			s := k.getScratch()
-			k.alignBlocks(p, lo, hi, s)
-			results[w] = s
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	total := 0
-	for _, s := range results {
-		if s != nil {
-			total += len(s.hits)
-		}
-	}
-	var hits []Hit
-	if total > 0 {
-		hits = make([]Hit, 0, total)
-	}
-	for _, s := range results {
-		if s != nil {
-			hits = append(hits, s.hits...)
-			k.scratch.Put(s)
-		}
-	}
-	return hits
+// BestHit returns the highest-scoring window position (ties broken by
+// lower position) regardless of the configured threshold, or ok=false
+// when the reference is shorter than the query — the bit-parallel
+// counterpart of core.Engine.BestHit: a budget-L fused scan (no lane ever
+// dies) with a best-lane reduction over the same counters.
+func (k *Kernel) BestHit(ref bio.NucSeq) (Hit, bool) {
+	return k.BestHitPlanes(&Planes{p: packPlanes(ref)})
 }
 
-// SetParallelism bounds Align's worker goroutines (0 = GOMAXPROCS).
-func (k *Kernel) SetParallelism(p int) { k.parallelism = p }
-
-// blockCounters fills the vertical score counters for the 64-lane block
-// starting at p0 — the shared scoring core of the threshold scan and the
-// best-hit scan.
-func (k *Kernel) blockCounters(p *planes, p0 int, counters []uint64) {
-	for i := range counters {
-		counters[i] = 0
-	}
-	for i, e := range k.elems {
-		c0 := fetch(p.b0, p0+i)
-		c1 := fetch(p.b1, p0+i)
-		var m uint64
-		if e.mask0 == e.mask1 {
-			m = maskEval(e.mask0, c0, c1)
-		} else {
-			// Dependent comparison: mux the two accept functions on
-			// the selected earlier-reference bit-plane, exactly like
-			// the hardware's multiplexer LUT.
-			s := k.depPlane(p, e.dep, p0, i)
-			m = s&maskEval(e.mask1, c0, c1) | ^s&maskEval(e.mask0, c0, c1)
-		}
-		// Vertical counter += m (carry-save; the carry chain is short
-		// in practice).
-		carry := m
-		for b := 0; b < k.scoreBits && carry != 0; b++ {
-			old := counters[b]
-			counters[b] = old ^ carry
-			carry = old & carry
-		}
-	}
+// BestHitPlanes is BestHit over a pre-packed reference (see
+// PackReference), so session-resident databases find their best
+// sub-threshold position without repacking.
+func (k *Kernel) BestHitPlanes(pp *Planes) (Hit, bool) {
+	return newBatchKernel([]batchQuery{k.bk.queries[0].withThreshold(0)}).bestPlanes(pp.p)
 }
 
-// laneScore extracts lane j's score from the vertical counters.
+// laneScore extracts lane j's count from the vertical counters.
 func laneScore(counters []uint64, j int) int {
 	score := 0
 	for b := range counters {
@@ -392,86 +222,9 @@ func laneScore(counters []uint64, j int) int {
 	return score
 }
 
-// alignBlocks scans window starts [lo, hi) where lo is 64-aligned,
-// appending hits to s.hits (pooled; see getScratch).
-func (k *Kernel) alignBlocks(p *planes, lo, n int, s *kernelScratch) {
-	counters := s.counters
-	for p0 := lo; p0 < n; p0 += 64 {
-		k.blockCounters(p, p0, counters)
-
-		// Extract scores above threshold.
-		limit := n - p0
-		if limit > 64 {
-			limit = 64
-		}
-		ge := geThresh(counters, k.threshold)
-		ge &= lowMask(limit)
-		for ge != 0 {
-			j := bits.TrailingZeros64(ge)
-			ge &= ge - 1
-			s.hits = append(s.hits, Hit{Pos: p0 + j, Score: laneScore(counters, j)})
-		}
-	}
-}
-
-// BestHit returns the highest-scoring window position (ties broken by
-// lower position) regardless of the configured threshold, or ok=false
-// when the reference is shorter than the query — the bit-parallel
-// counterpart of core.Engine.BestHit, bit-exact by construction (same
-// blockCounters as the threshold scan).
-func (k *Kernel) BestHit(ref bio.NucSeq) (Hit, bool) {
-	return k.bestPacked(packPlanes(ref))
-}
-
-// BestHitPlanes is BestHit over a pre-packed reference (see
-// PackReference), so session-resident databases find their best
-// sub-threshold position without repacking.
-func (k *Kernel) BestHitPlanes(pp *Planes) (Hit, bool) {
-	return k.bestPacked(pp.p)
-}
-
-func (k *Kernel) bestPacked(p *planes) (Hit, bool) {
-	n := p.n - len(k.elems) + 1
-	if n <= 0 {
-		return Hit{}, false
-	}
-	best := Hit{Pos: 0, Score: -1}
-	s := k.getScratch()
-	counters := s.counters
-	for p0 := 0; p0 < n; p0 += 64 {
-		k.blockCounters(p, p0, counters)
-		limit := n - p0
-		if limit > 64 {
-			limit = 64
-		}
-		for j := 0; j < limit; j++ {
-			if sc := laneScore(counters, j); sc > best.Score {
-				best = Hit{Pos: p0 + j, Score: sc}
-			}
-		}
-	}
-	k.scratch.Put(s)
-	return best, true
-}
-
-// depPlane fetches the dependent-bit plane for element i of the block at
-// p0: the selected bit of the reference nucleotide one or two positions
-// before offset p0+i.
-func (k *Kernel) depPlane(p *planes, dep backtrans.DepSource, p0, i int) uint64 {
-	switch dep {
-	case backtrans.DepPrev1Hi:
-		return fetch(p.b1, p0+i-1)
-	case backtrans.DepPrev2Hi:
-		return fetch(p.b1, p0+i-2)
-	case backtrans.DepPrev2Lo:
-		return fetch(p.b0, p0+i-2)
-	}
-	return 0
-}
-
 // geThresh returns a bitmask of lanes whose vertical counter is >= the
 // threshold, using the same LSB-first comparison as the hardware's
-// CompareGEConst. Shared by the single-query and fused batch kernels.
+// CompareGEConst.
 func geThresh(counters []uint64, threshold int) uint64 {
 	if threshold == 0 {
 		return ^uint64(0)

@@ -1,7 +1,9 @@
 package bitpar
 
 import (
+	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"fabp/internal/bio"
@@ -125,20 +127,53 @@ func TestFetchEdges(t *testing.T) {
 	}
 }
 
+// maskEval is the truth-table oracle for the fused mux form: the positions
+// whose current nucleotide is in the 4-entry accept mask.
+func maskEval(mask uint8, c0, c1 uint64) uint64 {
+	var m uint64
+	if mask&1 != 0 { // A = 00
+		m |= ^c1 & ^c0
+	}
+	if mask&2 != 0 { // C = 01
+		m |= ^c1 & c0
+	}
+	if mask&4 != 0 { // G = 10
+		m |= c1 & ^c0
+	}
+	if mask&8 != 0 { // U = 11
+		m |= c1 & c0
+	}
+	return m
+}
+
+// TestMaskEval pins the mux-form element evaluation (expandMux + match)
+// to the accept-mask truth table for every mask over random plane words.
 func TestMaskEval(t *testing.T) {
 	// c = G (c1=1, c0=0) in lane 0; A in lane 1 (bits zero).
 	c0, c1 := uint64(0), uint64(1)
-	if m := maskEval(1<<bio.G, c0, c1); m&1 != 1 || m&2 != 0 {
+	g, a := expandMux(1<<bio.G), expandMux(1<<bio.A)
+	if m := g.match(c0, c1); m&1 != 1 || m&2 != 0 {
 		t.Errorf("G mask eval = %x", m)
 	}
-	if m := maskEval(1<<bio.A, c0, c1); m&1 != 0 || m&2 == 0 {
+	if m := a.match(c0, c1); m&1 != 0 || m&2 == 0 {
 		t.Errorf("A mask eval = %x", m)
 	}
-	if maskEval(0xF, 0x5A, 0xA5) != ^uint64(0)&lowMask(64) {
+	full, empty := expandMux(0xF), expandMux(0)
+	if full.match(0x5A, 0xA5) != lowMask(64) {
 		t.Error("full mask must accept everything")
 	}
-	if maskEval(0, 0x5A, 0xA5) != 0 {
+	if empty.match(0x5A, 0xA5) != 0 {
 		t.Error("empty mask must accept nothing")
+	}
+	rng := rand.New(rand.NewSource(11))
+	for mask := uint8(0); mask < 16; mask++ {
+		mm := expandMux(mask)
+		for trial := 0; trial < 8; trial++ {
+			c0, c1 := rng.Uint64(), rng.Uint64()
+			if got, want := mm.match(c0, c1), maskEval(mask, c0, c1); got != want {
+				t.Fatalf("mask %04b: mux form %x, truth table %x", mask, got, want)
+			}
+		}
 	}
 }
 
@@ -166,16 +201,34 @@ func TestAlignPlanesSharedAcrossKernels(t *testing.T) {
 	}
 }
 
+// TestKernelParallelismInvariance: concurrent shard scans on many
+// goroutines (sharing the process-wide scratch pool) concatenate into
+// exactly the serial scan.
 func TestKernelParallelismInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	p := bio.RandomProtSeq(rng, 12)
 	prog := isa.MustEncodeProtein(p)
 	ref := bio.RandomNucSeq(rng, 300_000)
+	pp := PackReference(ref)
 	k, _ := NewKernel(prog, len(prog)/2)
-	k.SetParallelism(1)
 	serial := k.Align(ref)
-	k.SetParallelism(8)
-	parallel := k.Align(ref)
+	const shards = 8
+	starts := len(ref) - len(prog) + 1
+	per := ((starts+shards-1)/shards + 63) &^ 63
+	parts := make([][]Hit, shards)
+	var wg sync.WaitGroup
+	for i := range parts {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			parts[i] = k.AlignPlanesRange(pp, i*per, min((i+1)*per, starts))
+		}(i)
+	}
+	wg.Wait()
+	var parallel []Hit
+	for _, part := range parts {
+		parallel = append(parallel, part...)
+	}
 	if len(serial) != len(parallel) {
 		t.Fatalf("parallel %d hits vs serial %d", len(parallel), len(serial))
 	}
@@ -186,15 +239,28 @@ func TestKernelParallelismInvariance(t *testing.T) {
 	}
 }
 
-func BenchmarkKernelAlign(b *testing.B) {
+var sinkHits []Hit
+
+// BenchmarkKernelK1 scans one 256 K-start shard (sched.DefaultShardLen)
+// with a single query at the paper's 0.85 threshold fraction, per query
+// length, and reports kernel throughput in cells (query elements ×
+// window starts) per second.
+func BenchmarkKernelK1(b *testing.B) {
+	const shard = 256 << 10
 	rng := rand.New(rand.NewSource(4))
-	p := bio.RandomProtSeq(rng, 50)
-	prog := isa.MustEncodeProtein(p)
-	ref := bio.RandomNucSeq(rng, 1_000_000)
-	k, _ := NewKernel(prog, int(0.9*float64(len(prog))))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k.Align(ref)
+	for _, aa := range []int{20, 40, 60, 100} {
+		prog := isa.MustEncodeProtein(bio.RandomProtSeq(rng, aa))
+		pp := PackReference(bio.RandomNucSeq(rng, shard+len(prog)-1))
+		k, err := NewKernel(prog, int(0.85*float64(len(prog))+0.5))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("%daa", aa), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sinkHits = k.AlignPlanesRange(pp, 0, shard)
+			}
+			cells := float64(len(prog)) * shard * float64(b.N)
+			b.ReportMetric(cells/b.Elapsed().Seconds()/1e9, "Gcells/s")
+		})
 	}
-	b.SetBytes(int64(len(ref)) / 4)
 }

@@ -41,8 +41,8 @@ func sameRecordHits(t *testing.T, label string, want, got []RecordHit) {
 }
 
 // TestShardedAlignDatabaseGolden proves the sharded scan bit-exact against
-// the seed serial path (scan the whole concatenated sequence with the
-// kernel, then attribute) for both kernels, with shards small enough to
+// the golden serial path (scan the whole concatenated sequence with the
+// scalar engine, then attribute) for both kernels, with shards small enough to
 // force many tiles and ragged tails.
 func TestShardedAlignDatabaseGolden(t *testing.T) {
 	for _, tc := range []struct {
@@ -65,8 +65,8 @@ func TestShardedAlignDatabaseGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Seed serial path: one full-sequence kernel scan + attribution.
-			serial := toRecordHits(d.d.Attribute(a.alignSeq(d.d.Seq()), q.Elements()))
+			// Golden path: one full-sequence scalar-engine scan + attribution.
+			serial := toRecordHits(d.d.Attribute(a.engine().Align(d.d.Seq()), q.Elements()))
 			sharded := a.AlignDatabase(d)
 			sameRecordHits(t, tc.name, serial, sharded)
 			found := false

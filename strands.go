@@ -35,12 +35,12 @@ type StrandHit struct {
 // order.
 func (a *Aligner) AlignBothStrands(ref *Reference) []StrandHit {
 	var out []StrandHit
-	for _, h := range a.alignSeq(ref.seq) {
+	for _, h := range a.alignSeq(ref.seq, a.refPlanes(ref)) {
 		out = append(out, StrandHit{Pos: h.Pos, Score: h.Score, Strand: StrandForward})
 	}
 	rc := bio.NucSeq(ref.seq).ReverseComplement()
 	m := a.query.Elements()
-	for _, h := range a.alignSeq(rc) {
+	for _, h := range a.alignSeq(rc, nil) {
 		// Window [h.Pos, h.Pos+m) on the reverse complement maps to
 		// forward positions [len-h.Pos-m, len-h.Pos).
 		out = append(out, StrandHit{
