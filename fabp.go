@@ -617,8 +617,9 @@ func (a *Aligner) AlignStreamContext(ctx context.Context, r io.Reader, emit func
 	} else {
 		a.tm.kernelChosen(true)
 		m := a.query.Elements()
-		err = scanChunks(ctx, r, m, m, &a.tm, a.retryPolicy, func(pp *bitpar.Planes, lo, hi, base int) error {
-			hits, herr := a.streamChunkHits(ctx, pp, lo, hi)
+		var sc bitpar.Scratch // the stream's inline chunk scans share it
+		err = scanChunks(ctx, r, m, m, a.pool, &a.tm, a.retryPolicy, func(pp *bitpar.Planes, lo, hi, base int) error {
+			hits, herr := a.streamChunkHits(ctx, pp, lo, hi, &sc)
 			if herr != nil {
 				return herr
 			}

@@ -58,7 +58,7 @@ func ParseNucleotide(b byte) (Nucleotide, error) {
 	if c := nucCodes[b]; c < NumNucleotides {
 		return Nucleotide(c), nil
 	}
-	return 0, fmt.Errorf("bio: invalid nucleotide letter %q", b)
+	return 0, InvalidLetter(b)
 }
 
 // AminoAcid identifies one of the 20 proteinogenic amino acids or the Stop

@@ -7,17 +7,29 @@ import "fmt"
 // whitespace marker, or an invalid marker — replacing the per-letter
 // switch on the streaming and database-build hot paths.
 const (
-	nucSpace   = 0xFE // whitespace: skipped by the sequence decoders
-	nucInvalid = 0xFF // anything that is neither a base letter nor whitespace
+	NucSpace   = 0xFE // whitespace: skipped by the sequence decoders
+	NucInvalid = 0xFF // anything that is neither a base letter nor whitespace
 )
 
 // nucCodes maps ASCII bytes to 2-bit nucleotide codes (A=00, C=01, G=10,
-// U/T=11, either case), nucSpace for whitespace, nucInvalid otherwise.
+// U/T=11, either case), NucSpace for whitespace, NucInvalid otherwise.
 var nucCodes [256]uint8
+
+// NucCode classifies one ASCII byte in a single table load: its 2-bit
+// nucleotide code (< NumNucleotides), NucSpace or NucInvalid. It is the
+// table fused decoders (bitpar's ASCII-to-planes append) share with
+// AppendNucASCII.
+func NucCode(c byte) uint8 { return nucCodes[c] }
+
+// InvalidLetter is the error every ASCII nucleotide decoder reports for
+// the offending byte c.
+func InvalidLetter(c byte) error {
+	return fmt.Errorf("bio: invalid nucleotide letter %q", c)
+}
 
 func init() {
 	for i := range nucCodes {
-		nucCodes[i] = nucInvalid
+		nucCodes[i] = NucInvalid
 	}
 	for _, e := range []struct {
 		letters string
@@ -30,7 +42,7 @@ func init() {
 		}
 	}
 	for _, ws := range []byte{' ', '\t', '\n', '\r'} {
-		nucCodes[ws] = nucSpace
+		nucCodes[ws] = NucSpace
 	}
 }
 
@@ -47,10 +59,10 @@ func AppendNucASCII[S ~[]byte | ~string](dst NucSeq, src S) (NucSeq, int, error)
 			dst = append(dst, Nucleotide(c))
 			continue
 		}
-		if c == nucSpace {
+		if c == NucSpace {
 			continue
 		}
-		return dst, i, fmt.Errorf("bio: invalid nucleotide letter %q", src[i])
+		return dst, i, InvalidLetter(src[i])
 	}
 	return dst, len(src), nil
 }

@@ -124,10 +124,16 @@ type batchScratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 
-// getScratch takes pooled scratch and sizes it for bk. Every hits[qi]
-// comes back empty (AlignPlanesRange drains them before putting back).
-func (bk *BatchKernel) getScratch(p *planes) *batchScratch {
-	s := scratchPool.Get().(*batchScratch)
+// Scratch is kernel scan state one caller keeps across a sequence of scans
+// — a stream's inline chunk scans — instead of taking it from the
+// process-wide pool on every call, so the sequence allocates nothing once
+// the scratch has grown. The zero value is ready to use; a Scratch serves
+// one scan at a time.
+type Scratch struct{ s batchScratch }
+
+// size fits s to bk for a scan of p. Every hits[qi] comes back empty
+// (alignPlanesRange drains them before returning).
+func (bk *BatchKernel) size(s *batchScratch, p *planes) {
 	s.p = p
 	m, k := bk.maxElems+2, len(bk.queries)
 	n := 2*m + bk.ctrWords + k
@@ -135,12 +141,6 @@ func (bk *BatchKernel) getScratch(p *planes) *batchScratch {
 	s.w0s, s.w1s = s.words[:m:m], s.words[m:2*m:2*m]
 	s.counters, s.sticky = s.words[2*m:n-k:n-k], s.words[n-k:]
 	s.hits = slices.Grow(s.hits[:0], k)[:k]
-	return s
-}
-
-func putScratch(s *batchScratch) {
-	s.p = nil
-	scratchPool.Put(s)
 }
 
 // validate checks one program/threshold pair.
@@ -253,6 +253,14 @@ func (bk *BatchKernel) AlignPlanes(pp *Planes) [][]Hit {
 // concatenate into exactly AlignPlanes' output, so a scheduler can tile
 // [0, Starts) and merge stream-wise.
 func (bk *BatchKernel) AlignPlanesRange(pp *Planes, lo, hi int, dst [][]Hit) [][]Hit {
+	s := scratchPool.Get().(*batchScratch)
+	dst = bk.alignPlanesRange(pp, lo, hi, dst, s)
+	scratchPool.Put(s)
+	return dst
+}
+
+// alignPlanesRange is AlignPlanesRange on the given scratch.
+func (bk *BatchKernel) alignPlanesRange(pp *Planes, lo, hi int, dst [][]Hit, s *batchScratch) [][]Hit {
 	if dst == nil {
 		dst = make([][]Hit, len(bk.queries))
 	}
@@ -262,7 +270,7 @@ func (bk *BatchKernel) AlignPlanesRange(pp *Planes, lo, hi int, dst [][]Hit) [][
 	if lo >= hi {
 		return dst
 	}
-	s := bk.getScratch(p)
+	bk.size(s, p)
 	// Blocks are 64-position aligned: scan from the aligned start and mask
 	// the lanes below lo.
 	for p0 := lo &^ 63; p0 < hi; p0 += 64 {
@@ -275,7 +283,7 @@ func (bk *BatchKernel) AlignPlanesRange(pp *Planes, lo, hi int, dst [][]Hit) [][
 			s.hits[qi] = s.hits[qi][:0]
 		}
 	}
-	putScratch(s)
+	s.p = nil
 	return dst
 }
 
@@ -627,7 +635,8 @@ func (bk *BatchKernel) bestPlanes(p *planes) (Hit, bool) {
 		return Hit{}, false
 	}
 	best := Hit{Score: -1}
-	s := bk.getScratch(p)
+	s := scratchPool.Get().(*batchScratch)
+	bk.size(s, p)
 	ctr := s.counters[:q.ctrW]
 	for p0 := 0; p0 < n; p0 += 64 {
 		bk.scanBlock(p0, n, s)
@@ -642,6 +651,7 @@ func (bk *BatchKernel) bestPlanes(p *planes) (Hit, bool) {
 			best = Hit{Pos: p0 + j, Score: sc}
 		}
 	}
-	putScratch(s)
+	s.p = nil
+	scratchPool.Put(s)
 	return best, true
 }

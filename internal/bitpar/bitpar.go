@@ -184,6 +184,14 @@ func (k *Kernel) AlignPlanesRange(pp *Planes, lo, hi int) []Hit {
 	return dst[0]
 }
 
+// AlignPlanesRangeScratch is AlignPlanesRange on caller-owned scratch (see
+// Scratch), for a caller that scans many ranges in sequence.
+func (k *Kernel) AlignPlanesRangeScratch(pp *Planes, lo, hi int, sc *Scratch) []Hit {
+	var dst [1][]Hit
+	k.bk.alignPlanesRange(pp, lo, hi, dst[:], &sc.s)
+	return dst[0]
+}
+
 // AlignRange packs the reference and scans windows starting in [lo, hi) —
 // the chunked-streaming primitive (positions are chunk-local).
 func (k *Kernel) AlignRange(ref bio.NucSeq, lo, hi int) []Hit {

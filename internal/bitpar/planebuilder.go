@@ -79,6 +79,8 @@ type PlaneBuilder struct {
 	n      int      // packed elements
 	view   planes   // reslice window the last Planes() call handed out
 	pub    Planes
+	// spill backs the span-local planes of parallel AppendASCII calls.
+	spill []uint64
 }
 
 // NewPlaneBuilder returns an empty builder. Most callers want the pooled

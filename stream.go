@@ -6,7 +6,6 @@ import (
 	"io"
 	"time"
 
-	"fabp/internal/bio"
 	"fabp/internal/bitpar"
 	"fabp/internal/faultinject"
 	"fabp/internal/retry"
@@ -18,10 +17,12 @@ import (
 var streamChunkLetters = 1 << 20
 
 // scanChunks reads a nucleotide stream (raw letters, whitespace tolerated)
-// in fixed-size chunks, packing each chunk ONCE into pooled bit-planes,
-// carrying the last Lq−1 elements plus two elements of comparison context
-// between chunks — the same cross-beat carry the hardware reference buffer
-// implements and core.Engine.AlignReader mirrors — and invokes scan once
+// in fixed-size chunks, decoding each read ONCE straight into pooled
+// bit-planes (PlaneBuilder.AppendASCII: parallel spans on pool for large
+// reads, inline for small ones), carrying the last Lq−1 elements plus two
+// elements of comparison context between chunks — the same cross-beat
+// carry the hardware reference buffer implements and
+// core.Engine.AlignReader mirrors — and invokes scan once
 // per chunk with the packed planes and the chunk-local window-start range
 // [lo, hi) that is new in this chunk. Global position = base + local
 // position. The planes alias the pooled builder: scan must finish reading
@@ -34,7 +35,8 @@ var streamChunkLetters = 1 << 20
 // the tail windows only the final flush can deliver (m == mFinal for a
 // single query). Kernels clamp per query, so the extra tail starts are
 // safe for longer queries. tm records beats (chunks) processed,
-// carry-boundary restarts, packed plane words and per-chunk pack latency.
+// carry-boundary restarts, packed plane words and per-read decode+pack
+// latency.
 //
 // The context is checked before every read — the chunk boundary is the
 // cancellation checkpoint — so a canceled or deadlined scan stops without
@@ -48,7 +50,7 @@ var streamChunkLetters = 1 << 20
 // returned no data retry (a short read with an error delivers its bytes
 // first, exactly as io.Reader semantics require); exhausted or
 // non-retryable errors surface through the flush-before-error path below.
-func scanChunks(ctx context.Context, r io.Reader, m, mFinal int, tm *alignerMetrics, rp RetryPolicy, scan func(pp *bitpar.Planes, lo, hi, base int) error) error {
+func scanChunks(ctx context.Context, r io.Reader, m, mFinal int, pool *sched.Pool, tm *alignerMetrics, rp RetryPolicy, scan func(pp *bitpar.Planes, lo, hi, base int) error) error {
 	chunkLetters := streamChunkLetters
 	if chunkLetters < m+2 {
 		chunkLetters = m + 2
@@ -57,7 +59,6 @@ func scanChunks(ctx context.Context, r io.Reader, m, mFinal int, tm *alignerMetr
 	bld := bitpar.GetPlaneBuilder()
 	defer bld.Release()
 	buf := make([]byte, chunkLetters)
-	dec := make(bio.NucSeq, 0, chunkLetters)
 	base := 0 // global position of the builder's element 0
 	skip := 0 // window starts below this are re-carried context, already scanned
 
@@ -109,14 +110,13 @@ func scanChunks(ctx context.Context, r io.Reader, m, mFinal int, tm *alignerMetr
 				return cerr // cancellation keeps its bare, unwrapped error
 			}
 		}
-		var perr error
-		dec, _, perr = bio.AppendNucASCII(dec[:0], buf[:nRead])
-		if len(dec) > 0 {
-			// Pack the decoded span once; every shard and every query of
-			// the chunk reads these plane words.
-			w0 := bld.Words()
-			tp := time.Now()
-			bld.Append(dec)
+		// Decode and pack the read once, in parallel spans when it is
+		// large; every shard and every query of the chunk reads these
+		// plane words.
+		n0, w0 := bld.Len(), bld.Words()
+		tp := time.Now()
+		_, perr := bld.AppendASCII(buf[:nRead], pool)
+		if bld.Len() > n0 {
 			observeSince(tm.packLatency, tp)
 			tm.packWords.Add(uint64(bld.Words() - w0))
 		}
@@ -160,15 +160,16 @@ func scanChunks(ctx context.Context, r io.Reader, m, mFinal int, tm *alignerMetr
 // exactly like a database scan — every shard reads the one shared packed
 // chunk. A chunk that fits one shard runs inline on the calling goroutine
 // (the steady-state streaming path allocates nothing here until hits
-// appear).
-func (a *Aligner) streamChunkHits(ctx context.Context, pp *bitpar.Planes, lo, hi int) ([]bitpar.Hit, error) {
+// appear): it scans on sc, the scratch the stream owns for its whole life,
+// so no chunk takes a pooled one.
+func (a *Aligner) streamChunkHits(ctx context.Context, pp *bitpar.Planes, lo, hi int, sc *bitpar.Scratch) ([]bitpar.Hit, error) {
 	if hi <= lo&^63+sched.DefaultShardLen {
 		// One shard: run inline without planning — no shard slice, no
 		// closure, no goroutine. This is every chunk of a default-sized
 		// stream, so the steady state allocates nothing here.
 		a.tm.shardsPlanned.Inc()
 		ts := time.Now()
-		hits := a.kernel.AlignPlanesRange(pp, lo, hi)
+		hits := a.kernel.AlignPlanesRangeScratch(pp, lo, hi, sc)
 		observeSince(a.tm.shardLatency, ts)
 		a.tm.shardsRun.Inc()
 		return hits, nil
@@ -257,7 +258,7 @@ func AlignBatchStreamContext(ctx context.Context, queries []*Query, r io.Reader,
 	tm.kernelBitpar.Add(k)
 	t0 := time.Now()
 	defer func() { observeSince(tm.alignLatency, t0) }()
-	err = scanChunks(ctx, r, bk.MaxElems(), bk.MinElems(), tm, currentBatchRetryPolicy(),
+	err = scanChunks(ctx, r, bk.MaxElems(), bk.MinElems(), sched.Shared(), tm, currentBatchRetryPolicy(),
 		func(pp *bitpar.Planes, lo, hi, base int) error {
 			perQuery, cerr := batchChunkHits(ctx, bk, tm, pp, lo, hi)
 			if cerr != nil {

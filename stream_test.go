@@ -1,9 +1,11 @@
 package fabp
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -286,6 +288,66 @@ func TestAlignStreamSteadyStateZeroChunkAllocs(t *testing.T) {
 	many := scanWith(1024) // 63 chunks
 	if many > few+1 {
 		t.Fatalf("63-chunk stream allocates %.1f/op vs 4-chunk %.1f/op: chunks are not allocation-free", many, few)
+	}
+}
+
+// TestAlignStreamInvalidLetterPosition: an invalid byte inside a large
+// read — one the front end decodes as parallel spans at GOMAXPROCS 2 —
+// fails AlignStream and AlignBatchStream with exactly the serial decoder's
+// positioned error: the global letter count before the byte, and the
+// byte itself. It covers a bad byte in the first read's second span, at
+// the end of a read, in a read after chunk carries, and a second bad byte
+// in a later span, which must not win over the first.
+func TestAlignStreamInvalidLetterPosition(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	ref, genes := SyntheticReference(47, 3<<20, 2, 40)
+	var wrapped bytes.Buffer
+	for s := ref.String(); len(s) > 0; s = s[min(60, len(s)):] {
+		wrapped.WriteString(s[:min(60, len(s))])
+		wrapped.WriteByte('\n')
+	}
+	clean := wrapped.Bytes()
+	q0, err := NewQuery(genes[0].Protein)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q1, err := NewQuery(genes[1].Protein[:20])
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := NewAligner(q0, WithThresholdFraction(0.9), WithKernelType(KernelBitParallel), WithParallelism(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name     string
+		bad      []int
+		badBytes string
+	}{
+		{"first read, second span", []int{700_000}, "N"},
+		{"last byte of a read", []int{1<<20 - 1}, "x"},
+		{"after carries", []int{2<<20 + 800_000}, "*"},
+		{"two bad bytes, two spans", []int{100_000, 900_000}, "#-"},
+	} {
+		src := bytes.Clone(clean)
+		for i, at := range tc.bad {
+			src[at] = tc.badBytes[i]
+		}
+		letters := 0
+		for _, c := range src[:tc.bad[0]] {
+			if c != '\n' {
+				letters++
+			}
+		}
+		want := fmt.Sprintf("fabp: position %d: bio: invalid nucleotide letter %q", letters, tc.badBytes[0])
+		err := a.AlignStream(bytes.NewReader(src), func(Hit) error { return nil })
+		if err == nil || err.Error() != want {
+			t.Errorf("%s: AlignStream error %v, want %q", tc.name, err, want)
+		}
+		err = AlignBatchStream([]*Query{q0, q1}, bytes.NewReader(src), 0.9, func(int, Hit) error { return nil })
+		if err == nil || err.Error() != want {
+			t.Errorf("%s: AlignBatchStream error %v, want %q", tc.name, err, want)
+		}
 	}
 }
 
