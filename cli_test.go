@@ -245,51 +245,6 @@ func TestCLIAlignMetrics(t *testing.T) {
 	}
 }
 
-// TestCLIBenchPerf checks the bench-trajectory point: a BENCH_<date>.json
-// with throughput numbers and the telemetry-derived cache hit rate.
-func TestCLIBenchPerf(t *testing.T) {
-	bin := buildCLI(t, "fabp-bench")
-	dir := t.TempDir()
-	out := run(t, bin, "-perf", "-perf-out", dir)
-	if !strings.Contains(out, "ns/op") || !strings.Contains(out, "cache hit rate") {
-		t.Errorf("perf output: %s", out)
-	}
-	files, err := filepath.Glob(filepath.Join(dir, "BENCH_*.json"))
-	if err != nil || len(files) != 1 {
-		t.Fatalf("bench report files %v (err %v), want exactly one", files, err)
-	}
-	data, err := os.ReadFile(files[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	var report struct {
-		Date         string  `json:"date"`
-		CacheHitRate float64 `json:"cache_hit_rate"`
-		Runs         []struct {
-			Name    string  `json:"name"`
-			NsPerOp float64 `json:"ns_per_op"`
-			Hits    int     `json:"hits"`
-		} `json:"runs"`
-	}
-	if err := json.Unmarshal(data, &report); err != nil {
-		t.Fatalf("report is not valid JSON: %v", err)
-	}
-	if report.Date == "" || len(report.Runs) < 2 {
-		t.Fatalf("report incomplete: %+v", report)
-	}
-	for _, r := range report.Runs {
-		// Scan configs must find the planted genes; the load_* configs
-		// time database loads and emit no hits by design.
-		wantHits := !strings.HasPrefix(r.Name, "load_")
-		if r.NsPerOp <= 0 || (wantHits && r.Hits == 0) {
-			t.Errorf("run %s: ns/op %v hits %d", r.Name, r.NsPerOp, r.Hits)
-		}
-	}
-	if report.CacheHitRate <= 0 {
-		t.Errorf("cache hit rate %v, want > 0 (planes reused across queries)", report.CacheHitRate)
-	}
-}
-
 // TestCLIServeSmoke drives fabp-serve as a real process: preload a FASTA,
 // answer /healthz and one /align query over HTTP, then exit cleanly on
 // SIGTERM after draining.

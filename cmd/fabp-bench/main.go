@@ -6,10 +6,9 @@
 //	fabp-bench            # run everything
 //	fabp-bench -exp fig6a # one experiment
 //	fabp-bench -list      # list experiment ids
-//	fabp-bench -perf      # measured throughput point, written to BENCH_<date>.json
-//	fabp-bench -perf -batch 16        # add fused vs per-query batch runs
-//	fabp-bench -perf -cache           # add cold vs cached-hit Scan runs
-//	fabp-bench -compare old.json new.json  # warn-only regression check
+//
+// Throughput and latency are measured by the layered benchmark under
+// bench/ (bash bench/run.sh), not by this command.
 package main
 
 import (
@@ -29,22 +28,8 @@ func main() {
 	exp := flag.String("exp", "", "experiment id (default: all)")
 	format := flag.String("format", "text", "output format: text, markdown, csv")
 	list := flag.Bool("list", false, "list experiment ids and exit")
-	perf := flag.Bool("perf", false, "measure scan throughput and write BENCH_<date>.json")
-	perfOut := flag.String("perf-out", ".", "directory for the -perf JSON report")
-	perfScale := flag.Int("perf-scale", 1, "reference size multiplier for -perf (1 = 100 kb)")
-	batch := flag.Int("batch", 0, "with -perf: also bench an N-query batch, fused vs per-query")
-	cache := flag.Bool("cache", false, "with -perf: also bench Scan cold vs cached-hit through the result cache")
-	compare := flag.Bool("compare", false, "compare two -perf reports (old.json new.json), warn-only")
 	metrics := flag.Bool("metrics", false, "dump a telemetry snapshot as JSON after running")
 	flag.Parse()
-
-	if *compare {
-		if flag.NArg() != 2 {
-			log.Fatal("-compare needs exactly two arguments: old.json new.json")
-		}
-		comparePerf(flag.Arg(0), flag.Arg(1))
-		return
-	}
 
 	if *metrics {
 		defer func() {
@@ -54,10 +39,6 @@ func main() {
 			}
 			fmt.Printf("\n=== metrics\n%s\n", b)
 		}()
-	}
-	if *perf {
-		runPerf(*perfOut, *perfScale, *batch, *cache)
-		return
 	}
 	if *list {
 		fmt.Println(strings.Join(fabp.ExperimentNames(), "\n"))

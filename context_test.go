@@ -12,6 +12,7 @@ import (
 	"errors"
 	"io"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -312,6 +313,21 @@ func TestPreCanceledContexts(t *testing.T) {
 	}
 	if _, _, err := sess.RunBatchContext(ctx, []*fabp.Query{q}, 0.8); !errors.Is(err, context.Canceled) {
 		t.Errorf("Session.RunBatchContext = %v, want context.Canceled", err)
+	}
+
+	// A batch in which no query fits the reference (50 aa = 150 elements
+	// against 130 nt) has nothing to scan, but still aborts and counts.
+	short, _ := fabp.SyntheticReference(25, 130, 0, 0)
+	long, err := fabp.NewQuery(strings.Repeat("MKWVTFISLL", 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := fabp.DefaultMetrics().Snapshot().Counters["align.canceled"]
+	if out, err := fabp.AlignBatchContext(ctx, []*fabp.Query{long}, short, 0.8); !errors.Is(err, context.Canceled) || out != nil {
+		t.Errorf("AlignBatchContext on a too-short reference = %d lists, %v; want nil, context.Canceled", len(out), err)
+	}
+	if got := fabp.DefaultMetrics().Snapshot().Counters["align.canceled"] - before; got != 1 {
+		t.Errorf("align.canceled delta = %d, want 1", got)
 	}
 }
 

@@ -279,53 +279,48 @@ func bitparToCore(raw []bitpar.Hit) []core.Hit {
 	return hits
 }
 
-// databaseScan builds the shard-scan function for this aligner over the
-// database — the closure scans window starts [lo, hi) under the selected
-// kernel, reading a shared packed representation (cached bit-planes for
-// the bit-parallel kernel, one context array for the scalar engine) so
-// every shard gets its shardLen + Lq−1 overlap for free. starts is 0 when
-// the database is shorter than the query.
-func (a *Aligner) databaseScan(d *Database) (scan func(lo, hi int) []core.Hit, starts int) {
-	starts = d.Len() - a.query.Elements() + 1
+// shardScan builds the shard-scan function for this aligner over an
+// n-letter target — the closure scans window starts [lo, hi) under the
+// selected kernel, reading one shared packed representation (the
+// bit-planes from planes for the bit-parallel kernel, a context array over
+// seq for the scalar engine) so every shard gets its shardLen + Lq−1
+// overlap for free. Only the chosen kernel's input is built. starts is 0
+// when the target is shorter than the query.
+func (a *Aligner) shardScan(n int, planes func() *bitpar.Planes, seq func() bio.NucSeq) (scan func(lo, hi int) []core.Hit, starts int) {
+	starts = n - a.query.Elements() + 1
 	if starts <= 0 {
 		return nil, 0
 	}
-	a.tm.kernelChosen(a.useBitpar(d.Len()))
-	if a.useBitpar(d.Len()) {
-		a.tm.planeLookups.Inc()
-		planes := d.planes()
+	a.tm.kernelChosen(a.useBitpar())
+	if a.useBitpar() {
+		pp := planes()
 		return func(lo, hi int) []core.Hit {
-			return bitparToCore(a.kernel.AlignPlanesRange(planes, lo, hi))
+			return bitparToCore(a.kernel.AlignPlanesRange(pp, lo, hi))
 		}, starts
 	}
-	ctxs := core.Contexts(d.d.Seq())
+	ctxs := core.Contexts(seq())
+	e := a.engine()
 	return func(lo, hi int) []core.Hit {
-		return a.engine().AlignContexts(ctxs, lo, hi)
+		return e.AlignContexts(ctxs, lo, hi)
 	}, starts
 }
 
-// referenceScan builds the shard-scan function for this aligner over a
-// standalone reference — the same shape as databaseScan, used by
-// AlignContext when the scan must be cancelable shard by shard. The
-// bit-parallel path reads the reference's cached planes; the scalar path
-// shares one context array.
-func (a *Aligner) referenceScan(ref *Reference) (scan func(lo, hi int) []core.Hit, starts int) {
-	starts = ref.Len() - a.query.Elements() + 1
-	if starts <= 0 {
-		return nil, 0
-	}
-	a.tm.kernelChosen(a.useBitpar(ref.Len()))
-	if a.useBitpar(ref.Len()) {
+// databaseScan is shardScan over the database's cached planes or its
+// unpacked letters.
+func (a *Aligner) databaseScan(d *Database) (scan func(lo, hi int) []core.Hit, starts int) {
+	return a.shardScan(d.Len(), func() *bitpar.Planes {
 		a.tm.planeLookups.Inc()
-		planes := planesForReference(ref)
-		return func(lo, hi int) []core.Hit {
-			return bitparToCore(a.kernel.AlignPlanesRange(planes, lo, hi))
-		}, starts
-	}
-	ctxs := core.Contexts(ref.seq)
-	return func(lo, hi int) []core.Hit {
-		return a.engine().AlignContexts(ctxs, lo, hi)
-	}, starts
+		return d.planes()
+	}, d.d.Seq)
+}
+
+// referenceScan is shardScan over a standalone reference's cached planes
+// or its letters.
+func (a *Aligner) referenceScan(ref *Reference) (scan func(lo, hi int) []core.Hit, starts int) {
+	return a.shardScan(ref.Len(), func() *bitpar.Planes {
+		a.tm.planeLookups.Inc()
+		return planesForReference(ref)
+	}, func() bio.NucSeq { return ref.seq })
 }
 
 // instrumentShard wraps a shard-scan function so each execution records
@@ -525,12 +520,11 @@ func NewSession(d *Database) (*Session, error) {
 	return sess, nil
 }
 
-// scan computes one query's hits against the resident database: sharded
-// bit-parallel scan over the cached planes for large databases, sharded
-// scalar scan below the crossover — the same auto rule as the Aligner, and
-// bit-exact with the host's built-in engine. Cancellation is checked
-// between shards; an abort returns ctx.Err() and is recorded on the
-// process-wide align.canceled / align.deadline.exceeded counters.
+// scan computes one query's hits against the resident database: a sharded
+// bit-parallel scan over the cached planes, the same kernel as an auto
+// Aligner, and bit-exact with the host's built-in engine. Cancellation is
+// checked between shards; an abort returns ctx.Err() and is recorded on
+// the process-wide align.canceled / align.deadline.exceeded counters.
 func (s *Session) scan(ctx context.Context, prog isa.Program, threshold int) ([]core.Hit, error) {
 	starts := s.d.Len() - len(prog) + 1
 	if starts <= 0 {
@@ -540,31 +534,17 @@ func (s *Session) scan(ctx context.Context, prog isa.Program, threshold int) ([]
 	tm.queries.Inc()
 	shards := sched.Plan(starts, 0)
 	tm.shardsPlanned.Add(uint64(len(shards)))
-	var scan func(lo, hi int) []core.Hit
-	tm.kernelChosen(s.d.Len() >= bitParThresholdLen)
-	if s.d.Len() >= bitParThresholdLen {
-		k, err := bitpar.NewKernel(prog, threshold)
-		if err != nil {
-			return nil, err
-		}
-		tm.planeLookups.Inc()
-		planes := s.d.planes()
-		scan = func(lo, hi int) []core.Hit {
-			return bitparToCore(k.AlignPlanesRange(planes, lo, hi))
-		}
-	} else {
-		e, err := core.NewEngine(prog, threshold)
-		if err != nil {
-			return nil, err
-		}
-		ctxs := core.Contexts(s.d.d.Seq())
-		scan = func(lo, hi int) []core.Hit {
-			return e.AlignContexts(ctxs, lo, hi)
-		}
+	tm.kernelChosen(true)
+	k, err := bitpar.NewKernel(prog, threshold)
+	if err != nil {
+		return nil, err
 	}
-	scan = instrumentShard(tm, scan)
+	tm.planeLookups.Inc()
+	planes := s.d.planes()
+	scan := instrumentShard(tm, func(lo, hi int) []core.Hit {
+		return bitparToCore(k.AlignPlanesRange(planes, lo, hi))
+	})
 	var hits []core.Hit
-	var err error
 	if rp := currentBatchRetryPolicy(); rp.enabled() || faultinject.Enabled() {
 		hits, err = gatherShardsResilient(ctx, sched.Shared(), rp, false, tm, shards, scan)
 	} else {
@@ -582,10 +562,8 @@ func (s *Session) scan(ctx context.Context, prog isa.Program, threshold int) ([]
 
 // scanBatch computes a whole batch's hits against the resident database
 // in one fused pass — the host.BatchAlignFunc hook installed by
-// NewSession, replacing the per-query rescan loop. Large databases run
-// the fused bit-parallel batch kernel over the cached planes; below the
-// crossover the scalar batch engine shares one context array. Bit-exact
-// with the per-query scan either way.
+// NewSession, replacing the per-query rescan loop: the fused bit-parallel
+// batch kernel over the cached planes, bit-exact with the per-query scan.
 func (s *Session) scanBatch(ctx context.Context, progs []isa.Program, thresholds []int) ([][]core.Hit, error) {
 	return scanBatchDatabase(ctx, s.d, progs, thresholds)
 }
@@ -593,35 +571,16 @@ func (s *Session) scanBatch(ctx context.Context, progs []isa.Program, thresholds
 // scanBatchDatabase is the database-level fused batch scan shared by
 // Session.scanBatch and AlignDatabaseBatchContext.
 func scanBatchDatabase(ctx context.Context, d *Database, progs []isa.Program, thresholds []int) ([][]core.Hit, error) {
-	tm := &defaultAlignerTM
-	if d.Len() >= bitParThresholdLen {
-		tm.planeLookups.Inc()
-		raw, err := alignBatchFused(ctx, progs, thresholds, d.planes(), 0)
-		if err != nil {
-			return nil, err
-		}
-		out := make([][]core.Hit, len(raw))
-		for i, hits := range raw {
-			out[i] = bitparToCore(hits)
-		}
-		return out, nil
-	}
-	if err := ctx.Err(); err != nil {
-		tm.recordCtxErr(err)
-		return nil, err
-	}
-	batch, err := core.NewBatch(progs, thresholds)
+	defaultAlignerTM.planeLookups.Inc()
+	raw, err := alignBatchFused(ctx, progs, thresholds, d.planes(), 0)
 	if err != nil {
 		return nil, err
 	}
-	tm.queries.Add(uint64(len(progs)))
-	tm.batchQueries.Add(uint64(len(progs)))
-	tm.kernelScalar.Add(uint64(len(progs)))
-	perQuery := batch.Align(d.d.Seq())
-	for _, hits := range perQuery {
-		tm.hits.Add(uint64(len(hits)))
+	out := make([][]core.Hit, len(raw))
+	for i, hits := range raw {
+		out[i] = bitparToCore(hits)
 	}
-	return perQuery, nil
+	return out, nil
 }
 
 // QueryTiming decomposes one query's projected end-to-end time in seconds.
@@ -753,7 +712,13 @@ func alignBatchFused(ctx context.Context, progs []isa.Program, thresholds []int,
 	tm.kernelBitpar.Add(k)
 	starts := bk.Starts(planes.Len())
 	if starts <= 0 {
-		return make([][]bitpar.Hit, len(progs)), ctx.Err()
+		// No query fits the target: nothing to scan, but a dead context
+		// still aborts (and counts) like any other scan.
+		if err := ctx.Err(); err != nil {
+			tm.recordCtxErr(err)
+			return nil, err
+		}
+		return make([][]bitpar.Hit, len(progs)), nil
 	}
 	shards := sched.Plan(starts, shardLen)
 	tm.shardsPlanned.Add(uint64(len(shards)))
@@ -800,12 +765,10 @@ func bitparBatchToHits(raw [][]bitpar.Hit) [][]Hit {
 // AlignBatch scans one reference with many queries in a single fused pass,
 // returning per-query hit lists. Thresholds are the given fraction of each
 // query's own maximum score (rounded, not truncated). Every query is
-// validated before any scanning starts. Large references pack into
+// validated before any scanning starts. The reference packs into
 // bit-planes once — cached across calls — and the fused batch kernel reads
-// each reference tile once for the whole batch; small ones share the
-// scalar batch engine's context array. Both paths are bit-exact with a
-// serial per-query scan (see AlignBatchPerQuery). It is AlignBatchContext
-// under context.Background().
+// each reference tile once for the whole batch, bit-exact with a serial
+// per-query scan. It is AlignBatchContext under context.Background().
 func AlignBatch(queries []*Query, ref *Reference, thresholdFrac float64) ([][]Hit, error) {
 	return AlignBatchContext(context.Background(), queries, ref, thresholdFrac)
 }
@@ -824,72 +787,12 @@ func AlignBatchContext(ctx context.Context, queries []*Query, ref *Reference, th
 	if err != nil {
 		return nil, err
 	}
-	tm := &defaultAlignerTM
-	if ref.Len() >= bitParThresholdLen {
-		tm.planeLookups.Inc()
-		raw, err := alignBatchFused(ctx, progs, thresholds, planesForReference(ref), 0)
-		if err != nil {
-			return nil, err
-		}
-		return bitparBatchToHits(raw), nil
-	}
-	if err := ctx.Err(); err != nil {
-		tm.recordCtxErr(err)
-		return nil, err
-	}
-	batch, err := core.NewBatch(progs, thresholds)
+	defaultAlignerTM.planeLookups.Inc()
+	raw, err := alignBatchFused(ctx, progs, thresholds, planesForReference(ref), 0)
 	if err != nil {
 		return nil, err
 	}
-	tm.queries.Add(uint64(len(queries)))
-	tm.batchQueries.Add(uint64(len(queries)))
-	tm.kernelScalar.Add(uint64(len(queries)))
-	raw := batch.Align(ref.seq)
-	out := make([][]Hit, len(raw))
-	for i, hits := range raw {
-		out[i] = make([]Hit, len(hits))
-		for j, h := range hits {
-			out[i][j] = Hit{Pos: h.Pos, Score: h.Score}
-		}
-		tm.hits.Add(uint64(len(hits)))
-	}
-	return out, nil
-}
-
-// AlignBatchPerQuery is the pre-fusion batch path: every query rescans the
-// reference independently — the scalar batch engine below the crossover,
-// per-(query, shard) bit-parallel tiles above, so a K-query batch reads
-// the reference planes K times. Retained as the baseline the fused path is
-// proven bit-exact against in the conformance suite and benchmarked over
-// (fabp-bench -batch).
-func AlignBatchPerQuery(queries []*Query, ref *Reference, thresholdFrac float64) ([][]Hit, error) {
-	if len(queries) == 0 {
-		return nil, fmt.Errorf("fabp: empty batch")
-	}
-	progs, err := batchPrograms(queries)
-	if err != nil {
-		return nil, err
-	}
-	if ref.Len() >= bitParThresholdLen {
-		return alignBatchBitpar(queries, ref, thresholdFrac)
-	}
-	batch, err := core.NewBatchUniform(progs, thresholdFrac)
-	if err != nil {
-		return nil, err
-	}
-	tm := &defaultAlignerTM
-	tm.queries.Add(uint64(len(queries)))
-	tm.kernelScalar.Add(uint64(len(queries)))
-	raw := batch.Align(ref.seq)
-	out := make([][]Hit, len(raw))
-	for i, hits := range raw {
-		out[i] = make([]Hit, len(hits))
-		for j, h := range hits {
-			out[i][j] = Hit{Pos: h.Pos, Score: h.Score}
-		}
-		tm.hits.Add(uint64(len(hits)))
-	}
-	return out, nil
+	return bitparBatchToHits(raw), nil
 }
 
 // AlignDatabaseBatch scans the whole database once for every query of a
@@ -918,95 +821,6 @@ func AlignDatabaseBatchContext(ctx context.Context, d *Database, queries []*Quer
 	out := make([][]RecordHit, len(queries))
 	for i, hits := range perQuery {
 		out[i] = toRecordHits(d.d.Attribute(hits, queries[i].Elements()))
-	}
-	return out, nil
-}
-
-// alignBatchBitpar is the large-reference batch path: compile and validate
-// every kernel up front, fetch the reference's cached bit-planes, then run
-// every (query, shard) tile on the shared worker pool and stitch per-query
-// hits back together in position order.
-func alignBatchBitpar(queries []*Query, ref *Reference, thresholdFrac float64) ([][]Hit, error) {
-	kernels := make([]*bitpar.Kernel, len(queries))
-	var bad []string
-	for i, q := range queries {
-		threshold, err := core.ThresholdFromFraction(thresholdFrac, q.MaxScore())
-		if err != nil {
-			return nil, err // fraction errors are batch-wide, not per query
-		}
-		k, err := bitpar.NewKernel(q.program, threshold)
-		if err != nil {
-			bad = append(bad, fmt.Sprintf("%d (%v)", i, err))
-			continue
-		}
-		kernels[i] = k
-	}
-	if len(bad) > 0 {
-		return nil, fmt.Errorf("fabp: invalid batch queries at index %s", strings.Join(bad, ", "))
-	}
-
-	tm := &defaultAlignerTM
-	tm.queries.Add(uint64(len(queries)))
-	tm.kernelBitpar.Add(uint64(len(queries)))
-	tm.planeLookups.Inc()
-	planes := planesForReference(ref)
-	type task struct{ qi, lo, hi int }
-	var tasks []task
-	for qi, k := range kernels {
-		for _, s := range sched.Plan(ref.Len()-k.QueryElems()+1, 0) {
-			tasks = append(tasks, task{qi, s.Lo, s.Hi})
-		}
-	}
-	tm.shardsPlanned.Add(uint64(len(tasks)))
-	parts := make([][]bitpar.Hit, len(tasks))
-	sched.Shared().Each(len(tasks), func(i int) {
-		t := tasks[i]
-		t0 := time.Now()
-		parts[i] = kernels[t.qi].AlignPlanesRange(planes, t.lo, t.hi)
-		observeSince(tm.shardLatency, t0)
-		tm.shardsRun.Inc()
-	})
-
-	out := make([][]Hit, len(queries))
-	counts := make([]int, len(queries))
-	for i, t := range tasks {
-		counts[t.qi] += len(parts[i])
-	}
-	for qi := range out {
-		out[qi] = make([]Hit, 0, counts[qi])
-		tm.hits.Add(uint64(counts[qi]))
-	}
-	// Tasks were appended per query in ascending shard order, so appending
-	// in task order preserves position order within each query.
-	for i, t := range tasks {
-		for _, h := range parts[i] {
-			out[t.qi] = append(out[t.qi], Hit{Pos: h.Pos, Score: h.Score})
-		}
-	}
-	return out, nil
-}
-
-// alignBatchBitparSerial is the pre-scheduler batch path (pack per call,
-// queries strictly one after another). It is retained as the golden
-// reference the sharded path is proven bit-exact against in tests and as
-// the benchmark baseline.
-func alignBatchBitparSerial(queries []*Query, ref *Reference, thresholdFrac float64) ([][]Hit, error) {
-	planes := bitpar.PackReference(ref.seq)
-	out := make([][]Hit, len(queries))
-	for i, q := range queries {
-		threshold, err := core.ThresholdFromFraction(thresholdFrac, q.MaxScore())
-		if err != nil {
-			return nil, err
-		}
-		k, err := bitpar.NewKernel(q.program, threshold)
-		if err != nil {
-			return nil, fmt.Errorf("fabp: batch query %d: %w", i, err)
-		}
-		raw := k.AlignPlanes(planes)
-		out[i] = make([]Hit, len(raw))
-		for j, h := range raw {
-			out[i][j] = Hit{Pos: h.Pos, Score: h.Score}
-		}
 	}
 	return out, nil
 }

@@ -222,8 +222,8 @@ func (r *Reference) String() string { return r.seq.String() }
 type Kernel int
 
 const (
-	// KernelAuto picks per scan: the bit-parallel kernel for references
-	// of at least 128 nt, the scalar engine below. The default.
+	// KernelAuto runs the bit-parallel kernel on every target, whatever
+	// its length. The default.
 	KernelAuto Kernel = iota
 	// KernelScalar always runs the scalar table-lookup engine.
 	KernelScalar
@@ -272,8 +272,6 @@ type Aligner struct {
 	engineOnce sync.Once
 	eng        *core.Engine
 	mode       Kernel
-	// parallelism bounds the scalar engine's fan-out (0 = GOMAXPROCS).
-	parallelism int
 	// pool executes database-scan shards; shared process-wide unless
 	// WithParallelism built a private one.
 	pool *sched.Pool
@@ -328,10 +326,9 @@ func WithThresholdFraction(f float64) AlignerOption {
 }
 
 // WithParallelism bounds the worker goroutines of the aligner's shard
-// pool — the only source of parallelism on the bit-parallel path (the
-// scalar engine's own fan-out honors it too). Zero is the documented
-// default (GOMAXPROCS on the shared process-wide pool); negative values
-// are an error.
+// pool — the only source of parallelism for either kernel. Zero is the
+// documented default (GOMAXPROCS on the shared process-wide pool);
+// negative values are an error.
 func WithParallelism(p int) AlignerOption {
 	return func(c *alignerConfig) {
 		if p < 0 {
@@ -433,7 +430,7 @@ func NewAligner(q *Query, opts ...AlignerOption) (*Aligner, error) {
 	}
 	return &Aligner{
 		query: q, kernel: kernel, mode: cfg.kernel,
-		parallelism: cfg.parallelism, pool: pool, shardLen: cfg.shardLen,
+		pool: pool, shardLen: cfg.shardLen,
 		metrics: cfg.metrics, tm: newAlignerMetrics(cfg.metrics.reg),
 		retryPolicy: cfg.retryPolicy, partial: cfg.partial,
 	}, nil
@@ -444,9 +441,6 @@ func (a *Aligner) engine() *core.Engine {
 	a.engineOnce.Do(func() {
 		// NewKernel already validated the program and threshold.
 		a.eng, _ = core.NewEngine(a.query.program, a.kernel.Threshold())
-		if a.parallelism > 0 {
-			a.eng.SetParallelism(a.parallelism)
-		}
 	})
 	return a.eng
 }
@@ -455,21 +449,9 @@ func (a *Aligner) engine() *core.Engine {
 // unless WithTelemetry supplied a private one).
 func (a *Aligner) Metrics() *Metrics { return a.metrics }
 
-// bitParThresholdLen is the reference size from which "auto" switches to
-// the bit-parallel kernel: the measured crossover (BenchmarkKernelCrossover;
-// EXPERIMENTS.md), where the fused kernel overtakes the scalar engine.
-const bitParThresholdLen = 128
-
-// useBitpar decides the implementation for a reference length.
-func (a *Aligner) useBitpar(refLen int) bool {
-	switch a.mode {
-	case KernelBitParallel:
-		return true
-	case KernelScalar:
-		return false
-	}
-	return refLen >= bitParThresholdLen
-}
+// useBitpar reports whether scans run the bit-parallel kernel: always,
+// unless the aligner was built with an explicit KernelScalar.
+func (a *Aligner) useBitpar() bool { return a.mode != KernelScalar }
 
 // Kernel returns the configured kernel selection.
 func (a *Aligner) Kernel() Kernel { return a.mode }
@@ -477,41 +459,16 @@ func (a *Aligner) Kernel() Kernel { return a.mode }
 // Threshold returns the configured hit threshold.
 func (a *Aligner) Threshold() int { return a.kernel.Threshold() }
 
-// alignSeq is the uncancelable whole-sequence scan under the selected
-// kernel. The bit-parallel branch scans pp (seq's packed planes; nil packs
-// them for this call) shard by shard on the aligner's pool, the only
-// source of parallelism on that path.
-func (a *Aligner) alignSeq(seq bio.NucSeq, pp *bitpar.Planes) []core.Hit {
-	useBitpar := a.useBitpar(len(seq))
-	a.tm.kernelChosen(useBitpar)
-	if !useBitpar {
-		return a.engine().Align(seq)
-	}
-	starts := len(seq) - a.query.Elements() + 1
-	if starts <= 0 {
-		return nil
-	}
-	if pp == nil {
-		pp = bitpar.PackReference(seq)
-	}
+// gatherShards is the uncancelable scan of a shard-scan function (see
+// shardScan): its shards run on the aligner's pool, the only source of
+// parallelism for either kernel, and come back in position order.
+func (a *Aligner) gatherShards(scan func(lo, hi int) []core.Hit, starts int) []core.Hit {
 	shards := sched.Plan(starts, a.shardLen)
 	a.tm.shardsPlanned.Add(uint64(len(shards)))
-	scan := instrumentShard(&a.tm, func(lo, hi int) []core.Hit {
-		return bitparToCore(a.kernel.AlignPlanesRange(pp, lo, hi))
-	})
+	scan = instrumentShard(&a.tm, scan)
 	return sched.Gather(a.pool, len(shards), func(i int) []core.Hit {
 		return scan(shards[i].Lo, shards[i].Hi)
 	})
-}
-
-// refPlanes returns ref's shared cached planes when the bit-parallel
-// kernel will scan it (nil otherwise), counted as a plane lookup.
-func (a *Aligner) refPlanes(ref *Reference) *bitpar.Planes {
-	if !a.useBitpar(ref.Len()) {
-		return nil
-	}
-	a.tm.planeLookups.Inc()
-	return planesForReference(ref)
 }
 
 // Align scans the reference and returns every hit in position order. It
@@ -555,7 +512,7 @@ func (a *Aligner) executeReferenceScan(ctx context.Context, ref *Reference) (*Sc
 	var raw []core.Hit
 	var perr error
 	if ctx.Done() == nil && !a.resilientScans() {
-		raw = a.alignSeq(ref.seq, a.refPlanes(ref))
+		raw = a.gatherShards(a.referenceScan(ref))
 	} else {
 		// Cancelable contexts — and any scan under a retry policy, partial
 		// mode or fault injection — go through the shard scheduler so the
@@ -588,10 +545,9 @@ func (a *Aligner) executeReferenceScan(ctx context.Context, ref *Reference) (*Sc
 // from emit to stop early.
 //
 // The scan honors the configured kernel: "scalar" runs the engine's
-// chunked reader, "bitparallel" packs each chunk into bit-planes and runs
-// the SIMD-within-register kernel, and "auto" picks the bit-parallel
-// kernel (a stream's length is unknown up front, and streams are
-// typically large). All modes produce identical hits.
+// chunked reader; "bitparallel" and "auto" pack each chunk into
+// bit-planes and run the SIMD-within-register kernel. All modes produce
+// identical hits.
 func (a *Aligner) AlignStream(r io.Reader, emit func(Hit) error) error {
 	return a.AlignStreamContext(context.Background(), r, emit)
 }
@@ -647,16 +603,16 @@ func (a *Aligner) EValueOf(score, refLen int) float64 {
 
 // Best returns the single highest-scoring position regardless of the
 // threshold (ok=false when the reference is shorter than the query). It
-// dispatches through the same kernel rule as Align — the bit-parallel
-// best-hit scan under WithKernelType(KernelBitParallel) or a large "auto"
-// reference, the scalar engine otherwise — and is instrumented like every
-// other scan (align.queries.started, align.latency, kernel counters).
+// dispatches through the same kernel rule as Align — the scalar engine
+// only under WithKernelType(KernelScalar), the bit-parallel best-hit scan
+// otherwise — and is instrumented like every other scan
+// (align.queries.started, align.latency, kernel counters).
 func (a *Aligner) Best(ref *Reference) (Hit, bool) {
 	a.tm.queries.Inc()
 	t0 := time.Now()
 	defer func() { observeSince(a.tm.alignLatency, t0) }()
-	a.tm.kernelChosen(a.useBitpar(ref.Len()))
-	if a.useBitpar(ref.Len()) {
+	a.tm.kernelChosen(a.useBitpar())
+	if a.useBitpar() {
 		h, ok := a.kernel.BestHit(ref.seq)
 		return Hit{Pos: h.Pos, Score: h.Score}, ok
 	}

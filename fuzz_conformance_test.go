@@ -33,11 +33,23 @@ func assertHitsEqual(t *testing.T, label string, want, got []Hit) {
 	}
 }
 
+// recordHitsAsHits maps a one-record database's hits back to reference
+// positions.
+func recordHitsAsHits(rh []RecordHit) []Hit {
+	got := make([]Hit, len(rh))
+	for i, h := range rh {
+		got[i] = Hit{Pos: h.Offset, Score: h.Score}
+	}
+	return got
+}
+
 // checkAlignConformance is the differential oracle: the scalar whole-
 // reference scan defines the truth, and every other execution strategy —
-// bit-parallel kernel, sharded database scans under both kernels, and the
-// chunked stream scan at chunk sizes straddling the L_q-element carry
-// boundary — must reproduce it hit for hit, in order.
+// bit-parallel kernel, KernelAuto through every entrypoint that takes it
+// or has no kernel option, sharded database scans under both kernels, and
+// the chunked stream scan at chunk sizes straddling the L_q-element carry
+// boundary — must reproduce it hit for hit, in order. References shorter
+// than the query must yield no hits anywhere.
 func checkAlignConformance(t *testing.T, protein, refStr string, thr int) {
 	t.Helper()
 	q, err := NewQuery(protein)
@@ -48,31 +60,74 @@ func checkAlignConformance(t *testing.T, protein, refStr string, thr int) {
 	if err != nil {
 		t.Skip(err)
 	}
-	if ref.Len() < q.Elements() {
-		t.Skip("reference shorter than query")
-	}
-
 	scalar := mustConformAligner(t, q, WithKernelType(KernelScalar), WithThreshold(thr))
 	want := scalar.Align(ref)
 
 	bitp := mustConformAligner(t, q, WithKernelType(KernelBitParallel), WithThreshold(thr))
 	assertHitsEqual(t, "bitparallel Align", want, bitp.Align(ref))
 
-	// Sharded database scans: small shards so even short references tile
-	// into several, under both kernels and bounded parallelism.
+	// KernelAuto must equal KernelScalar whatever the reference length:
+	// the uncancelable and shard-checkpointed single-reference scans, Best
+	// and Scan take the kernel explicitly.
+	auto := mustConformAligner(t, q, WithThreshold(thr))
+	assertHitsEqual(t, "auto Align", want, auto.Align(ref))
+	cctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for _, a := range []*Aligner{scalar, auto} {
+		got, err := a.AlignContext(cctx, ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertHitsEqual(t, "AlignContext/"+a.Kernel().String(), want, got)
+		res, err := Scan(cctx, ScanRequest{Query: q, Reference: ref, Threshold: &thr, Kernel: a.Kernel(), NoCache: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertHitsEqual(t, "Scan/"+a.Kernel().String(), want, res.Hits)
+	}
+	wantBest, wantOK := scalar.Best(ref)
+	if best, ok := auto.Best(ref); best != wantBest || ok != wantOK {
+		t.Fatalf("auto Best = %+v, %v; scalar %+v, %v", best, ok, wantBest, wantOK)
+	}
+
+	// The batch and Session entrypoints have no kernel option: one-query
+	// batches at the fraction that rounds back to thr.
 	dbase, err := DatabaseFromReference("conf", ref)
 	if err != nil {
 		t.Fatal(err)
 	}
+	frac := float64(thr) / float64(q.MaxScore())
+	batch, err := AlignBatch([]*Query{q}, ref, frac)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertHitsEqual(t, "AlignBatch", want, batch[0])
+	dbBatch, err := AlignDatabaseBatch(dbase, []*Query{q}, frac)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertHitsEqual(t, "AlignDatabaseBatch", want, recordHitsAsHits(dbBatch[0]))
+	sess, err := NewSession(dbase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, _, err := sess.Run(q, frac)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertHitsEqual(t, "Session.Run", want, recordHitsAsHits(run))
+	runBatch, _, err := sess.RunBatch([]*Query{q}, frac)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertHitsEqual(t, "Session.RunBatch", want, recordHitsAsHits(runBatch[0]))
+
+	// Sharded database scans: small shards so even short references tile
+	// into several, under both kernels and bounded parallelism.
 	for _, kernel := range []Kernel{KernelScalar, KernelBitParallel} {
 		a := mustConformAligner(t, q, WithKernelType(kernel), WithThreshold(thr),
 			WithShardLen(64), WithParallelism(2))
-		rh := a.AlignDatabase(dbase)
-		got := make([]Hit, len(rh))
-		for i, h := range rh {
-			got[i] = Hit{Pos: h.Offset, Score: h.Score}
-		}
-		assertHitsEqual(t, "sharded AlignDatabase/"+kernel.String(), want, got)
+		assertHitsEqual(t, "sharded AlignDatabase/"+kernel.String(), want, recordHitsAsHits(a.AlignDatabase(dbase)))
 	}
 
 	// Chunked stream scans. scanChunks clamps the chunk to at least m+2
@@ -100,8 +155,8 @@ func checkAlignConformance(t *testing.T, protein, refStr string, thr int) {
 // checkBatchConformance is the batch arm of the differential oracle: the
 // scalar batch engine defines the truth, and the fused batch kernel —
 // whole-scan and under shard sizes straddling the longest query's carry
-// overlap — plus the per-query bit-parallel tiling must reproduce it per
-// query, hit for hit, in order. Queries deliberately mix lengths so the
+// overlap — and the fused batch stream must reproduce it per query, hit
+// for hit, in order. Queries deliberately mix lengths so the
 // fused scan's per-query window clamping is exercised.
 func checkBatchConformance(t *testing.T, proteins []string, refStr string, frac float64) {
 	t.Helper()
@@ -148,20 +203,6 @@ func checkBatchConformance(t *testing.T, proteins []string, refStr string, frac 
 			assertHitsEqual(t, fmt.Sprintf("%s query %d", label, qi), want[qi], got[qi])
 		}
 	}
-
-	// The per-query bit-parallel tiling (the pre-fusion baseline).
-	perQuery, err := alignBatchBitpar(queries, ref, frac)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertBatch("per-query bitpar", perQuery)
-
-	// The routed per-query path (scalar below the crossover).
-	routed, err := AlignBatchPerQuery(queries, ref, frac)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertBatch("AlignBatchPerQuery", routed)
 
 	// The fused batch kernel: whole scan, then shard sizes straddling the
 	// longest query's carry overlap (64 is the smallest legal tile; the
@@ -250,6 +291,19 @@ func TestAlignConformanceRandomTrials(t *testing.T) {
 	for trial := int64(0); trial < 12; trial++ {
 		protein, ref, thr := conformanceCase(trial, trial+100, uint8(3*trial), uint16(211*trial), uint8(trial))
 		checkAlignConformance(t, protein, ref, thr)
+	}
+
+	// Reference lengths around the 64-letter plane word and the 64–128 nt
+	// range where the two kernels' costs cross, then one shorter than its
+	// 20-residue query.
+	for i, n := range []int{1, 63, 64, 65, 127, 128, 40} {
+		rng := rand.New(rand.NewSource(int64(300 + i)))
+		residues := 2 + 3*i
+		if n == 40 {
+			residues = 20
+		}
+		protein := bio.RandomProtSeq(rng, residues).String()
+		checkAlignConformance(t, protein, bio.RandomNucSeq(rng, n).String(), 1+residues)
 	}
 
 	ref, genes := SyntheticReference(77, 30_000, 4, 25)

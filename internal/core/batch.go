@@ -2,9 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
-	"sort"
-	"sync"
 
 	"fabp/internal/bio"
 	"fabp/internal/isa"
@@ -13,11 +10,10 @@ import (
 // Batch aligns many queries against one reference in a single pass over
 // the data — the paper's evaluation workload shape (thousands of queries
 // sampled from NCBI nr against one database). The reference context array
-// is computed once and shared by every query, and work parallelizes over
-// (query, reference-chunk) tiles.
+// is computed once and shared by every query. It is the serial golden
+// model the fused batch kernel is checked against.
 type Batch struct {
-	engines     []*Engine
-	parallelism int
+	engines []*Engine
 }
 
 // NewBatch prepares engines for every (program, threshold) pair.
@@ -28,7 +24,7 @@ func NewBatch(progs []isa.Program, thresholds []int) (*Batch, error) {
 	if len(progs) != len(thresholds) {
 		return nil, fmt.Errorf("core: %d programs but %d thresholds", len(progs), len(thresholds))
 	}
-	b := &Batch{parallelism: runtime.GOMAXPROCS(0)}
+	b := &Batch{}
 	for i := range progs {
 		e, err := NewEngine(progs[i], thresholds[i])
 		if err != nil {
@@ -57,62 +53,13 @@ func NewBatchUniform(progs []isa.Program, thresholdFrac float64) (*Batch, error)
 // Len returns the number of queries in the batch.
 func (b *Batch) Len() int { return len(b.engines) }
 
-// SetParallelism bounds the worker goroutines (minimum 1).
-func (b *Batch) SetParallelism(p int) {
-	if p < 1 {
-		p = 1
-	}
-	b.parallelism = p
-}
-
 // Align scans the reference once and returns per-query hit lists, each in
 // position order.
 func (b *Batch) Align(ref bio.NucSeq) [][]Hit {
 	ctxs := contexts(ref)
 	results := make([][]Hit, len(b.engines))
-
-	type tile struct{ qi, lo, hi int }
-	var tiles []tile
-	const chunk = 1 << 16
 	for qi, e := range b.engines {
-		n := len(ref) - len(e.prog) + 1
-		if n <= 0 {
-			continue
-		}
-		for lo := 0; lo < n; lo += chunk {
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			tiles = append(tiles, tile{qi, lo, hi})
-		}
-	}
-
-	partials := make([][][]Hit, len(b.engines))
-	var mu sync.Mutex
-	sem := make(chan struct{}, b.parallelism)
-	var wg sync.WaitGroup
-	for _, tl := range tiles {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(tl tile) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			h := b.engines[tl.qi].alignRange(ctxs, tl.lo, tl.hi)
-			mu.Lock()
-			partials[tl.qi] = append(partials[tl.qi], h)
-			mu.Unlock()
-		}(tl)
-	}
-	wg.Wait()
-
-	for qi := range partials {
-		var all []Hit
-		for _, p := range partials[qi] {
-			all = append(all, p...)
-		}
-		sort.Slice(all, func(i, j int) bool { return all[i].Pos < all[j].Pos })
-		results[qi] = all
+		results[qi] = e.AlignContexts(ctxs, 0, len(ref))
 	}
 	return results
 }

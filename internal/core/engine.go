@@ -2,9 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
-	"sort"
-	"sync"
 
 	"fabp/internal/bio"
 	"fabp/internal/isa"
@@ -30,8 +27,6 @@ type Engine struct {
 	// ctx = prev2<<4 | prev1<<2 | cur. This is the software rendering of
 	// the per-element comparator LUT pair.
 	matchTab []([64]uint8)
-	// parallelism bounds worker goroutines for large alignments.
-	parallelism int
 }
 
 // NewEngine prepares an engine for the given encoded query and score
@@ -44,10 +39,9 @@ func NewEngine(prog isa.Program, threshold int) (*Engine, error) {
 		return nil, fmt.Errorf("core: threshold %d outside [0,%d]", threshold, len(prog))
 	}
 	e := &Engine{
-		prog:        prog,
-		threshold:   threshold,
-		matchTab:    make([][64]uint8, len(prog)),
-		parallelism: runtime.GOMAXPROCS(0),
+		prog:      prog,
+		threshold: threshold,
+		matchTab:  make([][64]uint8, len(prog)),
 	}
 	for i, ins := range prog {
 		for ctx := 0; ctx < 64; ctx++ {
@@ -67,14 +61,6 @@ func (e *Engine) QueryElems() int { return len(e.prog) }
 
 // Threshold returns the configured hit threshold.
 func (e *Engine) Threshold() int { return e.threshold }
-
-// SetParallelism bounds the worker goroutines used by Align (minimum 1).
-func (e *Engine) SetParallelism(p int) {
-	if p < 1 {
-		p = 1
-	}
-	e.parallelism = p
-}
 
 // contexts computes the per-position 6-bit comparison context of the
 // reference: ctx[j] = ref[j-2]<<4 | ref[j-1]<<2 | ref[j], with out-of-range
@@ -109,47 +95,15 @@ func (e *Engine) Score(ref bio.NucSeq, pos int) int {
 }
 
 // Align scans the whole reference and returns every position whose score
-// reaches the threshold, in position order.
+// reaches the threshold, in position order. It runs on the calling
+// goroutine; callers that want parallelism shard AlignContexts on a
+// scheduler.
 func (e *Engine) Align(ref bio.NucSeq) []Hit {
 	n := len(ref) - len(e.prog) + 1
 	if n <= 0 {
 		return nil
 	}
-	ctxs := contexts(ref)
-
-	workers := e.parallelism
-	if workers > n/1024+1 {
-		workers = n/1024 + 1
-	}
-	if workers <= 1 {
-		return e.alignRange(ctxs, 0, n)
-	}
-
-	chunk := (n + workers - 1) / workers
-	results := make([][]Hit, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			results[w] = e.alignRange(ctxs, lo, hi)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	var hits []Hit
-	for _, r := range results {
-		hits = append(hits, r...)
-	}
-	sort.Slice(hits, func(i, j int) bool { return hits[i].Pos < hits[j].Pos })
-	return hits
+	return e.alignRange(contexts(ref), 0, n)
 }
 
 // Contexts precomputes the per-position comparison contexts of a

@@ -123,33 +123,12 @@ func countSer(p bio.ProtSeq) int {
 	return n
 }
 
-func TestEngineParallelismInvariance(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	p := bio.RandomProtSeq(rng, 20)
-	prog := isa.MustEncodeProtein(p)
-	ref := bio.RandomNucSeq(rng, 50000)
-	e, _ := NewEngine(prog, 30)
-	e.SetParallelism(1)
-	serial := e.Align(ref)
-	e.SetParallelism(8)
-	parallel := e.Align(ref)
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Errorf("parallel results differ: %d vs %d hits", len(serial), len(parallel))
-	}
-	e.SetParallelism(0) // clamps to 1
-	clamped := e.Align(ref)
-	if !reflect.DeepEqual(serial, clamped) {
-		t.Error("clamped parallelism changed results")
-	}
-}
-
 func TestEngineHitsSorted(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	p := bio.RandomProtSeq(rng, 5)
 	prog := isa.MustEncodeProtein(p)
 	ref := bio.RandomNucSeq(rng, 100000)
 	e, _ := NewEngine(prog, 8)
-	e.SetParallelism(4)
 	hits := e.Align(ref)
 	for i := 1; i < len(hits); i++ {
 		if hits[i].Pos <= hits[i-1].Pos {

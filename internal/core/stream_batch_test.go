@@ -83,7 +83,6 @@ func TestBatchMatchesIndividualEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch.SetParallelism(4)
 	got := batch.Align(ref)
 	for i := range progs {
 		e, _ := NewEngine(progs[i], thresholds[i])
@@ -115,7 +114,6 @@ func TestBatchValidation(t *testing.T) {
 	if b.Len() != 1 {
 		t.Error("Len")
 	}
-	b.SetParallelism(0) // clamps
 }
 
 func TestBatchBestHits(t *testing.T) {

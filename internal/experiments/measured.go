@@ -23,8 +23,8 @@ func encodeElement(e backtrans.Element) (string, error) {
 }
 
 // MeasuredConfig scales the reduced-size measured comparison of our real Go
-// implementations (not models): the software FabP engine versus our TBLASTN
-// at 1 and N threads.
+// implementations (not models): the software FabP engine and bit-parallel
+// kernel, each on one thread, versus our TBLASTN at 1 and N threads.
 type MeasuredConfig struct {
 	// RefLen is the reference size in nucleotides (default 4 Mnt — scaled
 	// down from the paper's 1 Gnt so it runs in seconds).
@@ -127,8 +127,8 @@ func Measured(cfg MeasuredConfig) *Table {
 		Title:  "Measured (reduced scale) — real Go implementations, wall clock",
 		Header: []string{"implementation", "seconds", "notes"},
 	}
-	t.AddRow("FabP engine (scalar, bit-exact)", f3(r.EngineSec), itoa(r.EngineHits)+" hits")
-	t.AddRow("FabP bit-parallel kernel (GPU algorithm)", f3(r.BitParSec),
+	t.AddRow("FabP engine (scalar, bit-exact, 1 thread)", f3(r.EngineSec), itoa(r.EngineHits)+" hits")
+	t.AddRow("FabP bit-parallel kernel (GPU algorithm, 1 thread)", f3(r.BitParSec),
 		fmt.Sprintf("%d hits, %.2g cells/s", r.BitParHits, r.BitParCellsPerSec))
 	t.AddRow("TBLASTN (1 thread)", f3(r.TBLASTN1Sec), itoa(r.TBLASTNHsps)+" HSPs")
 	t.AddRow("TBLASTN ("+itoa(r.ThreadsUsed)+" threads)", f3(r.TBLASTNnSec), "")

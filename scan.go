@@ -254,17 +254,14 @@ func canonShardLen(n int) int {
 	return (n + 63) &^ 63
 }
 
-// resolveKernel maps a kernel selection to the one that will scan a
-// target of refLen — KernelAuto resolves by the crossover rule — so auto
-// and an explicit equal selection share cache entries.
-func resolveKernel(k Kernel, refLen int) Kernel {
-	if k != KernelAuto {
-		return k
-	}
-	if refLen >= bitParThresholdLen {
+// resolveKernel maps a kernel selection to the one that will scan —
+// KernelAuto is the bit-parallel kernel — so auto and an explicit equal
+// selection share cache entries.
+func resolveKernel(k Kernel) Kernel {
+	if k == KernelAuto {
 		return KernelBitParallel
 	}
-	return KernelScalar
+	return k
 }
 
 // fromOutcome converts the cache package's outcome to the public one.
@@ -309,7 +306,7 @@ func (a *Aligner) databaseKey(d *Database) scanKey {
 		target:    [sha256.Size]byte(d.d.Digest()),
 		kind:      targetDatabase,
 		threshold: a.Threshold(),
-		kernel:    resolveKernel(a.mode, d.Len()),
+		kernel:    resolveKernel(a.mode),
 		shardLen:  canonShardLen(a.shardLen),
 	}
 }
@@ -321,7 +318,7 @@ func (a *Aligner) referenceKey(ref *Reference) scanKey {
 		target:    ref.contentDigest(),
 		kind:      targetReference,
 		threshold: a.Threshold(),
-		kernel:    resolveKernel(a.mode, ref.Len()),
+		kernel:    resolveKernel(a.mode),
 		shardLen:  canonShardLen(a.shardLen),
 	}
 }
@@ -357,7 +354,6 @@ func (a *Aligner) cachedReferenceScan(ctx context.Context, ref *Reference) (*Sca
 type scanPlan struct {
 	req       ScanRequest
 	threshold int
-	targetLen int
 	// protein is the resolved pipeline option set for ProteinSearch
 	// requests (nil for nucleotide scans).
 	protein *tblastn.Options
@@ -413,13 +409,7 @@ func (req ScanRequest) plan() (*scanPlan, error) {
 		}
 		threshold = t
 	}
-	p := &scanPlan{req: req, threshold: threshold}
-	if req.Database != nil {
-		p.targetLen = req.Database.Len()
-	} else {
-		p.targetLen = req.Reference.Len()
-	}
-	return p, nil
+	return &scanPlan{req: req, threshold: threshold}, nil
 }
 
 // planProtein validates and normalizes a protein-search request: the
@@ -450,13 +440,7 @@ func (req ScanRequest) planProtein() (*scanPlan, error) {
 	if err != nil {
 		return nil, badOption(err)
 	}
-	p := &scanPlan{req: req, protein: &resolved}
-	if req.Database != nil {
-		p.targetLen = req.Database.Len()
-	} else {
-		p.targetLen = req.Reference.Len()
-	}
-	return p, nil
+	return &scanPlan{req: req, protein: &resolved}, nil
 }
 
 // newAligner builds the plan's aligner — only on the cold path; cache
@@ -491,7 +475,7 @@ func (p *scanPlan) key() scanKey {
 	k := scanKey{
 		query:     p.req.Query.digest,
 		threshold: p.threshold,
-		kernel:    resolveKernel(p.req.Kernel, p.targetLen),
+		kernel:    resolveKernel(p.req.Kernel),
 		shardLen:  canonShardLen(p.req.ShardLen),
 	}
 	if p.req.Database != nil {

@@ -478,4 +478,3 @@ func TestScanCacheInvalidationByContent(t *testing.T) {
 		t.Errorf("refB first scan outcome %q, want %q", resB.Cache, CacheMiss)
 	}
 }
-

@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"fabp/internal/bitpar"
+	"fabp/internal/core"
+	"fabp/internal/isa"
 )
 
 // buildShardDB builds a multi-record database of the given total size with
@@ -163,9 +165,8 @@ func TestAlignStreamHonorsKernel(t *testing.T) {
 	}
 }
 
-// TestAlignBatchShardedGolden: the pooled (query × shard) batch must be
-// bit-exact with the retained serial batch path and with per-query
-// aligners.
+// TestAlignBatchShardedGolden: the sharded fused batch must be bit-exact
+// with the serial core.Batch golden model and with per-query aligners.
 func TestAlignBatchShardedGolden(t *testing.T) {
 	ref, genes := SyntheticReference(555, 80_000, 6, 45)
 	var queries []*Query
@@ -180,10 +181,15 @@ func TestAlignBatchShardedGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := alignBatchBitparSerial(queries, ref, 0.8)
+	progs := make([]isa.Program, len(queries))
+	for i, q := range queries {
+		progs[i] = q.program
+	}
+	golden, err := core.NewBatchUniform(progs, 0.8)
 	if err != nil {
 		t.Fatal(err)
 	}
+	serial := golden.Align(ref.seq)
 	if len(sharded) != len(serial) {
 		t.Fatalf("query count %d vs %d", len(sharded), len(serial))
 	}
@@ -192,7 +198,7 @@ func TestAlignBatchShardedGolden(t *testing.T) {
 			t.Fatalf("query %d: %d hits vs serial %d", qi, len(sharded[qi]), len(serial[qi]))
 		}
 		for j := range serial[qi] {
-			if sharded[qi][j] != serial[qi][j] {
+			if sharded[qi][j] != (Hit{Pos: serial[qi][j].Pos, Score: serial[qi][j].Score}) {
 				t.Fatalf("query %d hit %d: %+v vs %+v", qi, j, sharded[qi][j], serial[qi][j])
 			}
 		}

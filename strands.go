@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"fabp/internal/bio"
+	"fabp/internal/bitpar"
 )
 
 // Strand labels which reference strand a hit was found on.
@@ -35,12 +36,15 @@ type StrandHit struct {
 // order.
 func (a *Aligner) AlignBothStrands(ref *Reference) []StrandHit {
 	var out []StrandHit
-	for _, h := range a.alignSeq(ref.seq, a.refPlanes(ref)) {
+	for _, h := range a.gatherShards(a.referenceScan(ref)) {
 		out = append(out, StrandHit{Pos: h.Pos, Score: h.Score, Strand: StrandForward})
 	}
 	rc := bio.NucSeq(ref.seq).ReverseComplement()
 	m := a.query.Elements()
-	for _, h := range a.alignSeq(rc, nil) {
+	rcScan, rcStarts := a.shardScan(len(rc), func() *bitpar.Planes {
+		return bitpar.PackReference(rc)
+	}, func() bio.NucSeq { return rc })
+	for _, h := range a.gatherShards(rcScan, rcStarts) {
 		// Window [h.Pos, h.Pos+m) on the reverse complement maps to
 		// forward positions [len-h.Pos-m, len-h.Pos).
 		out = append(out, StrandHit{

@@ -44,7 +44,7 @@ func (a *Aligner) AlignVerified(ref *Reference, opts VerifyOptions) ([]VerifiedH
 	if opts.ContextResidues == 0 {
 		opts.ContextResidues = 10
 	}
-	raw := a.alignSeq(ref.seq, a.refPlanes(ref))
+	raw := a.gatherShards(a.referenceScan(ref))
 	if opts.MaxHits > 0 && len(raw) > opts.MaxHits {
 		// Keep the best-scoring hits.
 		sort.Slice(raw, func(i, j int) bool { return raw[i].Score > raw[j].Score })

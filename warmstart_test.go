@@ -47,8 +47,7 @@ func TestWarmLoadZeroPacking(t *testing.T) {
 		t.Fatal("warm load did not install planes into the shared cache")
 	}
 
-	// Scan bit-parallel (the 45k-nt test database sits below the auto
-	// crossover, so force the kernel that uses planes).
+	// Scan with the kernel that reads planes.
 	q, err := NewQuery(genes[0].Protein)
 	if err != nil {
 		t.Fatal(err)
