@@ -11,6 +11,7 @@ package fabp
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -320,6 +321,34 @@ func BenchmarkAlignStreamReader(b *testing.B) {
 		}
 	}
 	b.SetBytes(int64(len(stream)) / 4)
+}
+
+// BenchmarkAlignStreamParallel runs AlignStream from many goroutines at
+// once, as a server does under concurrent /align/stream requests. Each
+// stream holds one plane builder for its life, so the allocation figures
+// show how builders recycle across concurrent streams.
+func BenchmarkAlignStreamParallel(b *testing.B) {
+	ref, genes := SyntheticReference(9, 2_000_000, 2, 50)
+	q, _ := NewQuery(genes[0].Protein)
+	a, _ := NewAligner(q, WithThresholdFraction(0.9))
+	stream := ref.String()
+	for _, streams := range []int{8, 32, 64} {
+		b.Run(fmt.Sprintf("streams=%d", streams), func(b *testing.B) {
+			b.SetParallelism((streams + runtime.GOMAXPROCS(0) - 1) / runtime.GOMAXPROCS(0))
+			b.ReportAllocs()
+			b.SetBytes(int64(len(stream)) / 4)
+			b.RunParallel(func(pb *testing.PB) {
+				for pb.Next() {
+					n := 0
+					err := a.AlignStream(strings.NewReader(stream), func(Hit) error { n++; return nil })
+					if err != nil || n == 0 {
+						b.Errorf("stream scan failed: %v (%d hits)", err, n)
+						return
+					}
+				}
+			})
+		})
+	}
 }
 
 // BenchmarkNetlistCycle measures the cycle-accurate RTL simulator on a

@@ -52,9 +52,9 @@ func assertPoolIdle(t *testing.T) {
 // under seeded fault injection with retries enabled: 100 scans across
 // every scan path — gather, stream, cancelable reference scan, fused
 // batch — each with per-shard fault probability 0.1 (plus merge stalls
-// and plane-cache eviction storms), and every one must be byte-identical
-// to its fault-free oracle. Afterwards goroutines and pool slots are back
-// at baseline.
+// and plane-cache eviction storms), then AlignStream over multi-shard
+// chunks, and every one must be byte-identical to its fault-free oracle.
+// Afterwards goroutines and pool slots are back at baseline.
 func TestChaosConformanceSeededFaultInjection(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ref, genes := SyntheticReference(77, 80_000, 4, 25)
@@ -151,6 +151,38 @@ func TestChaosConformanceSeededFaultInjection(t *testing.T) {
 	}
 	if DefaultMetrics().Snapshot().Counters["scan.retries"] == 0 {
 		t.Fatal("no retries recorded; injected failures were not absorbed by the retry layer")
+	}
+
+	// Path 5: AlignStream over multi-shard chunks. The stream is longer
+	// than two default shards, so its chunks fan out through the gather
+	// under the aligner's retry policy. A fresh plan restores the per-key
+	// fire budgets the rounds above spent.
+	streamStr := strings.Repeat(ref.String(), 2*sched.DefaultShardLen/ref.Len()+1)
+	faultinject.Disable()
+	streamRef, err := NewReference(streamStr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantStream := oracle.Align(streamRef)
+	faultinject.Enable(4321, faultinject.Plan{
+		faultinject.SiteShardDispatch: {Prob: 0.5, KeyLimit: 2, Fail: true},
+	})
+	retriesBefore := DefaultMetrics().Snapshot().Counters["scan.retries"]
+	for run := 0; run < 2; run++ {
+		var streamed []Hit
+		if err := a.AlignStream(strings.NewReader(streamStr), func(h Hit) error {
+			streamed = append(streamed, h)
+			return nil
+		}); err != nil {
+			t.Fatalf("run %d AlignStream: %v", run, err)
+		}
+		assertHitsEqual(t, "chaos AlignStream", wantStream, streamed)
+	}
+	if faultinject.Fired(faultinject.SiteShardDispatch) == 0 {
+		t.Fatal("AlignStream shards never passed the dispatch hook")
+	}
+	if DefaultMetrics().Snapshot().Counters["scan.retries"] == retriesBefore {
+		t.Fatal("AlignStream shard faults were not retried")
 	}
 
 	faultinject.Disable()
@@ -271,6 +303,94 @@ func TestPartialResultsExactShardCoverage(t *testing.T) {
 
 	if DefaultMetrics().Snapshot().Counters["scan.partial"] == 0 {
 		t.Fatal("scan.partial not counted")
+	}
+}
+
+// TestAlignBothStrandsUnderFaults pins AlignBothStrands, which has no
+// error return, under fault injection: with a recovering plan and a retry
+// policy its hits equal the fault-free scan's; with sticky shard failures
+// each strand completes on its surviving shards — exactly the fault-free
+// hits outside the failed shards — and counts on scan.partial.
+func TestAlignBothStrandsUnderFaults(t *testing.T) {
+	ref, genes := SyntheticReference(31, 80_000, 4, 25)
+	g := genes[0]
+	m := 3 * len(g.Protein)
+	seq := ref.String()
+	const rcPos = 60_000 // plant gene 0 reverse-complemented as well
+	ref, err := NewReference(seq[:rcPos] + reverseComplementString(seq[g.Pos:g.Pos+m]) + seq[rcPos+m:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := NewQuery(g.Protein)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const shardLen = 2048
+	want := mustConformAligner(t, q, WithThresholdFraction(0.7), WithShardLen(shardLen)).AlignBothStrands(ref)
+	strands := map[Strand]bool{}
+	for _, h := range want {
+		strands[h.Strand] = true
+	}
+	if len(strands) != 2 {
+		t.Fatalf("oracle hits on %d strands, want both", len(strands))
+	}
+	assertStrandHitsEqual := func(label string, want, got []StrandHit) {
+		t.Helper()
+		if len(want) != len(got) {
+			t.Fatalf("%s: %d hits, want %d", label, len(got), len(want))
+		}
+		for i := range want {
+			if want[i] != got[i] {
+				t.Fatalf("%s: hit %d = %+v, want %+v", label, i, got[i], want[i])
+			}
+		}
+	}
+
+	// Transient faults: the retry policy recovers every shard.
+	faultinject.Enable(1234, faultinject.Plan{
+		faultinject.SiteShardDispatch: {Prob: 0.2, KeyLimit: 2, Fail: true},
+	})
+	defer faultinject.Disable()
+	a := mustConformAligner(t, q, WithThresholdFraction(0.7), WithShardLen(shardLen),
+		WithRetryPolicy(chaosRetryPolicy))
+	assertStrandHitsEqual("recovered AlignBothStrands", want, a.AlignBothStrands(ref))
+	if faultinject.Fired(faultinject.SiteShardDispatch) == 0 {
+		t.Fatal("AlignBothStrands shards never passed the dispatch hook")
+	}
+
+	// Sticky faults and no retries: both strands degrade. Keys are shard
+	// indices, so shard k fails on both strands.
+	faultinject.Enable(55, faultinject.Plan{
+		faultinject.SiteShardDispatch: {Prob: 0.3, Sticky: true, Fail: true},
+	})
+	tel := NewMetrics()
+	a = mustConformAligner(t, q, WithThresholdFraction(0.7), WithShardLen(shardLen), WithTelemetry(tel))
+	got := a.AlignBothStrands(ref)
+	shards := sched.Plan(ref.Len()-m+1, shardLen)
+	failed := func(start int) bool {
+		for _, key := range faultinject.FiredKeys(faultinject.SiteShardDispatch) {
+			if start >= shards[key].Lo && start < shards[key].Hi {
+				return true
+			}
+		}
+		return false
+	}
+	var surviving []StrandHit
+	for _, h := range want {
+		start := h.Pos // the window start on its own strand
+		if h.Strand == StrandReverse {
+			start = ref.Len() - h.Pos - m
+		}
+		if !failed(start) {
+			surviving = append(surviving, h)
+		}
+	}
+	if len(surviving) == len(want) {
+		t.Fatal("no oracle hit fell in a failed shard; the degradation check is vacuous")
+	}
+	assertStrandHitsEqual("degraded AlignBothStrands", surviving, got)
+	if n := tel.Snapshot().Counters["scan.partial"]; n != 2 {
+		t.Fatalf("scan.partial = %d, want 2 (one per degraded strand)", n)
 	}
 }
 

@@ -290,21 +290,8 @@ func (s *server) writeScanResult(w http.ResponseWriter, q *fabp.Query, res *fabp
 		// uncovered ranges are declared below. A 200, not a 5xx — the
 		// client asked for exactly this contract.
 		s.m.degraded.Inc()
-	case errors.Is(err, context.DeadlineExceeded):
-		s.m.timeouts.Inc()
-		writeError(w, http.StatusGatewayTimeout,
-			"scan exceeded its %s deadline", timeout)
-		return
-	case errors.Is(err, context.Canceled):
-		// Client went away; nobody is reading the response.
-		s.m.clientGone.Inc()
-		return
-	case errors.Is(err, fabp.ErrBadQuery), errors.Is(err, fabp.ErrBadOption):
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
 	default:
-		s.m.failed.Inc()
-		writeError(w, http.StatusInternalServerError, "scan failed: %v", err)
+		s.writeScanError(w, "scan", err, timeout)
 		return
 	}
 
@@ -335,6 +322,40 @@ func (s *server) writeScanResult(w http.ResponseWriter, q *fabp.Query, res *fabp
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// limits resolves a request's deadline and hit cap: a positive request
+// value overrides -timeout and -max-hits, capped by -max-timeout and
+// -max-hits.
+func (s *server) limits(timeoutMs, maxHits int) (time.Duration, int) {
+	timeout := s.cfg.defaultTimeout
+	if timeoutMs > 0 {
+		timeout = time.Duration(timeoutMs) * time.Millisecond
+	}
+	hits := s.cfg.maxHits
+	if maxHits > 0 && maxHits < hits {
+		hits = maxHits
+	}
+	return min(timeout, s.cfg.maxTimeout), hits
+}
+
+// writeScanError answers a failed scan through the error taxonomy:
+// ErrBadQuery/ErrBadOption → 400, deadline → 504, cancel → client gone
+// (no body), anything else → 500. what names the scan in the message.
+func (s *server) writeScanError(w http.ResponseWriter, what string, err error, timeout time.Duration) {
+	switch {
+	case errors.Is(err, context.DeadlineExceeded):
+		s.m.timeouts.Inc()
+		writeError(w, http.StatusGatewayTimeout, "%s exceeded its %s deadline", what, timeout)
+	case errors.Is(err, context.Canceled):
+		// Client went away; nobody is reading the response.
+		s.m.clientGone.Inc()
+	case errors.Is(err, fabp.ErrBadQuery), errors.Is(err, fabp.ErrBadOption):
+		writeError(w, http.StatusBadRequest, "%v", err)
+	default:
+		s.m.failed.Inc()
+		writeError(w, http.StatusInternalServerError, "%s failed: %v", what, err)
+	}
 }
 
 func (s *server) handleAlign(w http.ResponseWriter, r *http.Request) {
@@ -376,10 +397,7 @@ func (s *server) handleAlign(w http.ResponseWriter, r *http.Request) {
 		}
 		rp.MaxRetries = budget
 	}
-	maxHits := s.cfg.maxHits
-	if req.MaxHits > 0 && req.MaxHits < maxHits {
-		maxHits = req.MaxHits
-	}
+	timeout, maxHits := s.limits(req.TimeoutMs, req.MaxHits)
 	sreq := fabp.ScanRequest{
 		Query:       q,
 		Database:    s.cfg.db,
@@ -393,14 +411,6 @@ func (s *server) handleAlign(w http.ResponseWriter, r *http.Request) {
 		sreq.Threshold = req.Threshold
 	case req.ThresholdFrac != nil:
 		sreq.ThresholdFrac = *req.ThresholdFrac
-	}
-
-	timeout := s.cfg.defaultTimeout
-	if req.TimeoutMs > 0 {
-		timeout = time.Duration(req.TimeoutMs) * time.Millisecond
-	}
-	if timeout > s.cfg.maxTimeout {
-		timeout = s.cfg.maxTimeout
 	}
 
 	// Cache fast path: a resident result answers immediately, without an
@@ -529,23 +539,12 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 			opts.MinScore = *req.MinScore
 		}
 	}
-	maxHits := s.cfg.maxHits
-	if req.MaxHits > 0 && req.MaxHits < maxHits {
-		maxHits = req.MaxHits
-	}
+	timeout, maxHits := s.limits(req.TimeoutMs, req.MaxHits)
 	sreq := fabp.ScanRequest{
 		Query:         q,
 		Database:      s.cfg.db,
 		MaxHits:       maxHits,
 		ProteinSearch: &opts,
-	}
-
-	timeout := s.cfg.defaultTimeout
-	if req.TimeoutMs > 0 {
-		timeout = time.Duration(req.TimeoutMs) * time.Millisecond
-	}
-	if timeout > s.cfg.maxTimeout {
-		timeout = s.cfg.maxTimeout
 	}
 
 	// Cache fast path: a resident result answers without an admission
@@ -579,23 +578,8 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 // with the same error taxonomy as /align (deadline → 504, cancel →
 // client gone, bad input → 400, the rest → 500).
 func (s *server) writeSearchResult(w http.ResponseWriter, q *fabp.Query, res *fabp.ScanResult, err error, timeout time.Duration, t0 time.Time) {
-	switch {
-	case err == nil:
-	case errors.Is(err, context.DeadlineExceeded):
-		s.m.timeouts.Inc()
-		writeError(w, http.StatusGatewayTimeout,
-			"search exceeded its %s deadline", timeout)
-		return
-	case errors.Is(err, context.Canceled):
-		// Client went away; nobody is reading the response.
-		s.m.clientGone.Inc()
-		return
-	case errors.Is(err, fabp.ErrBadQuery), errors.Is(err, fabp.ErrBadOption):
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	default:
-		s.m.failed.Inc()
-		writeError(w, http.StatusInternalServerError, "search failed: %v", err)
+	if err != nil {
+		s.writeScanError(w, "search", err, timeout)
 		return
 	}
 
@@ -675,6 +659,8 @@ type batchAlignResponse struct {
 func (s *server) handleAlignBatch(w http.ResponseWriter, r *http.Request) {
 	s.m.requests.Inc()
 	s.m.batchRequests.Inc()
+	t0 := time.Now()
+	defer func() { s.m.latency.Observe(time.Since(t0)) }()
 
 	var req batchAlignRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -709,13 +695,7 @@ func (s *server) handleAlignBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	s.m.batchQueries.Add(uint64(len(queries)))
 
-	timeout := s.cfg.defaultTimeout
-	if req.TimeoutMs > 0 {
-		timeout = time.Duration(req.TimeoutMs) * time.Millisecond
-	}
-	if timeout > s.cfg.maxTimeout {
-		timeout = s.cfg.maxTimeout
-	}
+	timeout, maxHits := s.limits(req.TimeoutMs, req.MaxHits)
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 
@@ -727,37 +707,16 @@ func (s *server) handleAlignBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.m.inflight.Add(int64(weight))
-	t0 := time.Now()
-	defer func() { s.m.latency.Observe(time.Since(t0)) }()
-
-	maxHits := s.cfg.maxHits
-	if req.MaxHits > 0 && req.MaxHits < maxHits {
-		maxHits = req.MaxHits
-	}
-
+	tScan := time.Now()
 	perQuery, err := s.scanBatch(ctx, s.cfg.db, queries, frac)
-	observed := time.Since(t0)
+	observed := time.Since(tScan)
 	if err != nil {
 		observed = 0
 	}
 	s.adm.Release(weight, observed)
 	s.m.inflight.Add(-int64(weight))
-	switch {
-	case err == nil:
-	case errors.Is(err, context.DeadlineExceeded):
-		s.m.timeouts.Inc()
-		writeError(w, http.StatusGatewayTimeout,
-			"batch scan exceeded its %s deadline", timeout)
-		return
-	case errors.Is(err, context.Canceled):
-		// Client went away; nobody is reading the response.
-		s.m.clientGone.Inc()
-		return
-	default:
-		// The batch API validates the threshold fraction and query shapes
-		// together, so what surfaces here is the client's to fix.
-		s.m.failed.Inc()
-		writeError(w, http.StatusBadRequest, "batch scan failed: %v", err)
+	if err != nil {
+		s.writeScanError(w, "batch scan", err, timeout)
 		return
 	}
 
@@ -854,31 +813,24 @@ func (s *server) handleAlignStream(w http.ResponseWriter, r *http.Request) {
 		}
 		frac = f
 	}
-	maxHits := s.cfg.maxHits
+	var reqMaxHits, reqTimeoutMs int
 	if v := params.Get("max_hits"); v != "" {
 		mh, err := strconv.Atoi(v)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "bad max_hits: %v", err)
 			return
 		}
-		if mh > 0 && mh < maxHits {
-			maxHits = mh
-		}
+		reqMaxHits = mh
 	}
-	timeout := s.cfg.defaultTimeout
 	if v := params.Get("timeout_ms"); v != "" {
 		ms, err := strconv.Atoi(v)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "bad timeout_ms: %v", err)
 			return
 		}
-		if ms > 0 {
-			timeout = time.Duration(ms) * time.Millisecond
-		}
+		reqTimeoutMs = ms
 	}
-	if timeout > s.cfg.maxTimeout {
-		timeout = s.cfg.maxTimeout
-	}
+	timeout, maxHits := s.limits(reqTimeoutMs, reqMaxHits)
 	s.m.batchQueries.Add(uint64(len(queries)))
 
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)

@@ -321,6 +321,86 @@ func TestAlignBatchAdmissionWeight(t *testing.T) {
 	}
 }
 
+// TestAlignBatchShedObservesLatency: /align/batch starts its clock on
+// arrival, like /align and /search, so a batch shed at admission still
+// adds exactly one serve.latency observation.
+func TestAlignBatchShedObservesLatency(t *testing.T) {
+	s, protein := testServer(t, serverConfig{maxInflight: 1, maxBatch: 4})
+	blocked := make(chan struct{})
+	s.scanBatch = func(ctx context.Context, d *fabp.Database, queries []*fabp.Query, frac float64) ([][]fabp.RecordHit, error) {
+		select {
+		case <-blocked:
+			return make([][]fabp.RecordHit, len(queries)), nil
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+	ts := httptest.NewServer(s.handler())
+	defer ts.Close()
+
+	first := make(chan int, 1)
+	go func() {
+		body, _ := json.Marshal(batchAlignRequest{Queries: []string{protein}})
+		resp, err := http.Post(ts.URL+"/align/batch", "application/json", bytes.NewReader(body))
+		if err != nil {
+			first <- -1
+			return
+		}
+		defer resp.Body.Close()
+		first <- resp.StatusCode
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for s.adm.Held() < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("batch never took its slot")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	before := s.m.latency.Count()
+	resp, body := postBatch(t, ts.URL, batchAlignRequest{Queries: []string{protein}})
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("batch on a full server: status %d, want 429: %s", resp.StatusCode, body)
+	}
+	if got := s.m.latency.Count() - before; got != 1 {
+		t.Errorf("shed batch added %d serve.latency observations, want 1", got)
+	}
+	close(blocked)
+	if code := <-first; code != http.StatusOK {
+		t.Errorf("first batch finished %d, want 200", code)
+	}
+}
+
+// TestAlignBatchErrorTaxonomy: /align/batch maps errors like /align — a
+// server-side shard failure is a 500 on both routes, not a 400, while a
+// bad threshold fraction stays the client's 400.
+func TestAlignBatchErrorTaxonomy(t *testing.T) {
+	s, protein := testServer(t, serverConfig{maxInflight: 4, maxBatch: 4})
+	ts := httptest.NewServer(s.handler())
+	defer ts.Close()
+
+	resp, body := postBatch(t, ts.URL, batchAlignRequest{Queries: []string{protein}, ThresholdFrac: ptr(1.5)})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("threshold_frac 1.5: status %d (%s), want 400", resp.StatusCode, body)
+	}
+
+	faultinject.Enable(1, faultinject.Plan{
+		faultinject.SiteShardDispatch: {Prob: 1, Sticky: true, Fail: true},
+	})
+	defer faultinject.Disable()
+	resp, body = postAlign(t, ts.URL, alignRequest{Query: protein})
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Errorf("/align under a sticky fault: status %d (%s), want 500", resp.StatusCode, body)
+	}
+	resp, body = postBatch(t, ts.URL, batchAlignRequest{Queries: []string{protein, protein}})
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Errorf("/align/batch under a sticky fault: status %d (%s), want 500", resp.StatusCode, body)
+	}
+	if faultinject.Fired(faultinject.SiteShardDispatch) == 0 {
+		t.Fatal("no faults fired; the taxonomy check is vacuous")
+	}
+}
+
 // TestConcurrentQueries drives many parallel align requests through the
 // real scan path; with capacity for all of them every request must
 // succeed and find the planted gene (exercised under -race in CI).

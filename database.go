@@ -2,8 +2,6 @@ package fabp
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"io"
 	"log"
 	"strconv"
@@ -16,7 +14,6 @@ import (
 	"fabp/internal/core"
 	"fabp/internal/db"
 	"fabp/internal/experiments"
-	"fabp/internal/faultinject"
 	"fabp/internal/host"
 	"fabp/internal/isa"
 	"fabp/internal/sched"
@@ -259,102 +256,6 @@ func (d *Database) AsReference() *Reference {
 	return &Reference{seq: d.d.Seq()}
 }
 
-// planesForReference caches a standalone reference's bit-planes the same
-// way (keyed on the Reference, which is immutable once built).
-func planesForReference(ref *Reference) *bitpar.Planes {
-	return bitpar.SharedPlanes().Get(ref, func() *bitpar.Planes {
-		return bitpar.PackReference(ref.seq)
-	})
-}
-
-// bitparToCore converts kernel hits to the engine's hit type.
-func bitparToCore(raw []bitpar.Hit) []core.Hit {
-	if len(raw) == 0 {
-		return nil
-	}
-	hits := make([]core.Hit, len(raw))
-	for i, h := range raw {
-		hits[i] = core.Hit{Pos: h.Pos, Score: h.Score}
-	}
-	return hits
-}
-
-// shardScan builds the shard-scan function for this aligner over an
-// n-letter target — the closure scans window starts [lo, hi) under the
-// selected kernel, reading one shared packed representation (the
-// bit-planes from planes for the bit-parallel kernel, a context array over
-// seq for the scalar engine) so every shard gets its shardLen + Lq−1
-// overlap for free. Only the chosen kernel's input is built. starts is 0
-// when the target is shorter than the query.
-func (a *Aligner) shardScan(n int, planes func() *bitpar.Planes, seq func() bio.NucSeq) (scan func(lo, hi int) []core.Hit, starts int) {
-	starts = n - a.query.Elements() + 1
-	if starts <= 0 {
-		return nil, 0
-	}
-	a.tm.kernelChosen(a.useBitpar())
-	if a.useBitpar() {
-		pp := planes()
-		return func(lo, hi int) []core.Hit {
-			return bitparToCore(a.kernel.AlignPlanesRange(pp, lo, hi))
-		}, starts
-	}
-	ctxs := core.Contexts(seq())
-	e := a.engine()
-	return func(lo, hi int) []core.Hit {
-		return e.AlignContexts(ctxs, lo, hi)
-	}, starts
-}
-
-// databaseScan is shardScan over the database's cached planes or its
-// unpacked letters.
-func (a *Aligner) databaseScan(d *Database) (scan func(lo, hi int) []core.Hit, starts int) {
-	return a.shardScan(d.Len(), func() *bitpar.Planes {
-		a.tm.planeLookups.Inc()
-		return d.planes()
-	}, d.d.Seq)
-}
-
-// referenceScan is shardScan over a standalone reference's cached planes
-// or its letters.
-func (a *Aligner) referenceScan(ref *Reference) (scan func(lo, hi int) []core.Hit, starts int) {
-	return a.shardScan(ref.Len(), func() *bitpar.Planes {
-		a.tm.planeLookups.Inc()
-		return planesForReference(ref)
-	}, func() bio.NucSeq { return ref.seq })
-}
-
-// instrumentShard wraps a shard-scan function so each execution records
-// latency and the shards-run counter on tm.
-func instrumentShard(tm *alignerMetrics, scan func(lo, hi int) []core.Hit) func(lo, hi int) []core.Hit {
-	return func(lo, hi int) []core.Hit {
-		t0 := time.Now()
-		hits := scan(lo, hi)
-		observeSince(tm.shardLatency, t0)
-		tm.shardsRun.Inc()
-		return hits
-	}
-}
-
-// scanShardsCtx executes a scan function over the shard plan on the
-// aligner's pool and returns the concatenated, position-ordered hits.
-// Cancellation is checked between shards (see sched.GatherCtx): on a
-// canceled or deadlined context the call returns ctx.Err() after at most
-// the shards already executing finish. With a RetryPolicy, partial mode
-// or active fault injection, shards route through the resilient path
-// (retries, hedging, the dispatch fault hook, *PartialError); otherwise
-// the historical zero-overhead gather runs unchanged.
-func (a *Aligner) scanShardsCtx(ctx context.Context, starts int, scan func(lo, hi int) []core.Hit) ([]core.Hit, error) {
-	shards := sched.Plan(starts, a.shardLen)
-	a.tm.shardsPlanned.Add(uint64(len(shards)))
-	scan = instrumentShard(&a.tm, scan)
-	if a.resilientScans() {
-		return a.gatherResilient(ctx, shards, scan)
-	}
-	return sched.GatherCtx(ctx, a.pool, len(shards), func(i int) []core.Hit {
-		return scan(shards[i].Lo, shards[i].Hi)
-	})
-}
-
 // AlignDatabase scans the whole database and attributes hits to records,
 // dropping windows that span record boundaries (concatenation artifacts).
 // The scan is tiled into shards executed on the aligner's worker pool and
@@ -377,43 +278,11 @@ func (a *Aligner) AlignDatabase(d *Database) []RecordHit {
 // shares the cache- and singleflight-aware spine with Scan: repeats are
 // answered from memory and concurrent identical scans collapse into one.
 func (a *Aligner) AlignDatabaseContext(ctx context.Context, d *Database) ([]RecordHit, error) {
-	res, _, err := a.cachedDatabaseScan(ctx, d)
+	res, _, err := a.plan(ScanRequest{Database: d}).run(ctx)
 	if res == nil {
 		return nil, err
 	}
 	return res.RecordHits, err
-}
-
-// executeDatabaseScan is the uncached database scan — the historical
-// AlignDatabaseContext body, producing a *ScanResult. Every telemetry
-// update lives here, so cached and collapsed calls observably run zero
-// scans.
-func (a *Aligner) executeDatabaseScan(ctx context.Context, d *Database) (*ScanResult, error) {
-	a.tm.queries.Inc()
-	t0 := time.Now()
-	defer func() { observeSince(a.tm.alignLatency, t0) }()
-	if err := ctx.Err(); err != nil {
-		a.tm.recordCtxErr(err)
-		return nil, err
-	}
-	scan, starts := a.databaseScan(d)
-	var raw []core.Hit
-	var perr error
-	if scan != nil {
-		var err error
-		raw, err = a.scanShardsCtx(ctx, starts, scan)
-		if err != nil {
-			var pe *PartialError
-			if !errors.As(err, &pe) {
-				a.tm.recordCtxErr(err)
-				return nil, err
-			}
-			perr = err // degraded completion: surviving hits + *PartialError
-		}
-	}
-	hits := toRecordHits(d.d.Attribute(raw, a.query.Elements()))
-	a.tm.hits.Add(uint64(len(hits)))
-	return a.newScanResult(nil, hits, perr), perr
 }
 
 // AlignDatabaseStream scans the database shard by shard and delivers
@@ -442,56 +311,38 @@ func (a *Aligner) AlignDatabaseStreamContext(ctx context.Context, d *Database, e
 		a.tm.recordCtxErr(err)
 		return err
 	}
-	scan, starts := a.databaseScan(d)
-	if scan == nil {
-		return nil
-	}
-	shards := sched.Plan(starts, a.shardLen)
+	// The executor supplies the shard function and its resilience; the
+	// ordered merge keeps only a bounded window of shard results.
+	x := a.executor()
+	shards := x.load(d.target())
+	x.shards = shards
 	a.tm.shardsPlanned.Add(uint64(len(shards)))
-	scan = instrumentShard(&a.tm, scan)
 	m := a.query.Elements()
-	produce := func(i int) ([]db.RecordHit, error) {
-		return d.d.Attribute(scan(shards[i].Lo, shards[i].Hi), m), nil
-	}
-	var fc *failureCollector
-	if a.resilientScans() {
-		fc = &failureCollector{}
-		produce = resilientStreamProduce(ctx, a.pool, newResilience(a.retryPolicy, &a.tm), a.partial, fc, shards, produce)
-	}
-	err := sched.StreamOrderedCtx(ctx, a.pool, len(shards), produce,
-		func(h db.RecordHit) error {
-			a.tm.hits.Inc()
-			return emit(RecordHit{
-				RecordID:    h.RecordID,
-				RecordIndex: h.RecordIndex,
-				Offset:      h.Offset,
-				Score:       h.Score,
-			})
-		})
+	err := sched.StreamOrderedCtx(ctx, a.pool, len(shards), func(i int) ([]db.RecordHit, error) {
+		hits, err := x.attempt(ctx, i)
+		if err != nil {
+			if a.partial && ctx.Err() == nil {
+				x.fc.add(shards[i], err) // no hits; the merge continues
+				return nil, nil
+			}
+			return nil, shardError(shards[i], err)
+		}
+		return d.d.Attribute(bitparToCore(hits[0]), m), nil
+	}, func(h db.RecordHit) error {
+		a.tm.hits.Inc()
+		return emit(toRecordHit(h))
+	})
 	if err != nil {
 		a.tm.recordCtxErr(err)
 		return err
 	}
-	if fc != nil && len(fc.failed) > 0 {
+	if len(x.fc.failed) > 0 {
 		// Every surviving shard's hits were emitted in order; report the
-		// uncovered ranges the same way the gather path does.
+		// uncovered ranges the same way the gather does.
 		a.tm.partial.Inc()
-		return fc.partialError()
+		return x.fc.partialError()
 	}
 	return nil
-}
-
-func toRecordHits(attributed []db.RecordHit) []RecordHit {
-	out := make([]RecordHit, len(attributed))
-	for i, h := range attributed {
-		out[i] = RecordHit{
-			RecordID:    h.RecordID,
-			RecordIndex: h.RecordIndex,
-			Offset:      h.Offset,
-			Score:       h.Score,
-		}
-	}
-	return out
 }
 
 // Session models the full deployment: an FPGA card holding the database
@@ -514,73 +365,36 @@ func NewSession(d *Database) (*Session, error) {
 	if _, err := s.LoadDatabase(d.d.Seq()); err != nil {
 		return nil, err
 	}
-	sess := &Session{s: s, d: d}
-	s.SetAlignFunc(sess.scan)
-	s.SetBatchAlignFunc(sess.scanBatch)
-	return sess, nil
-}
-
-// scan computes one query's hits against the resident database: a sharded
-// bit-parallel scan over the cached planes, the same kernel as an auto
-// Aligner, and bit-exact with the host's built-in engine. Cancellation is
-// checked between shards; an abort returns ctx.Err() and is recorded on
-// the process-wide align.canceled / align.deadline.exceeded counters.
-func (s *Session) scan(ctx context.Context, prog isa.Program, threshold int) ([]core.Hit, error) {
-	starts := s.d.Len() - len(prog) + 1
-	if starts <= 0 {
-		return nil, nil
-	}
-	tm := &defaultAlignerTM
-	tm.queries.Inc()
-	shards := sched.Plan(starts, 0)
-	tm.shardsPlanned.Add(uint64(len(shards)))
-	tm.kernelChosen(true)
-	k, err := bitpar.NewKernel(prog, threshold)
-	if err != nil {
-		return nil, err
-	}
-	tm.planeLookups.Inc()
-	planes := s.d.planes()
-	scan := instrumentShard(tm, func(lo, hi int) []core.Hit {
-		return bitparToCore(k.AlignPlanesRange(planes, lo, hi))
+	// The host's hit-computation hooks: the executor scans the resident
+	// database's cached planes, bit-exact with the host's built-in engine,
+	// and the host attributes the raw positions.
+	t := d.target()
+	t.db = nil
+	s.SetAlignFunc(func(ctx context.Context, prog isa.Program, threshold int) ([]core.Hit, error) {
+		x, err := queryExecutor([]isa.Program{prog}, []int{threshold}, currentBatchRetryPolicy())
+		if err != nil {
+			return nil, err
+		}
+		hits, _, err := x.run(ctx, t)
+		if err != nil {
+			x.tm.recordCtxErr(err)
+			return nil, err
+		}
+		x.tm.hits.Add(uint64(len(hits[0])))
+		return bitparToCore(hits[0]), nil
 	})
-	var hits []core.Hit
-	if rp := currentBatchRetryPolicy(); rp.enabled() || faultinject.Enabled() {
-		hits, err = gatherShardsResilient(ctx, sched.Shared(), rp, false, tm, shards, scan)
-	} else {
-		hits, err = sched.GatherCtx(ctx, sched.Shared(), len(shards), func(i int) []core.Hit {
-			return scan(shards[i].Lo, shards[i].Hi)
-		})
-	}
-	if err != nil {
-		tm.recordCtxErr(err)
-		return nil, err
-	}
-	tm.hits.Add(uint64(len(hits)))
-	return hits, nil
-}
-
-// scanBatch computes a whole batch's hits against the resident database
-// in one fused pass — the host.BatchAlignFunc hook installed by
-// NewSession, replacing the per-query rescan loop: the fused bit-parallel
-// batch kernel over the cached planes, bit-exact with the per-query scan.
-func (s *Session) scanBatch(ctx context.Context, progs []isa.Program, thresholds []int) ([][]core.Hit, error) {
-	return scanBatchDatabase(ctx, s.d, progs, thresholds)
-}
-
-// scanBatchDatabase is the database-level fused batch scan shared by
-// Session.scanBatch and AlignDatabaseBatchContext.
-func scanBatchDatabase(ctx context.Context, d *Database, progs []isa.Program, thresholds []int) ([][]core.Hit, error) {
-	defaultAlignerTM.planeLookups.Inc()
-	raw, err := alignBatchFused(ctx, progs, thresholds, d.planes(), 0)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]core.Hit, len(raw))
-	for i, hits := range raw {
-		out[i] = bitparToCore(hits)
-	}
-	return out, nil
+	s.SetBatchAlignFunc(func(ctx context.Context, progs []isa.Program, thresholds []int) ([][]core.Hit, error) {
+		raw, _, err := scanBatch(ctx, progs, thresholds, t)
+		if err != nil {
+			return nil, err
+		}
+		out := make([][]core.Hit, len(raw))
+		for i, hits := range raw {
+			out[i] = bitparToCore(hits)
+		}
+		return out, nil
+	})
+	return &Session{s: s, d: d}, nil
 }
 
 // QueryTiming decomposes one query's projected end-to-end time in seconds.
@@ -602,17 +416,12 @@ func (s *Session) RunContext(ctx context.Context, q *Query, thresholdFrac float6
 	if err != nil {
 		return nil, QueryTiming{}, err
 	}
-	res, err := s.s.RunQueryContext(ctx, isaProgram(q), threshold)
+	res, err := s.s.RunQueryContext(ctx, q.program, threshold)
 	if err != nil {
 		return nil, QueryTiming{}, err
 	}
-	attributed := s.d.d.Attribute(res.Hits, q.Elements())
-	out := make([]RecordHit, len(attributed))
-	for i, h := range attributed {
-		out[i] = RecordHit{RecordID: h.RecordID, RecordIndex: h.RecordIndex, Offset: h.Offset, Score: h.Score}
-	}
 	t := res.Timing
-	return out, QueryTiming{
+	return toRecordHits(s.d.d.Attribute(res.Hits, q.Elements())), QueryTiming{
 		Encode: t.EncodeSec, QueryTransfer: t.QueryTransferSec,
 		Kernel: t.KernelSec, Readback: t.ReadbackSec, Total: t.TotalSec,
 	}, nil
@@ -633,26 +442,16 @@ func (s *Session) RunBatchContext(ctx context.Context, queries []*Query, thresho
 	if err != nil {
 		return nil, 0, err
 	}
-	elems := make([]int, len(queries))
-	for i, q := range queries {
-		elems[i] = q.Elements()
-	}
 	res, err := s.s.RunBatchContext(ctx, progs, thresholdFrac)
 	if err != nil {
 		return nil, 0, err
 	}
 	out := make([][]RecordHit, len(queries))
 	for i, hits := range res.PerQuery {
-		attributed := s.d.d.Attribute(hits, elems[i])
-		out[i] = make([]RecordHit, len(attributed))
-		for j, h := range attributed {
-			out[i][j] = RecordHit{RecordID: h.RecordID, RecordIndex: h.RecordIndex, Offset: h.Offset, Score: h.Score}
-		}
+		out[i] = toRecordHits(s.d.d.Attribute(hits, queries[i].Elements()))
 	}
 	return out, res.TotalSec, nil
 }
-
-func isaProgram(q *Query) isa.Program { return q.program }
 
 // batchPrograms validates every query of a batch up front — a batch either
 // starts fully or fails with every offending index named, never mid-scan.
@@ -667,7 +466,7 @@ func batchPrograms(queries []*Query) ([]isa.Program, error) {
 		progs[i] = q.program
 	}
 	if len(bad) > 0 {
-		return nil, fmt.Errorf("fabp: invalid batch queries at index %s (nil or empty)",
+		return nil, badQueryf("fabp: invalid batch queries at index %s (nil or empty)",
 			strings.Join(bad, ", "))
 	}
 	return progs, nil
@@ -675,8 +474,12 @@ func batchPrograms(queries []*Query) ([]isa.Program, error) {
 
 // batchKernelInputs validates a batch and resolves every query's absolute
 // threshold from the shared fraction — the inputs the fused kernel wants.
-// Query errors name every offending index; fraction errors are batch-wide.
+// Query errors name every offending index and match ErrBadQuery; fraction
+// errors are batch-wide and match ErrBadOption.
 func batchKernelInputs(queries []*Query, thresholdFrac float64) ([]isa.Program, []int, error) {
+	if len(queries) == 0 {
+		return nil, nil, badQueryf("fabp: empty batch")
+	}
 	progs, err := batchPrograms(queries)
 	if err != nil {
 		return nil, nil, err
@@ -685,81 +488,11 @@ func batchKernelInputs(queries []*Query, thresholdFrac float64) ([]isa.Program, 
 	for i, q := range queries {
 		t, err := core.ThresholdFromFraction(thresholdFrac, q.MaxScore())
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, badOption(err)
 		}
 		thresholds[i] = t
 	}
 	return progs, thresholds, nil
-}
-
-// alignBatchFused is the fused large-reference batch scan: all K queries
-// compile into one bitpar.BatchKernel, the union of valid window starts is
-// tiled into shards, and each shard's reference plane words are fetched
-// ONCE for the whole batch — one pass per tile instead of K. Shards run
-// on the shared pool with per-query hit streams merged in position order
-// (sched.GatherBatchCtx); cancellation sheds undispatched shards for every
-// query at once. shardLen 0 takes the scheduler's default; tests pass
-// small values to force carry-straddling shard boundaries.
-func alignBatchFused(ctx context.Context, progs []isa.Program, thresholds []int, planes *bitpar.Planes, shardLen int) ([][]bitpar.Hit, error) {
-	bk, err := bitpar.NewBatchKernel(progs, thresholds)
-	if err != nil {
-		return nil, err
-	}
-	tm := &defaultAlignerTM
-	k := uint64(bk.NumQueries())
-	tm.queries.Add(k)
-	tm.batchQueries.Add(k)
-	tm.kernelBitpar.Add(k)
-	starts := bk.Starts(planes.Len())
-	if starts <= 0 {
-		// No query fits the target: nothing to scan, but a dead context
-		// still aborts (and counts) like any other scan.
-		if err := ctx.Err(); err != nil {
-			tm.recordCtxErr(err)
-			return nil, err
-		}
-		return make([][]bitpar.Hit, len(progs)), nil
-	}
-	shards := sched.Plan(starts, shardLen)
-	tm.shardsPlanned.Add(uint64(len(shards)))
-	scanShard := func(i int) [][]bitpar.Hit {
-		ts := time.Now()
-		dst := bk.AlignPlanesRange(planes, shards[i].Lo, shards[i].Hi, nil)
-		observeSince(tm.shardLatency, ts)
-		tm.shardsRun.Inc()
-		return dst
-	}
-	t0 := time.Now()
-	var perQuery [][]bitpar.Hit
-	if rp := currentBatchRetryPolicy(); rp.enabled() || faultinject.Enabled() {
-		perQuery, err = gatherBatchResilient(ctx, rp, tm, shards, len(progs), scanShard)
-	} else {
-		perQuery, err = sched.GatherBatchCtx(ctx, sched.Shared(), len(shards), len(progs),
-			func(i int) [][]bitpar.Hit { return scanShard(i) })
-	}
-	if err != nil {
-		tm.recordCtxErr(err)
-		return nil, err
-	}
-	observeSince(tm.batchKernelLatency, t0)
-	tm.batchFusedPasses.Add(uint64(len(shards)))
-	tm.batchPlaneBytesSaved.Add(uint64(len(progs)-1) * uint64(planes.SizeBytes()))
-	for _, hits := range perQuery {
-		tm.hits.Add(uint64(len(hits)))
-	}
-	return perQuery, nil
-}
-
-// bitparBatchToHits converts per-query kernel hit lists to the public type.
-func bitparBatchToHits(raw [][]bitpar.Hit) [][]Hit {
-	out := make([][]Hit, len(raw))
-	for i, hits := range raw {
-		out[i] = make([]Hit, len(hits))
-		for j, h := range hits {
-			out[i][j] = Hit{Pos: h.Pos, Score: h.Score}
-		}
-	}
-	return out
 }
 
 // AlignBatch scans one reference with many queries in a single fused pass,
@@ -780,19 +513,19 @@ func AlignBatch(queries []*Query, ref *Reference, thresholdFrac float64) ([][]Hi
 // align.deadline.exceeded. The shared plane cache is untouched by an
 // abort, so a retry scans the same resident planes.
 func AlignBatchContext(ctx context.Context, queries []*Query, ref *Reference, thresholdFrac float64) ([][]Hit, error) {
-	if len(queries) == 0 {
-		return nil, fmt.Errorf("fabp: empty batch")
-	}
 	progs, thresholds, err := batchKernelInputs(queries, thresholdFrac)
 	if err != nil {
 		return nil, err
 	}
-	defaultAlignerTM.planeLookups.Inc()
-	raw, err := alignBatchFused(ctx, progs, thresholds, planesForReference(ref), 0)
+	raw, _, err := scanBatch(ctx, progs, thresholds, ref.target())
 	if err != nil {
 		return nil, err
 	}
-	return bitparBatchToHits(raw), nil
+	out := make([][]Hit, len(raw))
+	for i, hits := range raw {
+		out[i] = toHits(hits)
+	}
+	return out, nil
 }
 
 // AlignDatabaseBatch scans the whole database once for every query of a
@@ -807,20 +540,17 @@ func AlignDatabaseBatch(d *Database, queries []*Query, thresholdFrac float64) ([
 // fused scan honors cancellation at shard boundaries (for the whole batch
 // at once) and returns ctx.Err() without scanning the remaining shards.
 func AlignDatabaseBatchContext(ctx context.Context, d *Database, queries []*Query, thresholdFrac float64) ([][]RecordHit, error) {
-	if len(queries) == 0 {
-		return nil, fmt.Errorf("fabp: empty batch")
-	}
 	progs, thresholds, err := batchKernelInputs(queries, thresholdFrac)
 	if err != nil {
 		return nil, err
 	}
-	perQuery, err := scanBatchDatabase(ctx, d, progs, thresholds)
+	_, recs, err := scanBatch(ctx, progs, thresholds, d.target())
 	if err != nil {
 		return nil, err
 	}
-	out := make([][]RecordHit, len(queries))
-	for i, hits := range perQuery {
-		out[i] = toRecordHits(d.d.Attribute(hits, queries[i].Elements()))
+	out := make([][]RecordHit, len(recs))
+	for i, hits := range recs {
+		out[i] = toRecordHits(hits)
 	}
 	return out, nil
 }

@@ -28,7 +28,6 @@ package fabp
 import (
 	"context"
 	"crypto/sha256"
-	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -232,7 +231,7 @@ const (
 	KernelBitParallel
 )
 
-// String renders the kernel in the stringly form WithKernel accepts.
+// String renders the kernel in the stringly form ParseKernel accepts.
 func (k Kernel) String() string {
 	switch k {
 	case KernelAuto:
@@ -247,7 +246,7 @@ func (k Kernel) String() string {
 
 // ParseKernel converts the stringly kernel name ("auto", "scalar",
 // "bitparallel") to the typed enum — the bridge from flags and config
-// files to WithKernelType.
+// files to WithKernelType. An unknown name matches ErrBadOption.
 func ParseKernel(s string) (Kernel, error) {
 	switch s {
 	case "auto":
@@ -257,7 +256,7 @@ func ParseKernel(s string) (Kernel, error) {
 	case "bitparallel":
 		return KernelBitParallel, nil
 	}
-	return 0, fmt.Errorf("fabp: unknown kernel %q (auto, scalar, bitparallel)", s)
+	return 0, badOptionf("fabp: unknown kernel %q (auto, scalar, bitparallel)", s)
 }
 
 // Aligner runs the FabP alignment on a prepared query. It is the bit-exact
@@ -381,25 +380,6 @@ func WithKernelType(k Kernel) AlignerOption {
 	}
 }
 
-// WithKernel selects the alignment implementation by name: "auto",
-// "scalar" or "bitparallel". It is the stringly wrapper kept for
-// compatibility and behaves exactly like ParseKernel + WithKernelType.
-//
-// Deprecated: use WithKernelType with the typed Kernel enum (ParseKernel
-// converts flag and config-file values). WithKernel defers name
-// validation to NewAligner and cannot distinguish a bad kernel name from
-// other option errors at the call site.
-func WithKernel(kernel string) AlignerOption {
-	return func(c *alignerConfig) {
-		k, err := ParseKernel(kernel)
-		if err != nil {
-			c.err = badOption(err)
-			return
-		}
-		c.kernel = k
-	}
-}
-
 // NewAligner builds an aligner for the query. Without options the
 // threshold defaults to 80 % of the maximum score and telemetry reports
 // to DefaultMetrics.
@@ -459,20 +439,11 @@ func (a *Aligner) Kernel() Kernel { return a.mode }
 // Threshold returns the configured hit threshold.
 func (a *Aligner) Threshold() int { return a.kernel.Threshold() }
 
-// gatherShards is the uncancelable scan of a shard-scan function (see
-// shardScan): its shards run on the aligner's pool, the only source of
-// parallelism for either kernel, and come back in position order.
-func (a *Aligner) gatherShards(scan func(lo, hi int) []core.Hit, starts int) []core.Hit {
-	shards := sched.Plan(starts, a.shardLen)
-	a.tm.shardsPlanned.Add(uint64(len(shards)))
-	scan = instrumentShard(&a.tm, scan)
-	return sched.Gather(a.pool, len(shards), func(i int) []core.Hit {
-		return scan(shards[i].Lo, shards[i].Hi)
-	})
-}
-
 // Align scans the reference and returns every hit in position order. It
-// is AlignContext under context.Background() — uncancellable, never errs.
+// is AlignContext under context.Background(), which never cancels: its
+// only error is a shard that fault injection (package
+// internal/faultinject) fails past the retry policy, and then Align
+// returns no hits (or, under WithPartialResults, the surviving ones).
 func (a *Aligner) Align(ref *Reference) []Hit {
 	hits, _ := a.AlignContext(context.Background(), ref)
 	return hits
@@ -480,28 +451,25 @@ func (a *Aligner) Align(ref *Reference) []Hit {
 
 // AlignContext scans the reference under a context and returns every hit
 // in position order. Cancellation and deadlines are honored at shard
-// boundaries: a cancelable context routes the scan through the shard
-// scheduler (checkpoints between shards, running shards finish), so the
+// boundaries (checkpoints between shards, running shards finish), so the
 // call returns ctx.Err() within one shard of the cancel and records the
-// abort on align.canceled / align.deadline.exceeded. A context that can
-// never be canceled (context.Background, context.TODO) takes the
-// single-pass kernel, identical to the historical Align path.
+// abort on align.canceled / align.deadline.exceeded.
 //
-// When the scan-result cache is enabled (SetScanCacheCapacity), the call
-// shares the cache- and singleflight-aware spine with Scan: repeats are
-// answered from memory and concurrent identical scans collapse into one.
+// The call takes Scan's path: when the scan-result cache is enabled
+// (SetScanCacheCapacity), repeats are answered from memory and concurrent
+// identical scans collapse into one.
 func (a *Aligner) AlignContext(ctx context.Context, ref *Reference) ([]Hit, error) {
-	res, _, err := a.cachedReferenceScan(ctx, ref)
+	res, _, err := a.plan(ScanRequest{Reference: ref}).run(ctx)
 	if res == nil {
 		return nil, err
 	}
 	return res.Hits, err
 }
 
-// executeReferenceScan is the uncached reference scan — the historical
-// AlignContext body, producing a *ScanResult. Every telemetry update
-// lives here, so cached and collapsed calls observably run zero scans.
-func (a *Aligner) executeReferenceScan(ctx context.Context, ref *Reference) (*ScanResult, error) {
+// execute is the uncached scan of one target on the aligner's executor,
+// producing a *ScanResult. Every telemetry update lives here, so cached
+// and collapsed calls observably run zero scans.
+func (a *Aligner) execute(ctx context.Context, t scanTarget) (*ScanResult, error) {
 	a.tm.queries.Inc()
 	t0 := time.Now()
 	defer func() { observeSince(a.tm.alignLatency, t0) }()
@@ -509,34 +477,26 @@ func (a *Aligner) executeReferenceScan(ctx context.Context, ref *Reference) (*Sc
 		a.tm.recordCtxErr(err)
 		return nil, err
 	}
-	var raw []core.Hit
-	var perr error
-	if ctx.Done() == nil && !a.resilientScans() {
-		raw = a.gatherShards(a.referenceScan(ref))
+	hits, recs, err := a.executor().run(ctx, t)
+	pe, degraded := err.(*PartialError)
+	if err != nil && !degraded {
+		a.tm.recordCtxErr(err)
+		return nil, err
+	}
+	res := &ScanResult{Threshold: a.Threshold()}
+	if t.db != nil {
+		res.RecordHits = toRecordHits(recs[0])
+		a.tm.hits.Add(uint64(len(res.RecordHits)))
 	} else {
-		// Cancelable contexts — and any scan under a retry policy, partial
-		// mode or fault injection — go through the shard scheduler so the
-		// checkpoints and resilience hooks apply.
-		scan, starts := a.referenceScan(ref)
-		if scan != nil {
-			var err error
-			raw, err = a.scanShardsCtx(ctx, starts, scan)
-			if err != nil {
-				var pe *PartialError
-				if !errors.As(err, &pe) {
-					a.tm.recordCtxErr(err)
-					return nil, err
-				}
-				perr = err // degraded completion: surviving hits + *PartialError
-			}
-		}
+		res.Hits = toHits(hits[0])
+		a.tm.hits.Add(uint64(len(res.Hits)))
 	}
-	hits := make([]Hit, len(raw))
-	for i, h := range raw {
-		hits[i] = Hit{Pos: h.Pos, Score: h.Score}
+	if degraded {
+		// Degraded completion: surviving hits + *PartialError.
+		res.Degraded = true
+		res.FailedRanges = pe.Failed
 	}
-	a.tm.hits.Add(uint64(len(hits)))
-	return a.newScanResult(hits, nil, perr), perr
+	return res, err
 }
 
 // AlignStream scans a nucleotide stream of arbitrary size (raw letters,
@@ -546,8 +506,9 @@ func (a *Aligner) executeReferenceScan(ctx context.Context, ref *Reference) (*Sc
 //
 // The scan honors the configured kernel: "scalar" runs the engine's
 // chunked reader; "bitparallel" and "auto" pack each chunk into
-// bit-planes and run the SIMD-within-register kernel. All modes produce
-// identical hits.
+// bit-planes and scan it on the shard executor every in-memory scan uses,
+// so under WithRetryPolicy a chunk's shards retry like any other scan's.
+// All modes produce identical hits.
 func (a *Aligner) AlignStream(r io.Reader, emit func(Hit) error) error {
 	return a.AlignStreamContext(context.Background(), r, emit)
 }
@@ -573,13 +534,14 @@ func (a *Aligner) AlignStreamContext(ctx context.Context, r io.Reader, emit func
 	} else {
 		a.tm.kernelChosen(true)
 		m := a.query.Elements()
-		var sc bitpar.Scratch // the stream's inline chunk scans share it
+		x := a.executor()
+		x.partial = false // a stream has no partial mode
 		err = scanChunks(ctx, r, m, m, a.pool, &a.tm, a.retryPolicy, func(pp *bitpar.Planes, lo, hi, base int) error {
-			hits, herr := a.streamChunkHits(ctx, pp, lo, hi, &sc)
+			hits, herr := x.chunk(ctx, pp, lo, hi)
 			if herr != nil {
 				return herr
 			}
-			for _, h := range hits {
+			for _, h := range hits[0] {
 				a.tm.hits.Inc()
 				if err := emit(Hit{Pos: base + h.Pos, Score: h.Score}); err != nil {
 					return err

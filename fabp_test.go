@@ -201,17 +201,20 @@ func TestKernelSelectionEquivalence(t *testing.T) {
 	}
 }
 
-// TestWithKernelDeprecatedWrapper pins the deprecated string option's
-// contract: it remains a working alias for WithKernelType (same scan
-// behavior) and still rejects unknown names. New code should use
-// WithKernelType; this is the one test that exercises the wrapper itself.
-func TestWithKernelDeprecatedWrapper(t *testing.T) {
+// TestParseKernelWithKernelType pins the name-to-kernel bridge: a name
+// parsed by ParseKernel and passed to WithKernelType scans exactly like
+// the typed enum, and an unknown name fails with ErrBadOption.
+func TestParseKernelWithKernelType(t *testing.T) {
 	ref, genes := SyntheticReference(91, 50_000, 2, 30)
 	q, err := NewQuery(genes[0].Protein)
 	if err != nil {
 		t.Fatal(err)
 	}
-	deprecated, err := NewAligner(q, WithThresholdFraction(0.7), WithKernel("bitparallel"))
+	k, err := ParseKernel("bitparallel")
+	if err != nil {
+		t.Fatal(err)
+	}
+	parsed, err := NewAligner(q, WithThresholdFraction(0.7), WithKernelType(k))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,16 +223,16 @@ func TestWithKernelDeprecatedWrapper(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := typed.Align(ref)
-	got := deprecated.Align(ref)
+	got := parsed.Align(ref)
 	if len(got) != len(want) {
-		t.Fatalf("deprecated wrapper: %d hits, typed %d", len(got), len(want))
+		t.Fatalf("parsed kernel: %d hits, typed %d", len(got), len(want))
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("hit %d: wrapper %+v, typed %+v", i, got[i], want[i])
+			t.Fatalf("hit %d: parsed %+v, typed %+v", i, got[i], want[i])
 		}
 	}
-	_, err = NewAligner(q, WithKernel("gpu"))
+	_, err = ParseKernel("gpu")
 	if err == nil {
 		t.Fatal("unknown kernel must fail")
 	}

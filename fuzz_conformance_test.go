@@ -8,7 +8,9 @@ import (
 	"testing"
 
 	"fabp/internal/bio"
+	"fabp/internal/bitpar"
 	"fabp/internal/core"
+	"fabp/internal/sched"
 )
 
 // mustConformAligner builds an aligner or fails the test.
@@ -208,14 +210,22 @@ func checkBatchConformance(t *testing.T, proteins []string, refStr string, frac 
 	// longest query's carry overlap (64 is the smallest legal tile; the
 	// aligned sizes around maxElems force shards whose overlap reads cross
 	// into the next shard's block).
-	planes := planesForReference(ref)
+	bk, err := bitpar.NewBatchKernel(progs, thresholds)
+	if err != nil {
+		t.Fatal(err)
+	}
 	shardLens := []int{0, 64, 128, (maxElems + 63) &^ 63, (maxElems + 127) &^ 63}
 	for _, shardLen := range shardLens {
-		raw, err := alignBatchFused(context.Background(), progs, thresholds, planes, shardLen)
+		x := (&executor{bk: bk, shardLen: shardLen, pool: sched.Shared(), tm: &defaultAlignerTM}).ready(RetryPolicy{})
+		raw, _, err := x.run(context.Background(), ref.target())
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertBatch(fmt.Sprintf("fused shardLen=%d", shardLen), bitparBatchToHits(raw))
+		got := make([][]Hit, len(raw))
+		for i, hits := range raw {
+			got[i] = toHits(hits)
+		}
+		assertBatch(fmt.Sprintf("fused shardLen=%d", shardLen), got)
 	}
 
 	// The fused batch STREAMING path: one pooled pack per chunk shared by

@@ -259,6 +259,12 @@ func (bk *BatchKernel) AlignPlanesRange(pp *Planes, lo, hi int, dst [][]Hit) [][
 	return dst
 }
 
+// AlignPlanesRangeScratch is AlignPlanesRange on caller-owned scratch (see
+// Scratch), for a caller that scans many ranges in sequence.
+func (bk *BatchKernel) AlignPlanesRangeScratch(pp *Planes, lo, hi int, dst [][]Hit, sc *Scratch) [][]Hit {
+	return bk.alignPlanesRange(pp, lo, hi, dst, &sc.s)
+}
+
 // alignPlanesRange is AlignPlanesRange on the given scratch.
 func (bk *BatchKernel) alignPlanesRange(pp *Planes, lo, hi int, dst [][]Hit, s *batchScratch) [][]Hit {
 	if dst == nil {

@@ -132,6 +132,10 @@ func NewKernel(prog isa.Program, threshold int) (*Kernel, error) {
 	return &Kernel{bk: *newBatchKernel([]batchQuery{compileQuery(prog).withThreshold(threshold)})}, nil
 }
 
+// Batch returns the kernel as the one-query batch it is, for callers
+// that drive K = 1 and fused scans through one code path.
+func (k *Kernel) Batch() *BatchKernel { return &k.bk }
+
 // QueryElems returns the compiled query length.
 func (k *Kernel) QueryElems() int { return k.bk.QueryElems(0) }
 
@@ -182,20 +186,6 @@ func (k *Kernel) AlignPlanesRange(pp *Planes, lo, hi int) []Hit {
 	var dst [1][]Hit
 	k.bk.AlignPlanesRange(pp, lo, hi, dst[:])
 	return dst[0]
-}
-
-// AlignPlanesRangeScratch is AlignPlanesRange on caller-owned scratch (see
-// Scratch), for a caller that scans many ranges in sequence.
-func (k *Kernel) AlignPlanesRangeScratch(pp *Planes, lo, hi int, sc *Scratch) []Hit {
-	var dst [1][]Hit
-	k.bk.alignPlanesRange(pp, lo, hi, dst[:], &sc.s)
-	return dst[0]
-}
-
-// AlignRange packs the reference and scans windows starting in [lo, hi) —
-// the chunked-streaming primitive (positions are chunk-local).
-func (k *Kernel) AlignRange(ref bio.NucSeq, lo, hi int) []Hit {
-	return k.AlignPlanesRange(&Planes{p: packPlanes(ref)}, lo, hi)
 }
 
 // Align scans the reference and returns every window position whose score

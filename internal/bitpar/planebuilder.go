@@ -182,18 +182,37 @@ func (b *PlaneBuilder) Planes() *Planes {
 	return &b.pub
 }
 
-// planeBuilderPool recycles builders across streams so a steady serving
-// workload allocates plane memory only while a new high-water chunk size
-// is being established.
-var planeBuilderPool = sync.Pool{New: func() any { return NewPlaneBuilder() }}
+// Builders recycle across streams so a steady serving workload
+// allocates plane memory only while a new high-water chunk size is being
+// established. One idle builder waits in lastBuilder, the rest in
+// builderPool. The slot makes a serial caller's reuse deterministic: the
+// race detector drops a random quarter of sync.Pool Puts, and a dropped
+// builder re-grows, so a stream's allocation count would otherwise vary
+// run to run. Concurrent streams beyond the slot recycle through the pool,
+// which frees idle builders at GC, so the slot pins at most one builder.
+var (
+	lastBuilder = make(chan *PlaneBuilder, 1)
+	builderPool = sync.Pool{New: func() any { return NewPlaneBuilder() }}
+)
 
-// GetPlaneBuilder returns an empty pooled builder; pair with Release.
+// GetPlaneBuilder returns an empty recycled builder; pair with Release.
 func GetPlaneBuilder() *PlaneBuilder {
-	b := planeBuilderPool.Get().(*PlaneBuilder)
+	var b *PlaneBuilder
+	select {
+	case b = <-lastBuilder:
+	default:
+		b = builderPool.Get().(*PlaneBuilder)
+	}
 	b.Reset()
 	return b
 }
 
-// Release returns the builder (and its capacity) to the pool. The caller
+// Release returns the builder (and its capacity) for reuse. The caller
 // must not touch the builder or any Planes view of it afterwards.
-func (b *PlaneBuilder) Release() { planeBuilderPool.Put(b) }
+func (b *PlaneBuilder) Release() {
+	select {
+	case lastBuilder <- b:
+	default:
+		builderPool.Put(b)
+	}
+}

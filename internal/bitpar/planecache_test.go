@@ -145,7 +145,8 @@ func TestAlignRangeMatchesAlign(t *testing.T) {
 	k, _ := NewKernel(prog, len(prog)/3)
 	n := len(ref) - len(prog) + 1
 	full := k.Align(ref)
-	got := append(k.AlignRange(ref, 0, 100), k.AlignRange(ref, 100, n)...)
+	pp := &Planes{p: packPlanes(ref)}
+	got := append(k.AlignPlanesRange(pp, 0, 100), k.AlignPlanesRange(pp, 100, n)...)
 	assertSameHits(t, 0, full, got)
 }
 

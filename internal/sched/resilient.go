@@ -2,8 +2,8 @@
 // bounded exponential backoff, hedged re-execution of straggler shards
 // (budgeted duplicates, first result wins, the loser canceled through the
 // context plumbing), and the sched.shard.dispatch fault-injection hook.
-// The plain Gather/Stream paths are untouched — callers opt shards into
-// this path per scan, so the production fast path pays nothing.
+// A nil *Resilience keeps only the fault hook: one attempt per shard, one
+// atomic load when injection is off.
 package sched
 
 import (
@@ -44,13 +44,20 @@ func NewResilience(b retry.Backoff, hedgeAfter time.Duration, hedgeBudget int, r
 	return r
 }
 
+// MayHedge reports whether a shard run under r may still launch a hedged
+// duplicate: hedging is on and budget remains. A nil r never hedges, and
+// once it reports false it stays false (the budget only shrinks).
+func (r *Resilience) MayHedge() bool {
+	return r != nil && r.HedgeAfter > 0 && r.budget.Load() > 0
+}
+
 // takeHedge consumes one unit of hedge budget; false when exhausted.
 func (r *Resilience) takeHedge() bool {
 	return r.budget.Add(-1) >= 0
 }
 
 // ProduceResilient runs one shard's produce under the call's resilience
-// policy, from inside a pool task (Gather/Stream produce functions call
+// policy, from inside a pool task (GatherBatchCtx/StreamOrderedCtx produce functions call
 // it directly). The shard's lifecycle:
 //
 //  1. The sched.shard.dispatch fault hook fires first on every attempt —
@@ -67,14 +74,19 @@ func (r *Resilience) takeHedge() bool {
 //     times; context errors and non-retryable failures surface
 //     immediately.
 func ProduceResilient[T any](ctx context.Context, p *Pool, r *Resilience, key uint64, produce func(ctx context.Context) ([]T, error)) ([]T, error) {
+	if r == nil {
+		// One attempt, no closure: a caller that binds produce once
+		// runs shards here without allocating.
+		if err := faultinject.Check(ctx, faultinject.SiteShardDispatch, key); err != nil {
+			return nil, err
+		}
+		return produce(ctx)
+	}
 	attempt := func(actx context.Context) ([]T, error) {
 		if err := faultinject.Check(actx, faultinject.SiteShardDispatch, key); err != nil {
 			return nil, err
 		}
 		return produce(actx)
-	}
-	if r == nil {
-		return attempt(ctx)
 	}
 	var lastErr error
 	for n := 0; ; n++ {
@@ -104,7 +116,7 @@ func ProduceResilient[T any](ctx context.Context, p *Pool, r *Resilience, key ui
 // When both fail, the first failure is returned (one attempt's error is
 // as good as the other's for the retry loop above).
 func runHedged[T any](ctx context.Context, p *Pool, r *Resilience, attempt func(context.Context) ([]T, error)) ([]T, error) {
-	if r.HedgeAfter <= 0 || r.budget.Load() <= 0 {
+	if !r.MayHedge() {
 		return attempt(ctx)
 	}
 	hctx, cancel := context.WithCancel(ctx)

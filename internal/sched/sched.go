@@ -99,7 +99,7 @@ type poolMetrics struct {
 	// wait is submit-to-start latency (time blocked on the semaphore);
 	// run is task execution time.
 	wait, run *telemetry.Histogram
-	// backlog is the ordered-merge depth: StreamOrdered results produced
+	// backlog is the ordered-merge depth: StreamOrderedCtx results produced
 	// but not yet emitted.
 	backlog *telemetry.Gauge
 	// canceled counts tasks never dispatched because their run's context
@@ -135,19 +135,10 @@ func NewPool(workers int) *Pool {
 // Call before submitting work; it is not synchronized with running tasks.
 func (p *Pool) SetMetrics(reg *telemetry.Registry) { p.m = newPoolMetrics(reg) }
 
-// acquire blocks until a worker slot is free, recording queue pressure
-// and wait latency.
-func (p *Pool) acquire() {
-	p.m.queued.Add(1)
-	t0 := time.Now()
-	p.sem <- struct{}{}
-	p.m.wait.Observe(time.Since(t0))
-	p.m.queued.Add(-1)
-}
-
-// acquireCtx is acquire with a cancellation escape: it returns ctx.Err()
-// instead of a slot once the context is done, so a canceled scan stops
-// queueing behind a saturated pool.
+// acquireCtx blocks until a worker slot is free, recording queue pressure
+// and wait latency. It returns ctx.Err() instead of a slot once the
+// context is done, so a canceled scan stops queueing behind a saturated
+// pool.
 func (p *Pool) acquireCtx(ctx context.Context) error {
 	p.m.queued.Add(1)
 	t0 := time.Now()
@@ -192,26 +183,7 @@ func Shared() *Pool {
 // Each runs run(0..n-1) on the pool and waits for all of them. Submission
 // blocks while the pool is saturated, bounding in-flight work.
 func (p *Pool) Each(n int, run func(i int)) {
-	if n <= 0 {
-		return
-	}
-	if p.Workers() == 1 {
-		for i := 0; i < n; i++ {
-			p.runTask("each", func() { run(i) })
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		p.acquire()
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-p.sem }()
-			p.runTask("each", func() { run(i) })
-		}(i)
-	}
-	wg.Wait()
+	_ = p.EachCtx(context.Background(), n, run)
 }
 
 // EachCtx is Each with cooperative cancellation: the context is checked
@@ -221,15 +193,8 @@ func (p *Pool) Each(n int, run func(i int)) {
 // always waits for them before returning, so no goroutine outlives the
 // call. The first context error observed is returned; undispatched tasks
 // count on pool.tasks.canceled.
-//
-// A context that can never be canceled (Done() == nil, e.g.
-// context.Background) takes the exact Each path.
 func (p *Pool) EachCtx(ctx context.Context, n int, run func(i int)) error {
 	if n <= 0 {
-		return nil
-	}
-	if ctx.Done() == nil {
-		p.Each(n, run)
 		return nil
 	}
 	if p.Workers() == 1 {
@@ -260,74 +225,28 @@ func (p *Pool) EachCtx(ctx context.Context, n int, run func(i int)) error {
 	return err
 }
 
-// Gather runs produce(0..n-1) on the pool and concatenates the results in
-// index order — shards planned in position order come back as one
-// position-ordered hit list.
-func Gather[T any](p *Pool, n int, produce func(i int) []T) []T {
-	out, _ := GatherCtx(context.Background(), p, n, produce)
-	return out
-}
-
-// GatherCtx is Gather under a context: cancellation is checked between
-// shard dispatches (see EachCtx) and inside each dispatched task before
-// its scan starts, so a cancel mid-plan returns ctx.Err() after at most
-// the shards already executing finish. On error the partial results are
+// GatherCtx runs produce(0..n-1) on the pool and concatenates the results
+// in index order — shards planned in position order come back as one
+// position-ordered hit list. Cancellation is checked between shard
+// dispatches (see EachCtx) and inside each dispatched task before its
+// scan starts, so a cancel mid-plan returns ctx.Err() after at most the
+// shards already executing finish. On error the partial results are
 // discarded and nil is returned.
 func GatherCtx[T any](ctx context.Context, p *Pool, n int, produce func(i int) []T) ([]T, error) {
-	if n <= 0 {
-		return nil, ctx.Err()
-	}
-	if n == 1 {
-		if err := ctx.Err(); err != nil {
-			p.m.canceled.Inc()
-			return nil, err
-		}
-		return produce(0), nil
-	}
-	parts := make([][]T, n)
-	err := p.EachCtx(ctx, n, func(i int) {
-		// A task dispatched just before the cancel skips its scan; the
-		// call returns the context error either way.
-		if ctx.Err() != nil {
-			return
-		}
-		parts[i] = produce(i)
-	})
+	out, err := GatherBatchCtx(ctx, p, n, 1, func(i int) [][]T { return [][]T{produce(i)} })
 	if err != nil {
 		return nil, err
 	}
-	total := 0
-	for _, part := range parts {
-		total += len(part)
-	}
-	if total == 0 {
-		return nil, nil
-	}
-	out := make([]T, 0, total)
-	for i, part := range parts {
-		// The shard-merge fault hook: one atomic load when injection is
-		// off, an injected failure aborts the concatenation.
-		if err := faultinject.Check(ctx, faultinject.SiteShardMerge, uint64(i)); err != nil {
-			return nil, err
-		}
-		out = append(out, part...)
-	}
-	return out, nil
+	return out[0], nil
 }
 
-// GatherBatch runs produce(0..n-1) on the pool — each call scanning one
+// GatherBatchCtx runs produce(0..n-1) on the pool — each call scanning one
 // shard for a whole batch and returning `streams` per-query hit lists —
-// and concatenates the results stream-wise in shard order: the fused
-// counterpart of Gather, one task per tile instead of one per
-// (query, tile) pair. See GatherBatchCtx for the contract.
-func GatherBatch[T any](p *Pool, n, streams int, produce func(i int) [][]T) [][]T {
-	out, _ := GatherBatchCtx(context.Background(), p, n, streams, produce)
-	return out
-}
-
-// GatherBatchCtx is GatherBatch under a context: cancellation is checked
-// between shard dispatches and inside each dispatched task before its
-// scan starts (see EachCtx), so a cancel mid-plan sheds the remaining
+// and concatenates the results stream-wise in shard order: one task per
+// tile instead of one per (query, tile) pair; GatherCtx is its one-stream
+// case. Cancellation is checked between shard dispatches and inside
+// each dispatched task before its scan starts (see EachCtx), so a cancel
+// mid-plan sheds the remaining
 // shards of every query at once and returns ctx.Err() after at most the
 // shards already executing finish. On error the partial results are
 // discarded and nil is returned. produce must return exactly `streams`
@@ -361,6 +280,13 @@ func GatherBatchCtx[T any](ctx context.Context, p *Pool, n, streams int, produce
 	if err != nil {
 		return nil, err
 	}
+	// The shard-merge fault hook: one atomic load per shard when
+	// injection is off; an injected failure aborts the merge.
+	for i := range parts {
+		if err := faultinject.Check(ctx, faultinject.SiteShardMerge, uint64(i)); err != nil {
+			return nil, err
+		}
+	}
 	out := make([][]T, streams)
 	for s := 0; s < streams; s++ {
 		total := 0
@@ -383,18 +309,13 @@ func GatherBatchCtx[T any](ctx context.Context, p *Pool, n, streams int, produce
 	return out, nil
 }
 
-// StreamOrdered runs produce(0..n-1) on the pool and delivers every
+// StreamOrderedCtx runs produce(0..n-1) on the pool and delivers every
 // produced item to emit in index order, holding at most Workers()+1
 // produced-but-unemitted batches in memory — the bounded-memory engine
 // under streaming database scans. The first error from produce or emit
 // stops the run (already-launched producers finish, their output is
-// dropped) and is returned.
-func StreamOrdered[T any](p *Pool, n int, produce func(i int) ([]T, error), emit func(T) error) error {
-	return StreamOrderedCtx(context.Background(), p, n, produce, emit)
-}
-
-// StreamOrderedCtx is StreamOrdered under a context. Cancellation
-// checkpoints sit at every stage boundary: the dispatcher stops launching
+// dropped) and is returned. Cancellation checkpoints sit at every stage
+// boundary: the dispatcher stops launching
 // producers, a producer waiting for a pool slot aborts, a dispatched
 // producer skips its scan, and the ordered merge stops emitting — so the
 // call returns ctx.Err() after at most the shards already executing

@@ -17,7 +17,7 @@ func TestPoolMetricsReconcile(t *testing.T) {
 
 	const n = 25
 	p.Each(n, func(i int) { time.Sleep(time.Microsecond) })
-	if err := StreamOrdered(p, n,
+	if err := streamOrdered(p, n,
 		func(i int) ([]int, error) { return []int{i}, nil },
 		func(int) error { return nil },
 	); err != nil {
@@ -49,7 +49,7 @@ func TestStreamOrderedBacklogDrainsOnEarlyStop(t *testing.T) {
 	p.SetMetrics(reg)
 
 	boom := errors.New("boom")
-	err := StreamOrdered(p, 64,
+	err := streamOrdered(p, 64,
 		func(i int) ([]int, error) {
 			time.Sleep(time.Duration(i%5) * time.Millisecond)
 			return []int{i}, nil

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -98,9 +99,25 @@ func TestPoolBoundsConcurrency(t *testing.T) {
 	}
 }
 
+// gather, gatherBatch and streamOrdered run the scheduler's gathers under
+// context.Background, where they cannot fail on the context.
+func gather[T any](p *Pool, n int, produce func(i int) []T) []T {
+	out, _ := GatherCtx(context.Background(), p, n, produce)
+	return out
+}
+
+func gatherBatch[T any](p *Pool, n, streams int, produce func(i int) [][]T) [][]T {
+	out, _ := GatherBatchCtx(context.Background(), p, n, streams, produce)
+	return out
+}
+
+func streamOrdered[T any](p *Pool, n int, produce func(i int) ([]T, error), emit func(T) error) error {
+	return StreamOrderedCtx(context.Background(), p, n, produce, emit)
+}
+
 func TestGatherPreservesIndexOrder(t *testing.T) {
 	p := NewPool(8)
-	got := Gather(p, 40, func(i int) []int {
+	got := gather(p, 40, func(i int) []int {
 		return []int{i * 2, i*2 + 1}
 	})
 	if len(got) != 80 {
@@ -111,7 +128,7 @@ func TestGatherPreservesIndexOrder(t *testing.T) {
 			t.Fatalf("got[%d] = %d", i, v)
 		}
 	}
-	if out := Gather(p, 5, func(int) []int { return nil }); out != nil {
+	if out := gather(p, 5, func(int) []int { return nil }); out != nil {
 		t.Errorf("all-empty gather = %v, want nil", out)
 	}
 }
@@ -119,7 +136,7 @@ func TestGatherPreservesIndexOrder(t *testing.T) {
 func TestGatherBatchPreservesOrderPerStream(t *testing.T) {
 	p := NewPool(8)
 	const shards, streams = 40, 3
-	got := GatherBatch(p, shards, streams, func(i int) [][]int {
+	got := gatherBatch(p, shards, streams, func(i int) [][]int {
 		// Stream s gets s+1 items from each shard, tagged by shard order.
 		out := make([][]int, streams)
 		for s := range out {
@@ -148,7 +165,7 @@ func TestGatherBatchRaggedAndEmpty(t *testing.T) {
 	p := NewPool(4)
 	// Producers may return fewer slices than streams; missing streams get
 	// nothing, untouched streams stay nil.
-	got := GatherBatch(p, 10, 3, func(i int) [][]int {
+	got := gatherBatch(p, 10, 3, func(i int) [][]int {
 		if i%2 == 0 {
 			return [][]int{{i}}
 		}
@@ -161,11 +178,11 @@ func TestGatherBatchRaggedAndEmpty(t *testing.T) {
 		t.Fatalf("ragged gather: %v", got)
 	}
 	// Zero shards still yields one (nil) entry per stream.
-	if got := GatherBatch[int](p, 0, 2, nil); len(got) != 2 || got[0] != nil {
+	if got := gatherBatch[int](p, 0, 2, nil); len(got) != 2 || got[0] != nil {
 		t.Fatalf("empty plan gather: %v", got)
 	}
 	// The single-shard fast path pads short returns to len == streams.
-	if got := GatherBatch(p, 1, 3, func(int) [][]int { return [][]int{{7}} }); len(got) != 3 || got[0][0] != 7 {
+	if got := gatherBatch(p, 1, 3, func(int) [][]int { return [][]int{{7}} }); len(got) != 3 || got[0][0] != 7 {
 		t.Fatalf("single-shard gather: %v", got)
 	}
 }
@@ -173,7 +190,7 @@ func TestGatherBatchRaggedAndEmpty(t *testing.T) {
 func TestStreamOrderedDeliversInOrder(t *testing.T) {
 	p := NewPool(4)
 	var got []int
-	err := StreamOrdered(p, 30, func(i int) ([]int, error) {
+	err := streamOrdered(p, 30, func(i int) ([]int, error) {
 		return []int{i * 10, i*10 + 1}, nil
 	}, func(v int) error {
 		got = append(got, v)
@@ -195,7 +212,7 @@ func TestStreamOrderedDeliversInOrder(t *testing.T) {
 func TestStreamOrderedStopsOnError(t *testing.T) {
 	p := NewPool(4)
 	produceErr := errors.New("shard exploded")
-	err := StreamOrdered(p, 100, func(i int) ([]int, error) {
+	err := streamOrdered(p, 100, func(i int) ([]int, error) {
 		if i == 7 {
 			return nil, produceErr
 		}
@@ -207,7 +224,7 @@ func TestStreamOrderedStopsOnError(t *testing.T) {
 
 	emitErr := errors.New("consumer full")
 	var seen int
-	err = StreamOrdered(p, 100, func(i int) ([]int, error) {
+	err = streamOrdered(p, 100, func(i int) ([]int, error) {
 		return []int{i}, nil
 	}, func(v int) error {
 		seen++
@@ -237,7 +254,7 @@ func TestPoolSharedAcrossGoroutines(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			hits := Gather(p, 20, func(i int) []int { return []int{i} })
+			hits := gather(p, 20, func(i int) []int { return []int{i} })
 			total.Add(int64(len(hits)))
 		}()
 	}

@@ -37,7 +37,7 @@ import (
 //	db.load.planes_packed    LoadDatabase calls whose scans must pack in-process
 //	scan.retries             shard/chunk attempts re-run under a RetryPolicy
 //	scan.hedged              hedged duplicate shards launched for stragglers
-//	scan.partial             scans that completed degraded (WithPartialResults)
+//	scan.partial             scans that completed degraded (WithPartialResults, AlignBothStrands)
 //	faultinject.fired        fault-injection rules that fired (process-wide)
 //	pool.tasks.*             worker-pool counters/gauges (process-wide pool)
 //	cache.*                  plane-cache stats, merged from the shared cache

@@ -1,10 +1,11 @@
 // resilience.go is the facade of the scan pipeline's resilience layer:
 // the public retry/hedge policy (WithRetryPolicy), opt-in partial-result
-// degradation (WithPartialResults, PartialError) and the glue that routes
-// shard scans through the scheduler's resilient path — bounded retries
-// with deterministic jittered backoff, hedged duplicates for stragglers,
-// and, when opted in, a scan that survives failed shards and reports
-// exactly which window ranges it could not cover.
+// degradation (WithPartialResults, PartialError) and the failure
+// bookkeeping of the executor's one gather (executor.go), which runs every
+// shard under the policy — bounded retries with deterministic jittered
+// backoff, hedged duplicates for stragglers, and, when opted in, a scan
+// that survives failed shards and reports exactly which window ranges it
+// could not cover.
 package fabp
 
 import (
@@ -16,9 +17,6 @@ import (
 	"sync"
 	"time"
 
-	"fabp/internal/bitpar"
-	"fabp/internal/core"
-	"fabp/internal/faultinject"
 	"fabp/internal/retry"
 	"fabp/internal/sched"
 )
@@ -72,8 +70,9 @@ func (rp RetryPolicy) validate() error {
 }
 
 // WithRetryPolicy sets the aligner's retry/hedge policy for every scan
-// path (AlignContext, AlignDatabase*, AlignStream*). Without it, scans
-// run each shard exactly once — failures surface immediately.
+// path (AlignContext, AlignDatabase*, AlignStream* — a stream's shards
+// and its chunk reads). Without it, scans run each shard exactly once —
+// failures surface immediately.
 func WithRetryPolicy(rp RetryPolicy) AlignerOption {
 	return func(c *alignerConfig) {
 		if err := rp.validate(); err != nil {
@@ -132,10 +131,11 @@ var (
 )
 
 // SetBatchRetryPolicy sets the retry/hedge policy for the package-level
-// fused batch and Session scan paths (AlignBatch*, AlignDatabaseBatch*,
-// Session.Run*), which have no Aligner to configure. The zero policy
-// restores single-attempt behavior. Safe for concurrent use; batch scans
-// read the policy once at call start.
+// fused batch, batch-stream and Session scan paths (AlignBatch*,
+// AlignDatabaseBatch*, AlignBatchStream*, Session.Run*), which have no
+// Aligner to configure. The zero policy restores single-attempt behavior.
+// Safe for concurrent use; those scans read the policy once at call start
+// and pass it down.
 func SetBatchRetryPolicy(rp RetryPolicy) {
 	batchRetryMu.Lock()
 	batchRetryPolicy = rp
@@ -146,15 +146,6 @@ func currentBatchRetryPolicy() RetryPolicy {
 	batchRetryMu.RLock()
 	defer batchRetryMu.RUnlock()
 	return batchRetryPolicy
-}
-
-// resilientScans reports whether this aligner's shard scans must route
-// through the resilient path: an explicit policy, partial mode, or
-// active fault injection (the shard-dispatch hook site lives on the
-// resilient path). All three off — the production default — keeps scans
-// on the historical zero-overhead path.
-func (a *Aligner) resilientScans() bool {
-	return a.retryPolicy.enabled() || a.partial || faultinject.Enabled()
 }
 
 // newResilience builds the per-call scheduler policy from rp, reporting
@@ -205,109 +196,12 @@ func (fc *failureCollector) firstRealError() error {
 			}
 			continue
 		}
-		return fmt.Errorf("fabp: shard [%d,%d): %w", f.shard.Lo, f.shard.Hi, f.err)
+		return shardError(f.shard, f.err)
 	}
 	return fallback
 }
 
-// gatherShardsResilient is the resilient arm of the gather-style scans
-// (scanShardsCtx, Session.scan): every shard runs under the retry/hedge
-// policy, failures are collected, and the outcome depends on the mode —
-// without partial results the first unrecoverable failure cancels the
-// remaining shards and fails the scan; with them the scan completes on
-// the surviving shards and returns a *PartialError beside the hits.
-func gatherShardsResilient(ctx context.Context, pool *sched.Pool, rp RetryPolicy, partial bool, tm *alignerMetrics, shards []sched.Shard, scan func(lo, hi int) []core.Hit) ([]core.Hit, error) {
-	res := newResilience(rp, tm)
-	fc := &failureCollector{}
-	sctx, cancelShards := context.WithCancel(ctx)
-	defer cancelShards()
-	hits, gerr := sched.GatherCtx(sctx, pool, len(shards), func(i int) []core.Hit {
-		out, err := sched.ProduceResilient(sctx, pool, res, uint64(i), func(actx context.Context) ([]core.Hit, error) {
-			if err := actx.Err(); err != nil {
-				return nil, err
-			}
-			return scan(shards[i].Lo, shards[i].Hi), nil
-		})
-		if err != nil {
-			fc.add(shards[i], err)
-			if !partial {
-				// Shed the rest of the plan; the scan is already lost.
-				cancelShards()
-			}
-			return nil
-		}
-		return out
-	})
-	if err := ctx.Err(); err != nil {
-		return nil, err // the caller's cancel/deadline wins over shard failures
-	}
-	if len(fc.failed) > 0 {
-		if !partial {
-			return nil, fc.firstRealError()
-		}
-		tm.partial.Inc()
-		return hits, fc.partialError()
-	}
-	return hits, gerr
-}
-
-// gatherResilient routes the aligner's shard gather through the resilient
-// path under its own policy and mode.
-func (a *Aligner) gatherResilient(ctx context.Context, shards []sched.Shard, scan func(lo, hi int) []core.Hit) ([]core.Hit, error) {
-	return gatherShardsResilient(ctx, a.pool, a.retryPolicy, a.partial, &a.tm, shards, scan)
-}
-
-// gatherBatchResilient is the fused batch scan's resilient arm. Batches
-// have no partial mode — a shard that still fails after the retry policy
-// is exhausted fails the whole batch (every query's results depend on
-// every shard).
-func gatherBatchResilient(ctx context.Context, rp RetryPolicy, tm *alignerMetrics, shards []sched.Shard, k int, scanShard func(i int) [][]bitpar.Hit) ([][]bitpar.Hit, error) {
-	res := newResilience(rp, tm)
-	fc := &failureCollector{}
-	sctx, cancelBatch := context.WithCancel(ctx)
-	defer cancelBatch()
-	perQuery, gerr := sched.GatherBatchCtx(sctx, sched.Shared(), len(shards), k, func(i int) [][]bitpar.Hit {
-		out, err := sched.ProduceResilient(sctx, sched.Shared(), res, uint64(i), func(actx context.Context) ([][]bitpar.Hit, error) {
-			if err := actx.Err(); err != nil {
-				return nil, err
-			}
-			return scanShard(i), nil
-		})
-		if err != nil {
-			fc.add(shards[i], err)
-			cancelBatch()
-			return nil
-		}
-		return out
-	})
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if len(fc.failed) > 0 {
-		return nil, fc.firstRealError()
-	}
-	return perQuery, gerr
-}
-
-// resilientStreamProduce wraps a streaming scan's per-shard produce with
-// the retry/hedge policy and partial-mode failure capture: in partial
-// mode an exhausted shard contributes no hits and is recorded on fc (the
-// merge continues); otherwise its failure stops the stream.
-func resilientStreamProduce[T any](ctx context.Context, pool *sched.Pool, res *sched.Resilience, partial bool, fc *failureCollector, shards []sched.Shard, produce func(i int) ([]T, error)) func(i int) ([]T, error) {
-	return func(i int) ([]T, error) {
-		out, err := sched.ProduceResilient(ctx, pool, res, uint64(i), func(actx context.Context) ([]T, error) {
-			if err := actx.Err(); err != nil {
-				return nil, err
-			}
-			return produce(i)
-		})
-		if err != nil {
-			if partial && ctx.Err() == nil {
-				fc.add(shards[i], err)
-				return nil, nil
-			}
-			return nil, fmt.Errorf("fabp: shard [%d,%d): %w", shards[i].Lo, shards[i].Hi, err)
-		}
-		return out, nil
-	}
+// shardError names the shard range a scan lost to err.
+func shardError(s sched.Shard, err error) error {
+	return fmt.Errorf("fabp: shard [%d,%d): %w", s.Lo, s.Hi, err)
 }

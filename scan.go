@@ -117,27 +117,6 @@ type ScanResult struct {
 	Elapsed time.Duration
 }
 
-// newScanResult assembles the execute-path result (provenance and timing
-// are stamped per-request by the spine's callers).
-func (a *Aligner) newScanResult(hits []Hit, recordHits []RecordHit, perr error) *ScanResult {
-	res := &ScanResult{Hits: hits, RecordHits: recordHits, Threshold: a.Threshold()}
-	if pe, ok := asPartial(perr); ok {
-		res.Degraded = true
-		res.FailedRanges = pe.Failed
-	}
-	return res
-}
-
-// asPartial extracts a *PartialError (errors.As without the reflection
-// round-trip for the common nil case).
-func asPartial(err error) (*PartialError, bool) {
-	if err == nil {
-		return nil, false
-	}
-	pe, ok := err.(*PartialError)
-	return pe, ok
-}
-
 // sizeBytes estimates the result's resident footprint for the cache's
 // byte bound: slice headers, hit payloads, and record-ID strings.
 func (r *ScanResult) sizeBytes() int64 {
@@ -275,79 +254,6 @@ func fromOutcome(o resultcache.Outcome) CacheOutcome {
 	return CacheMiss
 }
 
-// scanThroughCache runs cold through the singleflight cache under key.
-// The compute runs on the flight's own context — canceled only when
-// every joined caller has left, so a canceled initiator hands the scan
-// off to the remaining waiters. Results are cached only on clean
-// success; an error (degraded completions included) reaches every
-// waiting caller and is never retained.
-func scanThroughCache(ctx context.Context, key scanKey, cold func(context.Context) (*ScanResult, error)) (*ScanResult, CacheOutcome, error) {
-	res, out, err := scanResults.Do(ctx, key, func(fctx context.Context) (*ScanResult, int64, error) {
-		r, err := cold(fctx)
-		if err != nil {
-			return r, 0, err
-		}
-		return r, r.sizeBytes(), nil
-	})
-	return res, fromOutcome(out), err
-}
-
-// cacheEligible reports whether this aligner's scans may use the result
-// cache: partial mode is excluded because a degraded result must never
-// answer a later request.
-func (a *Aligner) cacheEligible() bool {
-	return !a.partial && scanResults.Enabled()
-}
-
-// databaseKey builds this aligner's cache key for a database scan.
-func (a *Aligner) databaseKey(d *Database) scanKey {
-	return scanKey{
-		query:     a.query.digest,
-		target:    [sha256.Size]byte(d.d.Digest()),
-		kind:      targetDatabase,
-		threshold: a.Threshold(),
-		kernel:    resolveKernel(a.mode),
-		shardLen:  canonShardLen(a.shardLen),
-	}
-}
-
-// referenceKey builds this aligner's cache key for a reference scan.
-func (a *Aligner) referenceKey(ref *Reference) scanKey {
-	return scanKey{
-		query:     a.query.digest,
-		target:    ref.contentDigest(),
-		kind:      targetReference,
-		threshold: a.Threshold(),
-		kernel:    resolveKernel(a.mode),
-		shardLen:  canonShardLen(a.shardLen),
-	}
-}
-
-// cachedDatabaseScan is the database-scan spine shared by Scan and the
-// legacy AlignDatabase/AlignDatabaseContext wrappers. The returned
-// result may be the shared cached object: callers must not mutate it.
-func (a *Aligner) cachedDatabaseScan(ctx context.Context, d *Database) (*ScanResult, CacheOutcome, error) {
-	if !a.cacheEligible() {
-		res, err := a.executeDatabaseScan(ctx, d)
-		return res, CacheBypass, err
-	}
-	return scanThroughCache(ctx, a.databaseKey(d), func(fctx context.Context) (*ScanResult, error) {
-		return a.executeDatabaseScan(fctx, d)
-	})
-}
-
-// cachedReferenceScan is the reference-scan spine shared by Scan and the
-// legacy Align/AlignContext wrappers.
-func (a *Aligner) cachedReferenceScan(ctx context.Context, ref *Reference) (*ScanResult, CacheOutcome, error) {
-	if !a.cacheEligible() {
-		res, err := a.executeReferenceScan(ctx, ref)
-		return res, CacheBypass, err
-	}
-	return scanThroughCache(ctx, a.referenceKey(ref), func(fctx context.Context) (*ScanResult, error) {
-		return a.executeReferenceScan(fctx, ref)
-	})
-}
-
 // scanPlan is a validated, normalized ScanRequest: the resolved
 // threshold plus everything needed to build the cache key without
 // constructing an aligner (so cached hits never pay aligner setup).
@@ -357,6 +263,17 @@ type scanPlan struct {
 	// protein is the resolved pipeline option set for ProteinSearch
 	// requests (nil for nucleotide scans).
 	protein *tblastn.Options
+	// a runs the cold scan: the calling Aligner for its own scans, nil
+	// for Scan, which builds one from req on a miss.
+	a *Aligner
+}
+
+// plan renders one of this aligner's scans as a scanPlan — req names the
+// target — so Align*, AlignDatabase* and Scan take one cached path.
+func (a *Aligner) plan(req ScanRequest) *scanPlan {
+	req.Query, req.Kernel, req.ShardLen = a.query, a.mode, a.shardLen
+	req.RetryPolicy, req.Partial = a.retryPolicy, a.partial
+	return &scanPlan{req: req, threshold: a.Threshold(), a: a}
 }
 
 // plan validates the request field by field (errors name the field and
@@ -459,7 +376,8 @@ func (p *scanPlan) newAligner() (*Aligner, error) {
 	return NewAligner(p.req.Query, opts...)
 }
 
-// key builds the plan's cache key without an aligner.
+// key builds the plan's cache key without an aligner — the one builder
+// of scan cache keys.
 func (p *scanPlan) key() scanKey {
 	if p.protein != nil {
 		k := scanKey{query: p.req.Query.digest, protein: proteinKeyOf(p.protein)}
@@ -498,14 +416,40 @@ func (p *scanPlan) cold(ctx context.Context) (*ScanResult, error) {
 	if p.protein != nil {
 		return p.executeProteinSearch(ctx)
 	}
-	a, err := p.newAligner()
-	if err != nil {
-		return nil, err
+	a := p.a
+	if a == nil {
+		var err error
+		if a, err = p.newAligner(); err != nil {
+			return nil, err
+		}
 	}
 	if p.req.Database != nil {
-		return a.executeDatabaseScan(ctx, p.req.Database)
+		return a.execute(ctx, p.req.Database.target())
 	}
-	return a.executeReferenceScan(ctx, p.req.Reference)
+	return a.execute(ctx, p.req.Reference.target())
+}
+
+// run answers the plan through the singleflight result cache, or cold
+// when it must bypass the cache. A cached compute runs on the flight's
+// own context — canceled only when every joined caller has left, so a
+// canceled initiator hands the scan off to the remaining waiters.
+// Results are cached only on clean success; an error (degraded
+// completions included) reaches every waiting caller and is never
+// retained. The result may be the shared cached object: callers must not
+// mutate it.
+func (p *scanPlan) run(ctx context.Context) (*ScanResult, CacheOutcome, error) {
+	if p.bypass() {
+		res, err := p.cold(ctx)
+		return res, CacheBypass, err
+	}
+	res, out, err := scanResults.Do(ctx, p.key(), func(fctx context.Context) (*ScanResult, int64, error) {
+		r, err := p.cold(fctx)
+		if err != nil {
+			return r, 0, err
+		}
+		return r, r.sizeBytes(), nil
+	})
+	return res, fromOutcome(out), err
 }
 
 // Scan is the unified alignment entrypoint: one typed request/response
@@ -528,13 +472,7 @@ func Scan(ctx context.Context, req ScanRequest) (*ScanResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	var res *ScanResult
-	outcome := CacheBypass
-	if p.bypass() {
-		res, err = p.cold(ctx)
-	} else {
-		res, outcome, err = scanThroughCache(ctx, p.key(), p.cold)
-	}
+	res, outcome, err := p.run(ctx)
 	if res == nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package fabp
 
 import (
+	"context"
 	"sort"
 
 	"fabp/internal/bio"
@@ -34,24 +35,40 @@ type StrandHit struct {
 // strand; the paper's FabP scans one strand per pass, so a deployment runs
 // two passes, doubling scan time). Hits come back in forward-coordinate
 // order.
+//
+// Both strand scans run under the aligner's retry policy. With no error
+// to return, each always completes on its surviving shards, as under
+// WithPartialResults: a shard that fault injection (package
+// internal/faultinject) fails past the policy loses its hits, and the
+// strand counts on scan.partial. AlignContext reports such failures as
+// errors.
 func (a *Aligner) AlignBothStrands(ref *Reference) []StrandHit {
-	var out []StrandHit
-	for _, h := range a.gatherShards(a.referenceScan(ref)) {
-		out = append(out, StrandHit{Pos: h.Pos, Score: h.Score, Strand: StrandForward})
-	}
 	rc := bio.NucSeq(ref.seq).ReverseComplement()
+	rcTarget := scanTarget{
+		n:      len(rc),
+		planes: func(*alignerMetrics) *bitpar.Planes { return bitpar.PackReference(rc) },
+		seq:    func() bio.NucSeq { return rc },
+	}
 	m := a.query.Elements()
-	rcScan, rcStarts := a.shardScan(len(rc), func() *bitpar.Planes {
-		return bitpar.PackReference(rc)
-	}, func() bio.NucSeq { return rc })
-	for _, h := range a.gatherShards(rcScan, rcStarts) {
-		// Window [h.Pos, h.Pos+m) on the reverse complement maps to
-		// forward positions [len-h.Pos-m, len-h.Pos).
-		out = append(out, StrandHit{
-			Pos:    len(ref.seq) - h.Pos - m,
-			Score:  h.Score,
-			Strand: StrandReverse,
-		})
+	x := a.executor()
+	x.partial = true
+	var out []StrandHit
+	for _, strand := range []Strand{StrandForward, StrandReverse} {
+		t := ref.target()
+		if strand == StrandReverse {
+			t = rcTarget
+		}
+		hits, _, _ := x.run(context.Background(), t)
+		for _, qh := range hits { // the one query's hits
+			for _, h := range qh {
+				if strand == StrandReverse {
+					// Window [h.Pos, h.Pos+m) on the reverse complement maps
+					// to forward positions [len-h.Pos-m, len-h.Pos).
+					h.Pos = len(ref.seq) - h.Pos - m
+				}
+				out = append(out, StrandHit{Pos: h.Pos, Score: h.Score, Strand: strand})
+			}
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Pos != out[j].Pos {

@@ -155,70 +155,6 @@ func scanChunks(ctx context.Context, r io.Reader, m, mFinal int, pool *sched.Poo
 	}
 }
 
-// streamChunkHits scans one packed chunk's fresh window range with the
-// aligner's bit-parallel kernel, sharding large chunks across the pool
-// exactly like a database scan — every shard reads the one shared packed
-// chunk. A chunk that fits one shard runs inline on the calling goroutine
-// (the steady-state streaming path allocates nothing here until hits
-// appear): it scans on sc, the scratch the stream owns for its whole life,
-// so no chunk takes a pooled one.
-func (a *Aligner) streamChunkHits(ctx context.Context, pp *bitpar.Planes, lo, hi int, sc *bitpar.Scratch) ([]bitpar.Hit, error) {
-	if hi <= lo&^63+sched.DefaultShardLen {
-		// One shard: run inline without planning — no shard slice, no
-		// closure, no goroutine. This is every chunk of a default-sized
-		// stream, so the steady state allocates nothing here.
-		a.tm.shardsPlanned.Inc()
-		ts := time.Now()
-		hits := a.kernel.AlignPlanesRangeScratch(pp, lo, hi, sc)
-		observeSince(a.tm.shardLatency, ts)
-		a.tm.shardsRun.Inc()
-		return hits, nil
-	}
-	shards := sched.PlanRange(lo, hi, 0)
-	a.tm.shardsPlanned.Add(uint64(len(shards)))
-	return sched.GatherCtx(ctx, a.pool, len(shards), func(i int) []bitpar.Hit {
-		ts := time.Now()
-		hits := a.kernel.AlignPlanesRange(pp, shards[i].Lo, shards[i].Hi)
-		observeSince(a.tm.shardLatency, ts)
-		a.tm.shardsRun.Inc()
-		return hits
-	})
-}
-
-// batchChunkHits is streamChunkHits for a fused batch: one pass over the
-// shared packed chunk scores every query, sharded across the process-wide
-// pool with per-query hit streams merged in position order. Fused-pass and
-// plane-reuse accounting matches the database batch path, so stream and
-// database fusion read identically on the instrument panel.
-func batchChunkHits(ctx context.Context, bk *bitpar.BatchKernel, tm *alignerMetrics, pp *bitpar.Planes, lo, hi int) ([][]bitpar.Hit, error) {
-	shards := sched.PlanRange(lo, hi, 0)
-	tm.shardsPlanned.Add(uint64(len(shards)))
-	scanShard := func(i int) [][]bitpar.Hit {
-		ts := time.Now()
-		dst := bk.AlignPlanesRange(pp, shards[i].Lo, shards[i].Hi, nil)
-		observeSince(tm.shardLatency, ts)
-		tm.shardsRun.Inc()
-		return dst
-	}
-	tk := time.Now()
-	var perQuery [][]bitpar.Hit
-	var err error
-	if rp := currentBatchRetryPolicy(); rp.enabled() || faultinject.Enabled() {
-		perQuery, err = gatherBatchResilient(ctx, rp, tm, shards, bk.NumQueries(), scanShard)
-	} else if len(shards) == 1 {
-		perQuery = scanShard(0)
-	} else {
-		perQuery, err = sched.GatherBatchCtx(ctx, sched.Shared(), len(shards), bk.NumQueries(), scanShard)
-	}
-	if err != nil {
-		return nil, err
-	}
-	observeSince(tm.batchKernelLatency, tk)
-	tm.batchFusedPasses.Add(uint64(len(shards)))
-	tm.batchPlaneBytesSaved.Add(uint64(bk.NumQueries()-1) * uint64(pp.SizeBytes()))
-	return perQuery, nil
-}
-
 // AlignBatchStream scans one nucleotide stream with many queries in a
 // single fused pass over each chunk: the stream is read and packed into
 // bit-planes once per chunk, and the fused batch kernel scores all K
@@ -237,33 +173,31 @@ func AlignBatchStream(queries []*Query, r io.Reader, thresholdFrac float64, emit
 // cancellation: the context is checked before every chunk read and at
 // shard boundaries within each chunk, so the call returns ctx.Err()
 // without reading the rest of the stream. Aborts are recorded on
-// align.canceled / align.deadline.exceeded; reads retry under the
-// batch retry policy (SetBatchRetryPolicy).
+// align.canceled / align.deadline.exceeded; reads and shards retry under
+// the batch retry policy (SetBatchRetryPolicy).
 func AlignBatchStreamContext(ctx context.Context, queries []*Query, r io.Reader, thresholdFrac float64, emit func(query int, h Hit) error) error {
-	if len(queries) == 0 {
-		return fmt.Errorf("fabp: empty batch")
-	}
 	progs, thresholds, err := batchKernelInputs(queries, thresholdFrac)
 	if err != nil {
 		return err
 	}
-	bk, err := bitpar.NewBatchKernel(progs, thresholds)
+	rp := currentBatchRetryPolicy()
+	x, err := queryExecutor(progs, thresholds, rp)
 	if err != nil {
 		return err
 	}
-	tm := &defaultAlignerTM
+	tm, bk := x.tm, x.bk
 	k := uint64(bk.NumQueries())
-	tm.queries.Add(k)
 	tm.batchQueries.Add(k)
 	tm.kernelBitpar.Add(k)
 	t0 := time.Now()
 	defer func() { observeSince(tm.alignLatency, t0) }()
-	err = scanChunks(ctx, r, bk.MaxElems(), bk.MinElems(), sched.Shared(), tm, currentBatchRetryPolicy(),
+	err = scanChunks(ctx, r, bk.MaxElems(), bk.MinElems(), sched.Shared(), tm, rp,
 		func(pp *bitpar.Planes, lo, hi, base int) error {
-			perQuery, cerr := batchChunkHits(ctx, bk, tm, pp, lo, hi)
+			perQuery, cerr := x.chunk(ctx, pp, lo, hi)
 			if cerr != nil {
 				return cerr
 			}
+			recordFusedPass(x)
 			for qi, hits := range perQuery {
 				tm.hits.Add(uint64(len(hits)))
 				for _, h := range hits {

@@ -1,6 +1,7 @@
 package fabp
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -44,7 +45,11 @@ func (a *Aligner) AlignVerified(ref *Reference, opts VerifyOptions) ([]VerifiedH
 	if opts.ContextResidues == 0 {
 		opts.ContextResidues = 10
 	}
-	raw := a.gatherShards(a.referenceScan(ref))
+	scanned, _, err := a.executor().run(context.Background(), ref.target())
+	if err != nil {
+		return nil, err
+	}
+	raw := scanned[0]
 	if opts.MaxHits > 0 && len(raw) > opts.MaxHits {
 		// Keep the best-scoring hits.
 		sort.Slice(raw, func(i, j int) bool { return raw[i].Score > raw[j].Score })
