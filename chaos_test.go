@@ -97,8 +97,6 @@ func TestChaosConformanceSeededFaultInjection(t *testing.T) {
 		faultinject.SiteStreamRead:    {Prob: 0.1, KeyLimit: 2, Fail: true},
 	})
 	defer faultinject.Disable()
-	SetBatchRetryPolicy(chaosRetryPolicy)
-	defer SetBatchRetryPolicy(RetryPolicy{})
 
 	a := mustConformAligner(t, q, WithThresholdFraction(0.7), WithShardLen(2048),
 		WithRetryPolicy(chaosRetryPolicy))
@@ -133,13 +131,15 @@ func TestChaosConformanceSeededFaultInjection(t *testing.T) {
 		assertRecordHitsEqual(t, "chaos AlignDatabaseStream", wantRec, streamed)
 		scans++
 
-		// Path 4: fused batch under the package-level policy.
-		gotBatch, err := AlignBatch(queries, ref, 0.7)
+		// Path 4: fused batch under the request's policy.
+		res, err := Scan(context.Background(), ScanRequest{
+			Queries: queries, Reference: ref, ThresholdFrac: 0.7, RetryPolicy: chaosRetryPolicy,
+		})
 		if err != nil {
 			t.Fatalf("round %d AlignBatch: %v", round, err)
 		}
 		for qi := range wantBatch {
-			assertHitsEqual(t, "chaos AlignBatch", wantBatch[qi], gotBatch[qi])
+			assertHitsEqual(t, "chaos AlignBatch", wantBatch[qi], res.PerQuery[qi].Hits)
 		}
 		scans++
 	}

@@ -100,10 +100,6 @@ func main() {
 		HedgeAfter:  *hedgeAfter,
 		HedgeBudget: *hedgeBudget,
 	}
-	// The fused batch path is package-level (no per-request aligner), so
-	// it takes the server's policy globally.
-	fabp.SetBatchRetryPolicy(rp)
-
 	s := newServer(serverConfig{
 		db:             db,
 		maxInflight:    *maxInflight,

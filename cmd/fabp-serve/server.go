@@ -9,7 +9,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"runtime"
@@ -53,9 +52,10 @@ type serverConfig struct {
 	// the server packed them itself) — surfaced on /healthz.
 	planeSource string
 	// retryPolicy is the server's default scan resilience (retries,
-	// backoff, hedging); a request's retry_budget overrides the retry
-	// count within [0, serverMaxRetryBudget]. The zero policy scans
-	// single-attempt, the historical behavior.
+	// backoff, hedging), set on every /align, /align/batch and
+	// /align/stream request; an /align request's retry_budget overrides
+	// the retry count within [0, serverMaxRetryBudget]. The zero policy
+	// scans single-attempt, the historical behavior.
 	retryPolicy fabp.RetryPolicy
 }
 
@@ -74,20 +74,13 @@ type server struct {
 	// adm is the weighted, deadline-aware admission queue every scan
 	// passes through — except cache hits, which bypass it entirely.
 	adm *sched.Admission
-	// scan executes one prepared request against the unified Scan spine
-	// under the request context. Overridable in tests to model slow or
-	// stuck scans deterministically.
+	// scan executes one prepared request — a single query, a batch or a
+	// stream — against the unified Scan spine under the request context.
+	// Overridable in tests to model slow or stuck scans deterministically.
 	scan func(ctx context.Context, req fabp.ScanRequest) (*fabp.ScanResult, error)
 	// lookup probes the scan-result cache without scanning or queueing;
 	// a hit answers the request before admission. Overridable in tests.
 	lookup func(req fabp.ScanRequest) (*fabp.ScanResult, bool)
-	// scanBatch executes a whole batch in one fused pass under the request
-	// context, returning per-query attributed hits. Overridable in tests.
-	scanBatch func(ctx context.Context, d *fabp.Database, queries []*fabp.Query, thresholdFrac float64) ([][]fabp.RecordHit, error)
-	// streamBatch scans a client-supplied nucleotide stream with every
-	// query of a batch fused over each packed chunk, emitting hits as they
-	// complete. Overridable in tests.
-	streamBatch func(ctx context.Context, queries []*fabp.Query, body io.Reader, thresholdFrac float64, emit func(query int, h fabp.Hit) error) error
 	// m holds the serve-layer counters, registered beside the alignment
 	// pipeline's metrics in the process-wide registry so /metrics is one
 	// coherent snapshot.
@@ -134,10 +127,6 @@ func newServer(cfg serverConfig) *server {
 			return fabp.Scan(ctx, req)
 		},
 		lookup: fabp.CachedScan,
-		scanBatch: func(ctx context.Context, d *fabp.Database, queries []*fabp.Query, thresholdFrac float64) ([][]fabp.RecordHit, error) {
-			return fabp.AlignDatabaseBatchContext(ctx, d, queries, thresholdFrac)
-		},
-		streamBatch: fabp.AlignBatchStreamContext,
 		m: serveMetrics{
 			requests:       reg.Counter("serve.requests"),
 			rejected:       reg.Counter("serve.rejected.overload"),
@@ -631,6 +620,42 @@ type batchAlignRequest struct {
 	TimeoutMs int `json:"timeout_ms,omitempty"`
 }
 
+// parseBatch parses the proteins and threshold fraction of a batch or
+// stream request and counts its queries on serve.batch.queries. On the
+// first problem it answers 400 itself and reports false: an empty or
+// over-wide batch, a blank or invalid protein, or a fraction outside
+// (0, 1] — an explicit 0 is a client error here, not the 0.8 default.
+func (s *server) parseBatch(w http.ResponseWriter, proteins []string, frac float64) ([]*fabp.Query, bool) {
+	if len(proteins) == 0 {
+		writeError(w, http.StatusBadRequest, "empty batch: at least one query is required")
+		return nil, false
+	}
+	if len(proteins) > s.cfg.maxBatch {
+		writeError(w, http.StatusBadRequest,
+			"batch of %d queries exceeds the server's limit of %d", len(proteins), s.cfg.maxBatch)
+		return nil, false
+	}
+	queries := make([]*fabp.Query, len(proteins))
+	for i, qs := range proteins {
+		if strings.TrimSpace(qs) == "" {
+			writeError(w, http.StatusBadRequest, "query %d is empty", i)
+			return nil, false
+		}
+		q, err := fabp.NewQuery(qs)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, "invalid query %d: %v", i, err)
+			return nil, false
+		}
+		queries[i] = q
+	}
+	if frac <= 0 || frac > 1 || frac != frac {
+		writeError(w, http.StatusBadRequest, "threshold_frac %v outside (0,1]", frac)
+		return nil, false
+	}
+	s.m.batchQueries.Add(uint64(len(queries)))
+	return queries, true
+}
+
 // batchQueryResult is one query's slice of the /align/batch response.
 type batchQueryResult struct {
 	Residues  int        `json:"residues"`
@@ -667,33 +692,14 @@ func (s *server) handleAlignBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	if len(req.Queries) == 0 {
-		writeError(w, http.StatusBadRequest, "empty batch: queries is required")
-		return
-	}
-	if len(req.Queries) > s.cfg.maxBatch {
-		writeError(w, http.StatusBadRequest,
-			"batch of %d queries exceeds the server's limit of %d", len(req.Queries), s.cfg.maxBatch)
-		return
-	}
-	queries := make([]*fabp.Query, len(req.Queries))
-	for i, qs := range req.Queries {
-		if strings.TrimSpace(qs) == "" {
-			writeError(w, http.StatusBadRequest, "query %d is empty", i)
-			return
-		}
-		q, err := fabp.NewQuery(qs)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "invalid query %d: %v", i, err)
-			return
-		}
-		queries[i] = q
-	}
 	frac := 0.8
 	if req.ThresholdFrac != nil {
 		frac = *req.ThresholdFrac
 	}
-	s.m.batchQueries.Add(uint64(len(queries)))
+	queries, ok := s.parseBatch(w, req.Queries, frac)
+	if !ok {
+		return
+	}
 
 	timeout, maxHits := s.limits(req.TimeoutMs, req.MaxHits)
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
@@ -708,7 +714,12 @@ func (s *server) handleAlignBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	s.m.inflight.Add(int64(weight))
 	tScan := time.Now()
-	perQuery, err := s.scanBatch(ctx, s.cfg.db, queries, frac)
+	res, err := s.scan(ctx, fabp.ScanRequest{
+		Queries:       queries,
+		Database:      s.cfg.db,
+		ThresholdFrac: frac,
+		RetryPolicy:   s.cfg.retryPolicy,
+	})
 	observed := time.Since(tScan)
 	if err != nil {
 		observed = 0
@@ -721,7 +732,8 @@ func (s *server) handleAlignBatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	resp := batchAlignResponse{Queries: make([]batchQueryResult, len(queries))}
-	for i, hits := range perQuery {
+	for i, qh := range res.PerQuery {
+		hits := qh.RecordHits
 		qr := &resp.Queries[i]
 		qr.Residues = queries[i].Residues()
 		qr.Elements = queries[i].Elements()
@@ -781,29 +793,6 @@ func (s *server) handleAlignStream(w http.ResponseWriter, r *http.Request) {
 	s.m.streamRequests.Inc()
 
 	params := r.URL.Query()
-	protStrs := params["query"]
-	if len(protStrs) == 0 {
-		writeError(w, http.StatusBadRequest, "missing query parameters")
-		return
-	}
-	if len(protStrs) > s.cfg.maxBatch {
-		writeError(w, http.StatusBadRequest,
-			"batch of %d queries exceeds the server's limit of %d", len(protStrs), s.cfg.maxBatch)
-		return
-	}
-	queries := make([]*fabp.Query, len(protStrs))
-	for i, qs := range protStrs {
-		if strings.TrimSpace(qs) == "" {
-			writeError(w, http.StatusBadRequest, "query %d is empty", i)
-			return
-		}
-		q, err := fabp.NewQuery(qs)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "invalid query %d: %v", i, err)
-			return
-		}
-		queries[i] = q
-	}
 	frac := 0.8
 	if v := params.Get("threshold_frac"); v != "" {
 		f, err := strconv.ParseFloat(v, 64)
@@ -812,6 +801,10 @@ func (s *server) handleAlignStream(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		frac = f
+	}
+	queries, ok := s.parseBatch(w, params["query"], frac)
+	if !ok {
+		return
 	}
 	var reqMaxHits, reqTimeoutMs int
 	if v := params.Get("max_hits"); v != "" {
@@ -831,7 +824,6 @@ func (s *server) handleAlignStream(w http.ResponseWriter, r *http.Request) {
 		reqTimeoutMs = ms
 	}
 	timeout, maxHits := s.limits(reqTimeoutMs, reqMaxHits)
-	s.m.batchQueries.Add(uint64(len(queries)))
 
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
@@ -848,7 +840,7 @@ func (s *server) handleAlignStream(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	counts := make([]int, len(queries))
 	total, wrote, truncated := 0, false, false
-	err := s.streamBatch(ctx, queries, r.Body, frac, func(qi int, h fabp.Hit) error {
+	emit := func(qi int, h fabp.Hit) error {
 		if counts[qi] >= maxHits {
 			truncated = true
 			return nil
@@ -867,6 +859,13 @@ func (s *server) handleAlignStream(w http.ResponseWriter, r *http.Request) {
 			flusher.Flush()
 		}
 		return nil
+	}
+	_, err := s.scan(ctx, fabp.ScanRequest{
+		Queries:       queries,
+		Stream:        r.Body,
+		Emit:          emit,
+		ThresholdFrac: frac,
+		RetryPolicy:   s.cfg.retryPolicy,
 	})
 	observed := time.Since(t0)
 	if err != nil {

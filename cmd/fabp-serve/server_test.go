@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -266,10 +267,10 @@ func TestAlignBatchValidation(t *testing.T) {
 func TestAlignBatchAdmissionWeight(t *testing.T) {
 	s, protein := testServer(t, serverConfig{maxInflight: 3, maxBatch: 8})
 	blocked := make(chan struct{})
-	s.scanBatch = func(ctx context.Context, d *fabp.Database, queries []*fabp.Query, frac float64) ([][]fabp.RecordHit, error) {
+	s.scan = func(ctx context.Context, req fabp.ScanRequest) (*fabp.ScanResult, error) {
 		select {
 		case <-blocked:
-			return make([][]fabp.RecordHit, len(queries)), nil
+			return &fabp.ScanResult{PerQuery: make([]fabp.QueryHits, len(req.Queries))}, nil
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
@@ -327,10 +328,10 @@ func TestAlignBatchAdmissionWeight(t *testing.T) {
 func TestAlignBatchShedObservesLatency(t *testing.T) {
 	s, protein := testServer(t, serverConfig{maxInflight: 1, maxBatch: 4})
 	blocked := make(chan struct{})
-	s.scanBatch = func(ctx context.Context, d *fabp.Database, queries []*fabp.Query, frac float64) ([][]fabp.RecordHit, error) {
+	s.scan = func(ctx context.Context, req fabp.ScanRequest) (*fabp.ScanResult, error) {
 		select {
 		case <-blocked:
-			return make([][]fabp.RecordHit, len(queries)), nil
+			return &fabp.ScanResult{PerQuery: make([]fabp.QueryHits, len(req.Queries))}, nil
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
@@ -602,10 +603,10 @@ func TestBatchAdmissionShedStorm(t *testing.T) {
 	const capacity = 4
 	s, protein := testServer(t, serverConfig{maxInflight: capacity, maxBatch: capacity})
 	blocked := make(chan struct{})
-	s.scanBatch = func(ctx context.Context, d *fabp.Database, queries []*fabp.Query, frac float64) ([][]fabp.RecordHit, error) {
+	s.scan = func(ctx context.Context, req fabp.ScanRequest) (*fabp.ScanResult, error) {
 		select {
 		case <-blocked:
-			return make([][]fabp.RecordHit, len(queries)), nil
+			return &fabp.ScanResult{PerQuery: make([]fabp.QueryHits, len(req.Queries))}, nil
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
@@ -1315,5 +1316,110 @@ func TestSearchCacheProvenance(t *testing.T) {
 	}
 	if fmt.Sprintf("%+v", first.HSPs) != fmt.Sprintf("%+v", second.HSPs) {
 		t.Fatal("cached HSPs differ from the seeding search")
+	}
+}
+
+// postStream posts body to /align/stream with the given query string and
+// returns the NDJSON hit lines and the trailer.
+func postStream(t *testing.T, url, query, body string) ([]streamHit, streamTrailer) {
+	t.Helper()
+	resp, err := http.Post(url+"/align/stream?"+query, "application/octet-stream", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("stream status %d", resp.StatusCode)
+	}
+	var hits []streamHit
+	var trailer streamTrailer
+	dec := json.NewDecoder(resp.Body)
+	for dec.More() {
+		var raw map[string]json.RawMessage
+		if err := dec.Decode(&raw); err != nil {
+			t.Fatal(err)
+		}
+		b, _ := json.Marshal(raw)
+		if _, isTrailer := raw["done"]; isTrailer {
+			if err := json.Unmarshal(b, &trailer); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		var h streamHit
+		if err := json.Unmarshal(b, &h); err != nil {
+			t.Fatal(err)
+		}
+		hits = append(hits, h)
+	}
+	return hits, trailer
+}
+
+// TestServeRetryPolicyBatchAndStream: the server's retry policy rides on
+// every /align/batch and /align/stream request, so under transient
+// shard-dispatch faults both endpoints answer with exactly the fault-free
+// hits. A server without a policy fails the same faulted batch, so the
+// recovery comes from the request's policy and nothing else.
+func TestServeRetryPolicyBatchAndStream(t *testing.T) {
+	s, protein := testServer(t, serverConfig{maxInflight: 4,
+		retryPolicy: fabp.RetryPolicy{MaxRetries: 2, Base: 10 * time.Microsecond}})
+	ts := httptest.NewServer(s.handler())
+	defer ts.Close()
+	bare, _ := testServer(t, serverConfig{maxInflight: 4})
+	tsBare := httptest.NewServer(bare.handler())
+	defer tsBare.Close()
+
+	ref, genes := fabp.SyntheticReference(9, 30_000, 3, 30)
+	batch := batchAlignRequest{Queries: []string{protein, genes[1].Protein}, ThresholdFrac: ptr(0.5)}
+	streamQuery := "query=" + genes[0].Protein + "&query=" + genes[2].Protein + "&threshold_frac=0.7"
+	resp, wantBatch := postBatch(t, ts.URL, batch)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("fault-free batch status %d: %s", resp.StatusCode, wantBatch)
+	}
+	wantStream, trailer := postStream(t, ts.URL, streamQuery, ref.String())
+	if !trailer.Done || len(wantStream) == 0 {
+		t.Fatalf("fault-free stream: %d hits, trailer %+v", len(wantStream), trailer)
+	}
+
+	// Every shard key fails its first two dispatches; two retries recover.
+	plan := faultinject.Plan{faultinject.SiteShardDispatch: {Every: 1, KeyLimit: 2, Fail: true}}
+	faultinject.Enable(5, plan)
+	defer faultinject.Disable()
+	resp, body := postBatch(t, tsBare.URL, batch)
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("faulted batch without a policy: status %d, want 500: %s", resp.StatusCode, body)
+	}
+
+	faultinject.Enable(5, plan)
+	resp, body = postBatch(t, ts.URL, batch)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("faulted batch status %d: %s", resp.StatusCode, body)
+	}
+	var want, got batchAlignResponse
+	if err := json.Unmarshal(wantBatch, &want); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(body, &got); err != nil {
+		t.Fatal(err)
+	}
+	for qi := range want.Queries {
+		if !reflect.DeepEqual(got.Queries[qi].Hits, want.Queries[qi].Hits) {
+			t.Errorf("batch query %d: faulted hits differ from the fault-free scan", qi)
+		}
+	}
+	if faultinject.Fired(faultinject.SiteShardDispatch) == 0 {
+		t.Fatal("dispatch faults never fired; the batch tested nothing")
+	}
+
+	faultinject.Enable(5, plan)
+	gotStream, trailer := postStream(t, ts.URL, streamQuery, ref.String())
+	if !trailer.Done || trailer.Error != "" {
+		t.Fatalf("faulted stream trailer %+v", trailer)
+	}
+	if !reflect.DeepEqual(gotStream, wantStream) {
+		t.Errorf("faulted stream: %d hits differ from the fault-free %d", len(gotStream), len(wantStream))
+	}
+	if faultinject.Fired(faultinject.SiteShardDispatch) == 0 {
+		t.Fatal("dispatch faults never fired; the stream tested nothing")
 	}
 }

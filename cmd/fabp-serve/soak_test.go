@@ -31,14 +31,12 @@ func TestSoakMixedTrafficUnderShardStalls(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.WarmPlanes()
-	rp := fabp.RetryPolicy{MaxRetries: 2, Base: 100 * time.Microsecond}
-	fabp.SetBatchRetryPolicy(rp)
-	defer fabp.SetBatchRetryPolicy(fabp.RetryPolicy{})
+	// The server puts its retry policy on every single and batch request.
 	s := newServer(serverConfig{
 		db:             db,
 		maxInflight:    8,
 		defaultTimeout: 5 * time.Second,
-		retryPolicy:    rp,
+		retryPolicy:    fabp.RetryPolicy{MaxRetries: 2, Base: 100 * time.Microsecond},
 	})
 	ts := httptest.NewServer(s.handler())
 	defer ts.Close()

@@ -4,18 +4,15 @@ import (
 	"context"
 	"io"
 	"log"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
 	"fabp/internal/bio"
 	"fabp/internal/bitpar"
-	"fabp/internal/core"
 	"fabp/internal/db"
 	"fabp/internal/experiments"
+	"fabp/internal/fpga"
 	"fabp/internal/host"
-	"fabp/internal/isa"
 	"fabp/internal/sched"
 )
 
@@ -347,54 +344,25 @@ func (a *Aligner) AlignDatabaseStreamContext(ctx context.Context, d *Database, e
 
 // Session models the full deployment: an FPGA card holding the database
 // resident in its DRAM, with queries streamed against it. Results are real
-// (bit-exact engine); the timing decomposition follows the paper's
-// end-to-end measurement protocol.
+// — each call is a Scan of the resident database — and the timing
+// decomposition follows the paper's end-to-end measurement protocol.
 type Session struct {
-	s *host.Session
-	d *Database
+	platform host.Platform
+	d        *Database
 }
 
 // NewSession creates a session on the paper's default platform (Kintex-7
-// card, PCIe Gen3 x8, 8 GB card DRAM) with the database loaded. Hit
-// computation runs on the sharded scan path with the shared plane cache,
-// so the database is packed once and reused across queries and RunBatch
-// calls; batches take the fused path (every reference tile scanned once
-// for the whole batch); timing follows the paper's protocol unchanged.
+// card, PCIe Gen3 x8, 8 GB card DRAM) with the database loaded; it fails
+// if the database's 2-bit image exceeds the card's DRAM. Scans read the
+// database's cached planes, so it is packed once and reused across Run and
+// RunBatch calls; batches take the fused path (every reference tile
+// scanned once for the whole batch).
 func NewSession(d *Database) (*Session, error) {
-	s := host.NewSession(host.DefaultPlatform())
-	if _, err := s.LoadDatabase(d.d.Seq()); err != nil {
+	p := host.DefaultPlatform()
+	if _, err := p.Load(d.Len()); err != nil {
 		return nil, err
 	}
-	// The host's hit-computation hooks: the executor scans the resident
-	// database's cached planes, bit-exact with the host's built-in engine,
-	// and the host attributes the raw positions.
-	t := d.target()
-	t.db = nil
-	s.SetAlignFunc(func(ctx context.Context, prog isa.Program, threshold int) ([]core.Hit, error) {
-		x, err := queryExecutor([]isa.Program{prog}, []int{threshold}, currentBatchRetryPolicy())
-		if err != nil {
-			return nil, err
-		}
-		hits, _, err := x.run(ctx, t)
-		if err != nil {
-			x.tm.recordCtxErr(err)
-			return nil, err
-		}
-		x.tm.hits.Add(uint64(len(hits[0])))
-		return bitparToCore(hits[0]), nil
-	})
-	s.SetBatchAlignFunc(func(ctx context.Context, progs []isa.Program, thresholds []int) ([][]core.Hit, error) {
-		raw, _, err := scanBatch(ctx, progs, thresholds, t)
-		if err != nil {
-			return nil, err
-		}
-		out := make([][]core.Hit, len(raw))
-		for i, hits := range raw {
-			out[i] = bitparToCore(hits)
-		}
-		return out, nil
-	})
-	return &Session{s: s, d: d}, nil
+	return &Session{platform: p, d: d}, nil
 }
 
 // QueryTiming decomposes one query's projected end-to-end time in seconds.
@@ -410,18 +378,18 @@ func (s *Session) Run(q *Query, thresholdFrac float64) ([]RecordHit, QueryTiming
 
 // RunContext is Run under a context: the resident-database scan honors
 // cancellation and deadlines at shard boundaries and returns ctx.Err()
-// without waiting for the remaining shards.
+// without waiting for the remaining shards. The fraction must lie in
+// (0, 1].
 func (s *Session) RunContext(ctx context.Context, q *Query, thresholdFrac float64) ([]RecordHit, QueryTiming, error) {
-	threshold, err := core.ThresholdFromFraction(thresholdFrac, q.MaxScore())
+	if err := checkFraction(thresholdFrac); err != nil {
+		return nil, QueryTiming{}, err
+	}
+	res, est, err := s.scan(ctx, ScanRequest{Query: q, ThresholdFrac: thresholdFrac})
 	if err != nil {
 		return nil, QueryTiming{}, err
 	}
-	res, err := s.s.RunQueryContext(ctx, q.program, threshold)
-	if err != nil {
-		return nil, QueryTiming{}, err
-	}
-	t := res.Timing
-	return toRecordHits(s.d.d.Attribute(res.Hits, q.Elements())), QueryTiming{
+	t := s.platform.QueryTiming(est, q.Elements(), s.d.Len(), len(res.RecordHits))
+	return res.RecordHits, QueryTiming{
 		Encode: t.EncodeSec, QueryTransfer: t.QueryTransferSec,
 		Kernel: t.KernelSec, Readback: t.ReadbackSec, Total: t.TotalSec,
 	}, nil
@@ -435,73 +403,75 @@ func (s *Session) RunBatch(queries []*Query, thresholdFrac float64) ([][]RecordH
 }
 
 // RunBatchContext is RunBatch under a context: cancellation is checked
-// between queries and between shards within each query's scan, so an
-// aborted batch returns ctx.Err() without scanning the remaining queries.
+// between shards of the fused scan, so an aborted batch returns ctx.Err()
+// without scanning the remaining shards. Every query is validated and the
+// batch sized for the card before any scanning starts.
 func (s *Session) RunBatchContext(ctx context.Context, queries []*Query, thresholdFrac float64) ([][]RecordHit, float64, error) {
-	progs, err := batchPrograms(queries)
-	if err != nil {
+	req := ScanRequest{Queries: queries, ThresholdFrac: thresholdFrac}
+	if err := checkBatch(req); err != nil {
 		return nil, 0, err
 	}
-	res, err := s.s.RunBatchContext(ctx, progs, thresholdFrac)
+	res, est, err := s.scan(ctx, req)
 	if err != nil {
 		return nil, 0, err
 	}
 	out := make([][]RecordHit, len(queries))
-	for i, hits := range res.PerQuery {
-		out[i] = toRecordHits(s.d.d.Attribute(hits, queries[i].Elements()))
+	elems, hits := make([]int, len(queries)), make([]int, len(queries))
+	for i, qh := range res.PerQuery {
+		out[i] = qh.RecordHits
+		elems[i], hits[i] = queries[i].Elements(), len(qh.RecordHits)
 	}
-	return out, res.TotalSec, nil
+	total, _ := s.platform.BatchTiming(est, elems, s.d.Len(), hits)
+	return out, total, nil
 }
 
-// batchPrograms validates every query of a batch up front — a batch either
-// starts fully or fails with every offending index named, never mid-scan.
-func batchPrograms(queries []*Query) ([]isa.Program, error) {
-	progs := make([]isa.Program, len(queries))
-	var bad []string
-	for i, q := range queries {
-		if q == nil || q.Elements() == 0 {
-			bad = append(bad, strconv.Itoa(i))
-			continue
-		}
-		progs[i] = q.program
-	}
-	if len(bad) > 0 {
-		return nil, badQueryf("fabp: invalid batch queries at index %s (nil or empty)",
-			strings.Join(bad, ", "))
-	}
-	return progs, nil
-}
-
-// batchKernelInputs validates a batch and resolves every query's absolute
-// threshold from the shared fraction — the inputs the fused kernel wants.
-// Query errors name every offending index and match ErrBadQuery; fraction
-// errors are batch-wide and match ErrBadOption.
-func batchKernelInputs(queries []*Query, thresholdFrac float64) ([]isa.Program, []int, error) {
-	if len(queries) == 0 {
-		return nil, nil, badQueryf("fabp: empty batch")
-	}
-	progs, err := batchPrograms(queries)
+// scan is one Session request: ScanRequest validation, the card's fit
+// check for the longest query before any scanning, then an uncached scan
+// of the resident database (the card has no result cache).
+func (s *Session) scan(ctx context.Context, req ScanRequest) (*ScanResult, fpga.Estimate, error) {
+	req.Database, req.NoCache = s.d, true
+	p, err := req.plan()
 	if err != nil {
-		return nil, nil, err
+		return nil, fpga.Estimate{}, err
 	}
-	thresholds := make([]int, len(queries))
-	for i, q := range queries {
-		t, err := core.ThresholdFromFraction(thresholdFrac, q.MaxScore())
-		if err != nil {
-			return nil, nil, badOption(err)
-		}
-		thresholds[i] = t
+	maxElems := 0
+	for _, q := range p.queries {
+		maxElems = max(maxElems, q.Elements())
 	}
-	return progs, thresholds, nil
+	est, err := s.platform.Fit(maxElems)
+	if err != nil {
+		return nil, est, badQuery(err)
+	}
+	res, _, err := p.run(ctx)
+	return res, est, err
+}
+
+// checkBatch applies the contract the batch entrypoints kept from before
+// ScanRequest: an empty batch is its own error, and the fraction must lie
+// in (0, 1] — 0 is out of range, not ScanRequest's 0.8 default.
+func checkBatch(req ScanRequest) error {
+	if len(req.Queries) == 0 {
+		return badQueryf("fabp: empty batch")
+	}
+	return checkFraction(req.ThresholdFrac)
+}
+
+// batchScan is Scan under the batch entrypoints' contract (checkBatch).
+func batchScan(ctx context.Context, req ScanRequest) (*ScanResult, error) {
+	if err := checkBatch(req); err != nil {
+		return nil, err
+	}
+	return Scan(ctx, req)
 }
 
 // AlignBatch scans one reference with many queries in a single fused pass,
-// returning per-query hit lists. Thresholds are the given fraction of each
-// query's own maximum score (rounded, not truncated). Every query is
-// validated before any scanning starts. The reference packs into
-// bit-planes once — cached across calls — and the fused batch kernel reads
-// each reference tile once for the whole batch, bit-exact with a serial
-// per-query scan. It is AlignBatchContext under context.Background().
+// returning per-query hit lists. Thresholds are the given fraction, in
+// (0, 1], of each query's own maximum score (rounded, not truncated).
+// Every query is validated before any scanning starts. The reference packs
+// into bit-planes once — cached across calls — and the fused batch kernel
+// reads each reference tile once for the whole batch, bit-exact with a
+// serial per-query scan. It is AlignBatchContext under
+// context.Background().
 func AlignBatch(queries []*Query, ref *Reference, thresholdFrac float64) ([][]Hit, error) {
 	return AlignBatchContext(context.Background(), queries, ref, thresholdFrac)
 }
@@ -511,19 +481,16 @@ func AlignBatch(queries []*Query, ref *Reference, thresholdFrac float64) ([][]Hi
 // undispatched shards are shed for every query, shards already executing
 // finish, and the call returns ctx.Err() recorded on align.canceled /
 // align.deadline.exceeded. The shared plane cache is untouched by an
-// abort, so a retry scans the same resident planes.
+// abort, so a retry scans the same resident planes. It is Scan of
+// ScanRequest{Queries, Reference, ThresholdFrac}.
 func AlignBatchContext(ctx context.Context, queries []*Query, ref *Reference, thresholdFrac float64) ([][]Hit, error) {
-	progs, thresholds, err := batchKernelInputs(queries, thresholdFrac)
+	res, err := batchScan(ctx, ScanRequest{Queries: queries, Reference: ref, ThresholdFrac: thresholdFrac})
 	if err != nil {
 		return nil, err
 	}
-	raw, _, err := scanBatch(ctx, progs, thresholds, ref.target())
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]Hit, len(raw))
-	for i, hits := range raw {
-		out[i] = toHits(hits)
+	out := make([][]Hit, len(res.PerQuery))
+	for i, qh := range res.PerQuery {
+		out[i] = qh.Hits
 	}
 	return out, nil
 }
@@ -539,18 +506,15 @@ func AlignDatabaseBatch(d *Database, queries []*Query, thresholdFrac float64) ([
 // AlignDatabaseBatchContext is AlignDatabaseBatch under a context: the
 // fused scan honors cancellation at shard boundaries (for the whole batch
 // at once) and returns ctx.Err() without scanning the remaining shards.
+// It is Scan of ScanRequest{Queries, Database, ThresholdFrac}.
 func AlignDatabaseBatchContext(ctx context.Context, d *Database, queries []*Query, thresholdFrac float64) ([][]RecordHit, error) {
-	progs, thresholds, err := batchKernelInputs(queries, thresholdFrac)
+	res, err := batchScan(ctx, ScanRequest{Queries: queries, Database: d, ThresholdFrac: thresholdFrac})
 	if err != nil {
 		return nil, err
 	}
-	_, recs, err := scanBatch(ctx, progs, thresholds, d.target())
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]RecordHit, len(recs))
-	for i, hits := range recs {
-		out[i] = toRecordHits(hits)
+	out := make([][]RecordHit, len(res.PerQuery))
+	for i, qh := range res.PerQuery {
+		out[i] = qh.RecordHits
 	}
 	return out, nil
 }

@@ -2,6 +2,10 @@ package fabp
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"errors"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -144,6 +148,131 @@ func TestSessionBatch(t *testing.T) {
 			t.Errorf("batch query %d missed its gene", i)
 		}
 	}
+}
+
+// TestSessionErrorTaxonomy: Session requests are validated by ScanRequest,
+// so every bad input matches one of the taxonomy heads — a nil query, an
+// empty batch and a nil batch entry are ErrBadQuery, a fraction outside
+// (0, 1] (0 included: Session keeps its no-default contract) is
+// ErrBadOption — and none of them panics or scans.
+func TestSessionErrorTaxonomy(t *testing.T) {
+	d, genes := buildFacadeDB(t)
+	s, err := NewSession(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := NewQuery(genes[0].Protein)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(q *Query, frac float64) func() error {
+		return func() error { _, _, err := s.Run(q, frac); return err }
+	}
+	batch := func(qs []*Query, frac float64) func() error {
+		return func() error { _, _, err := s.RunBatch(qs, frac); return err }
+	}
+	for _, tc := range []struct {
+		name string
+		call func() error
+		want error
+	}{
+		{"Run nil query", run(nil, 0.8), ErrBadQuery},
+		{"Run fraction above one", run(q, 1.5), ErrBadOption},
+		{"Run zero fraction", run(q, 0), ErrBadOption},
+		{"RunBatch fraction above one", batch([]*Query{q}, 1.5), ErrBadOption},
+		{"RunBatch zero fraction", batch([]*Query{q}, 0), ErrBadOption},
+		{"RunBatch nil batch", batch(nil, 0.8), ErrBadQuery},
+		{"RunBatch nil entry", batch([]*Query{q, nil}, 0.8), ErrBadQuery},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.call()
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("err = %v, not errors.Is(%v)", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestSessionGoldenTiming pins Session's hits and timing to the values the
+// host's own scan engine produced before Session became a Scan plus a
+// timing function: identical hits (by digest) and bit-identical seconds
+// for a fixed seeded input.
+func TestSessionGoldenTiming(t *testing.T) {
+	ref, genes := SyntheticReference(4242, 120_000, 4, 30)
+	seq := ref.String()
+	fasta := ">r0 first\n" + seq[:30_000] + "\n>r1\n" + seq[30_000:75_000] + "\n>r2\n" + seq[75_000:] + "\n"
+	d, err := BuildDatabase(strings.NewReader(fasta))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSession(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := make([]*Query, len(genes))
+	for i, g := range genes {
+		if queries[i], err = NewQuery(g.Protein); err != nil {
+			t.Fatal(err)
+		}
+	}
+	digest := func(hits []RecordHit) string {
+		return fmt.Sprintf("%x", sha256.Sum256([]byte(fmt.Sprint(hits))))[:16]
+	}
+
+	hits, timing, err := s.Run(queries[1], 0.6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(hits) != 32 || digest(hits) != "d143d147d8a46605" {
+		t.Errorf("Run: %d hits digest %s, want 32 d143d147d8a46605", len(hits), digest(hits))
+	}
+	want := QueryTiming{
+		Encode: 1.8000000000000001e-06, QueryTransfer: 1.0013846153846155e-05,
+		Kernel: 2.605e-06, Readback: 1.0039384615384615e-05, Total: 7.445823076923078e-05,
+	}
+	if timing != want {
+		t.Errorf("Run timing %#v, want %#v", timing, want)
+	}
+
+	perQuery, total, err := s.RunBatch(queries, 0.6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantBatch := []struct {
+		n      int
+		digest string
+	}{{12, "7e9a161d5fa4a637"}, {32, "d143d147d8a46605"}, {1, "dc41e97027c479f9"}, {1, "db6691d0e7883fa5"}}
+	for i, w := range wantBatch {
+		if len(perQuery[i]) != w.n || digest(perQuery[i]) != w.digest {
+			t.Errorf("RunBatch query %d: %d hits digest %s, want %d %s", i, len(perQuery[i]), digest(perQuery[i]), w.n, w.digest)
+		}
+	}
+	if total != 0.000267732 {
+		t.Errorf("RunBatch total %#v, want 0.000267732", total)
+	}
+}
+
+// TestSessionNewAllocs pins NewSession's memory: it checks the database's
+// 2-bit image against the card's DRAM from its length alone, without
+// unpacking or re-packing the sequence.
+func TestSessionNewAllocs(t *testing.T) {
+	ref, _ := SyntheticReference(7, 4<<20, 1, 30)
+	d, err := DatabaseFromReference("big", ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	s, err := NewSession(d)
+	runtime.ReadMemStats(&m1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if alloc := m1.TotalAlloc - m0.TotalAlloc; alloc >= 64<<10 {
+		t.Fatalf("NewSession on %d nt allocated %d B, want < 64 KiB", d.Len(), alloc)
+	}
+	runtime.KeepAlive(s)
 }
 
 func TestAlignBatchFacade(t *testing.T) {

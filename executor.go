@@ -8,17 +8,15 @@ import (
 	"fabp/internal/bitpar"
 	"fabp/internal/core"
 	"fabp/internal/db"
-	"fabp/internal/isa"
 	"fabp/internal/sched"
 )
 
-// This file is the one scan executor. Every in-memory scan — one query or
-// a fused batch, over a Reference or a Database, from an Aligner, the
-// package-level batch functions, a Session or a stream chunk — plans its
-// shards, runs them through one gather and attributes the hits here. The
-// paper's datapath is one comparator array that scores every loaded query
-// as the reference streams past; K = 1 is simply the one-query batch. See
-// DESIGN.md §10.
+// This file is the one scan executor. Every scan — one query or a fused
+// batch, over a Reference, a Database or the chunks of a letter stream —
+// reaches it through scanPlan.run, plans its shards, runs them through one
+// gather and attributes the hits here. The paper's datapath is one
+// comparator array that scores every loaded query as the reference
+// streams past; K = 1 is simply the one-query batch. See DESIGN.md §10.
 
 // scanTarget is what an executor scan reads: n letters, their bit-planes
 // (fetched only when the bit-parallel kernel runs; a cached source counts
@@ -65,7 +63,9 @@ func (d *Database) target() scanTarget {
 type executor struct {
 	bk *bitpar.BatchKernel
 	// eng, when set, is explicit KernelScalar (K = 1): the scalar engine
-	// is the only alternative shard function.
+	// is the only alternative shard function. It reads the comparison
+	// contexts of the target's letters (ctxs); a stream chunk's letters are
+	// read back from its planes into letters.
 	eng      *core.Engine
 	shardLen int
 	pool     *sched.Pool
@@ -80,6 +80,7 @@ type executor struct {
 	one     [1]sched.Shard
 	pp      *bitpar.Planes
 	ctxs    []uint8
+	letters bio.NucSeq
 	fc      failureCollector
 	// A stream chunk that is one shard and cannot be hedged runs inline on
 	// the executor's own scratch and hit lists (first is that shard, bound
@@ -148,13 +149,17 @@ func (x *executor) run(ctx context.Context, t scanTarget) (hits [][]bitpar.Hit, 
 }
 
 // chunk scans window starts [lo, hi) of one packed stream chunk — the one
-// chunk scanner of AlignStream and AlignBatchStream. It shards at the
-// scheduler's default length, so a default-sized chunk is one shard; a
-// one-shard chunk that cannot be hedged runs inline on the executor's own
-// scratch (a hedged duplicate would share it). The hits are valid until
-// the next call.
+// chunk scanner of every stream scan. It shards at the scheduler's default
+// length, so a default-sized chunk is one shard; a one-shard chunk that
+// cannot be hedged runs inline on the executor's own scratch (a hedged
+// duplicate would share it). The scalar engine reads the chunk's letters
+// back from its planes. The hits are valid until the next call.
 func (x *executor) chunk(ctx context.Context, pp *bitpar.Planes, lo, hi int) ([][]bitpar.Hit, error) {
 	x.pp = pp
+	if x.eng != nil {
+		x.letters = pp.AppendLetters(x.letters[:0])
+		x.ctxs = core.AppendContexts(x.ctxs[:0], x.letters)
+	}
 	if hi <= lo&^63+sched.DefaultShardLen && !x.res.MayHedge() {
 		x.one[0] = sched.Shard{Lo: lo, Hi: hi}
 		return x.gather(ctx, x.one[:], true)
@@ -254,43 +259,6 @@ func (x *executor) scanShard(ctx context.Context, i int, sc *bitpar.Scratch) ([]
 	observeSince(x.tm.shardLatency, t0)
 	x.tm.shardsRun.Inc()
 	return hits, nil
-}
-
-// queryExecutor is the executor of the scans with no Aligner — the
-// package-level batch and batch-stream functions and both Session hooks:
-// the queries compile into one fused kernel that scans on the shared pool
-// under rp, the batch retry policy its caller read.
-func queryExecutor(progs []isa.Program, thresholds []int, rp RetryPolicy) (*executor, error) {
-	bk, err := bitpar.NewBatchKernel(progs, thresholds)
-	if err != nil {
-		return nil, err
-	}
-	defaultAlignerTM.queries.Add(uint64(bk.NumQueries()))
-	return (&executor{bk: bk, pool: sched.Shared(), tm: &defaultAlignerTM}).ready(rp), nil
-}
-
-// scanBatch is the adapter under AlignBatch*, AlignDatabaseBatch* and
-// Session batches: a fused scan of t that reports the batch.* metrics
-// around the executor's gather.
-func scanBatch(ctx context.Context, progs []isa.Program, thresholds []int, t scanTarget) ([][]bitpar.Hit, [][]db.RecordHit, error) {
-	x, err := queryExecutor(progs, thresholds, currentBatchRetryPolicy())
-	if err != nil {
-		return nil, nil, err
-	}
-	tm := x.tm
-	tm.batchQueries.Add(uint64(x.bk.NumQueries()))
-	hits, recs, err := x.run(ctx, t)
-	if err != nil {
-		tm.recordCtxErr(err)
-		return nil, nil, err
-	}
-	if x.shards != nil {
-		recordFusedPass(x)
-	}
-	for _, h := range hits {
-		tm.hits.Add(uint64(len(h)))
-	}
-	return hits, recs, nil
 }
 
 // recordFusedPass reports x's last gather as one fused batch pass: its

@@ -315,13 +315,22 @@ func WithThreshold(t int) AlignerOption {
 // query is 9, not the truncated 8.999… → 8).
 func WithThresholdFraction(f float64) AlignerOption {
 	return func(c *alignerConfig) {
-		if f <= 0 || f > 1 || f != f {
-			c.err = badOptionf("fabp: threshold fraction %v outside (0,1]", f)
+		if err := checkFraction(f); err != nil {
+			c.err = err
 			return
 		}
 		c.thresholdOK = false
 		c.fraction = f
 	}
+}
+
+// checkFraction is the threshold-fraction contract of the option and the
+// legacy batch and Session entrypoints: f in (0, 1], with no default.
+func checkFraction(f float64) error {
+	if f <= 0 || f > 1 || f != f {
+		return badOptionf("fabp: threshold fraction %v outside (0,1]", f)
+	}
+	return nil
 }
 
 // WithParallelism bounds the worker goroutines of the aligner's shard
@@ -466,49 +475,16 @@ func (a *Aligner) AlignContext(ctx context.Context, ref *Reference) ([]Hit, erro
 	return res.Hits, err
 }
 
-// execute is the uncached scan of one target on the aligner's executor,
-// producing a *ScanResult. Every telemetry update lives here, so cached
-// and collapsed calls observably run zero scans.
-func (a *Aligner) execute(ctx context.Context, t scanTarget) (*ScanResult, error) {
-	a.tm.queries.Inc()
-	t0 := time.Now()
-	defer func() { observeSince(a.tm.alignLatency, t0) }()
-	if err := ctx.Err(); err != nil {
-		a.tm.recordCtxErr(err)
-		return nil, err
-	}
-	hits, recs, err := a.executor().run(ctx, t)
-	pe, degraded := err.(*PartialError)
-	if err != nil && !degraded {
-		a.tm.recordCtxErr(err)
-		return nil, err
-	}
-	res := &ScanResult{Threshold: a.Threshold()}
-	if t.db != nil {
-		res.RecordHits = toRecordHits(recs[0])
-		a.tm.hits.Add(uint64(len(res.RecordHits)))
-	} else {
-		res.Hits = toHits(hits[0])
-		a.tm.hits.Add(uint64(len(res.Hits)))
-	}
-	if degraded {
-		// Degraded completion: surviving hits + *PartialError.
-		res.Degraded = true
-		res.FailedRanges = pe.Failed
-	}
-	return res, err
-}
-
 // AlignStream scans a nucleotide stream of arbitrary size (raw letters,
 // whitespace tolerated) in bounded memory, carrying windows across chunk
 // boundaries, and delivers hits to emit in position order. Return an error
 // from emit to stop early.
 //
-// The scan honors the configured kernel: "scalar" runs the engine's
-// chunked reader; "bitparallel" and "auto" pack each chunk into
-// bit-planes and scan it on the shard executor every in-memory scan uses,
-// so under WithRetryPolicy a chunk's shards retry like any other scan's.
-// All modes produce identical hits.
+// Every kernel takes the same chunked path: each chunk is packed into
+// bit-planes once and scanned on the shard executor every in-memory scan
+// uses — the scalar engine reading the chunk's letters back from its
+// planes — so under WithRetryPolicy a chunk's reads and shards retry like
+// any other scan's. All modes produce identical hits.
 func (a *Aligner) AlignStream(r io.Reader, emit func(Hit) error) error {
 	return a.AlignStreamContext(context.Background(), r, emit)
 }
@@ -519,40 +495,11 @@ func (a *Aligner) AlignStream(r io.Reader, emit func(Hit) error) error {
 // ctx.Err() at the next chunk boundary (a Read already blocked in the
 // reader is not interrupted; wrap the reader if its source needs
 // unblocking). Aborts are recorded on align.canceled /
-// align.deadline.exceeded.
+// align.deadline.exceeded. It is this aligner's Scan of
+// ScanRequest{Stream, Emit}.
 func (a *Aligner) AlignStreamContext(ctx context.Context, r io.Reader, emit func(Hit) error) error {
-	a.tm.queries.Inc()
-	t0 := time.Now()
-	defer func() { observeSince(a.tm.alignLatency, t0) }()
-	var err error
-	if a.mode == KernelScalar {
-		a.tm.kernelChosen(false)
-		err = a.engine().AlignReaderContext(ctx, r, func(h core.Hit) error {
-			a.tm.hits.Inc()
-			return emit(Hit{Pos: h.Pos, Score: h.Score})
-		})
-	} else {
-		a.tm.kernelChosen(true)
-		m := a.query.Elements()
-		x := a.executor()
-		x.partial = false // a stream has no partial mode
-		err = scanChunks(ctx, r, m, m, a.pool, &a.tm, a.retryPolicy, func(pp *bitpar.Planes, lo, hi, base int) error {
-			hits, herr := x.chunk(ctx, pp, lo, hi)
-			if herr != nil {
-				return herr
-			}
-			for _, h := range hits[0] {
-				a.tm.hits.Inc()
-				if err := emit(Hit{Pos: base + h.Pos, Score: h.Score}); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-	}
-	if err != nil {
-		a.tm.recordCtxErr(err)
-	}
+	req := ScanRequest{Stream: r, Emit: func(_ int, h Hit) error { return emit(h) }}
+	_, _, err := a.plan(req).run(ctx)
 	return err
 }
 

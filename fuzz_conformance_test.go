@@ -10,6 +10,7 @@ import (
 	"fabp/internal/bio"
 	"fabp/internal/bitpar"
 	"fabp/internal/core"
+	"fabp/internal/isa"
 	"fabp/internal/sched"
 )
 
@@ -134,7 +135,10 @@ func checkAlignConformance(t *testing.T, protein, refStr string, thr int) {
 
 	// Chunked stream scans. scanChunks clamps the chunk to at least m+2
 	// letters, so m+2 is the smallest (carry-heaviest) chunking; the last
-	// value is large enough that no carry happens at all.
+	// value is large enough that no carry happens at all. Both kernels read
+	// the stream through scanChunks, so the scalar arm exercises the carry
+	// at every one of these chunk sizes too, and so does the Scan{Stream}
+	// request both arms wrap.
 	m := q.Elements()
 	defer func(old int) { streamChunkLetters = old }(streamChunkLetters)
 	for _, chunk := range []int{m + 2, m + 3, 2*m + 1, 5*m + 7, len(refStr) + 1} {
@@ -150,6 +154,22 @@ func checkAlignConformance(t *testing.T, protein, refStr string, thr int) {
 				t.Fatalf("chunk %d AlignStream/%s: %v", chunk, kernel, err)
 			}
 			assertHitsEqual(t, "chunked AlignStream/"+kernel.String(), want, got)
+
+			got = got[:0]
+			_, err = Scan(cctx, ScanRequest{
+				Query: q, Stream: strings.NewReader(refStr), Threshold: &thr, Kernel: kernel,
+				Emit: func(qi int, h Hit) error {
+					if qi != 0 {
+						t.Fatalf("Scan{Stream}: hit for query %d of a one-query scan", qi)
+					}
+					got = append(got, h)
+					return nil
+				},
+			})
+			if err != nil {
+				t.Fatalf("chunk %d Scan{Stream}/%s: %v", chunk, kernel, err)
+			}
+			assertHitsEqual(t, "chunked Scan{Stream}/"+kernel.String(), want, got)
 		}
 	}
 }
@@ -157,8 +177,9 @@ func checkAlignConformance(t *testing.T, protein, refStr string, thr int) {
 // checkBatchConformance is the batch arm of the differential oracle: the
 // scalar batch engine defines the truth, and the fused batch kernel —
 // whole-scan and under shard sizes straddling the longest query's carry
-// overlap — and the fused batch stream must reproduce it per query, hit
-// for hit, in order. Queries deliberately mix lengths so the
+// overlap — the Scan{Queries} request over a reference and a database,
+// and the fused batch stream must reproduce it per query, hit for hit, in
+// order. Queries deliberately mix lengths so the
 // fused scan's per-query window clamping is exercised.
 func checkBatchConformance(t *testing.T, proteins []string, refStr string, frac float64) {
 	t.Helper()
@@ -178,9 +199,13 @@ func checkBatchConformance(t *testing.T, proteins []string, refStr string, frac 
 	if err != nil {
 		t.Skip(err)
 	}
-	progs, thresholds, err := batchKernelInputs(queries, frac)
+	plan, err := ScanRequest{Queries: queries, Reference: ref, ThresholdFrac: frac}.plan()
 	if err != nil {
 		t.Fatal(err)
+	}
+	progs, thresholds := make([]isa.Program, len(queries)), plan.thresholds
+	for i, q := range queries {
+		progs[i] = q.program
 	}
 
 	// Scalar truth: one batch engine over the whole reference.
@@ -227,6 +252,30 @@ func checkBatchConformance(t *testing.T, proteins []string, refStr string, frac 
 		}
 		assertBatch(fmt.Sprintf("fused shardLen=%d", shardLen), got)
 	}
+
+	// The Queries request: one fused scan, per-query answers in PerQuery,
+	// against the reference and the one-record database of it.
+	res, err := Scan(context.Background(), ScanRequest{Queries: queries, Reference: ref, ThresholdFrac: frac})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([][]Hit, len(res.PerQuery))
+	for i, qh := range res.PerQuery {
+		got[i] = qh.Hits
+	}
+	assertBatch("Scan{Queries}/Reference", got)
+	dbase, err := DatabaseFromReference("conf", ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err = Scan(context.Background(), ScanRequest{Queries: queries, Database: dbase, ThresholdFrac: frac})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, qh := range res.PerQuery {
+		got[i] = recordHitsAsHits(qh.RecordHits)
+	}
+	assertBatch("Scan{Queries}/Database", got)
 
 	// The fused batch STREAMING path: one pooled pack per chunk shared by
 	// every query, across chunk sizes straddling the longest query's carry

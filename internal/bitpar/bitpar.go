@@ -13,6 +13,7 @@
 package bitpar
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"fabp/internal/backtrans"
@@ -170,6 +171,18 @@ func (pp *Planes) Len() int { return pp.p.n }
 // their padding words) — what a resident cache entry costs.
 func (pp *Planes) SizeBytes() int64 {
 	return int64(len(pp.p.b0)+len(pp.p.b1)) * 8
+}
+
+// AppendLetters appends the packed nucleotides to dst and returns it — the
+// letter view through which the scalar engine reads a packed stream chunk.
+func (pp *Planes) AppendLetters(dst bio.NucSeq) bio.NucSeq {
+	p := pp.p
+	dst = slices.Grow(dst, p.n)
+	for j := 0; j < p.n; j++ {
+		w, s := 1+j>>6, uint(j&63)
+		dst = append(dst, bio.Nucleotide(p.b0[w]>>s&1|(p.b1[w]>>s&1)<<1))
+	}
+	return dst
 }
 
 // AlignPlanes scans a pre-packed reference (see PackReference).

@@ -27,6 +27,10 @@ func assertPlanesEqual(t *testing.T, label string, got *Planes, want bio.NucSeq)
 				label, w, p.b0[w], p.b1[w], ref.b0[w], ref.b1[w])
 		}
 	}
+	// The letter view reads the same planes back as the packed sequence.
+	if letters := got.AppendLetters(nil); letters.String() != want.String() {
+		t.Fatalf("%s: letter view differs from the packed sequence", label)
+	}
 }
 
 // TestPackSpanMatchesScalarPack covers the bulk packer's alignment edge

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"fabp/internal/bio"
 	"fabp/internal/isa"
@@ -66,15 +67,7 @@ func (e *Engine) Threshold() int { return e.threshold }
 // reference: ctx[j] = ref[j-2]<<4 | ref[j-1]<<2 | ref[j], with out-of-range
 // history reading as A — exactly the reset state of the hardware reference
 // buffer.
-func contexts(ref bio.NucSeq) []uint8 {
-	ctxs := make([]uint8, len(ref))
-	var ctx uint8
-	for j, nt := range ref {
-		ctx = ctx<<2&0x3F | uint8(nt&3)
-		ctxs[j] = ctx
-	}
-	return ctxs
-}
+func contexts(ref bio.NucSeq) []uint8 { return AppendContexts(nil, ref) }
 
 // Score computes the alignment score for the window starting at position
 // pos. It panics if the window exceeds the reference.
@@ -110,6 +103,19 @@ func (e *Engine) Align(ref bio.NucSeq) []Hit {
 // reference for repeated AlignContexts calls — the shared read-only input
 // a shard scheduler fans scan ranges over.
 func Contexts(ref bio.NucSeq) []uint8 { return contexts(ref) }
+
+// AppendContexts appends the contexts of ref to dst and returns it —
+// Contexts into a buffer the caller reuses, as a stream scan does for
+// every chunk.
+func AppendContexts(dst []uint8, ref bio.NucSeq) []uint8 {
+	dst = slices.Grow(dst, len(ref))
+	var ctx uint8
+	for _, nt := range ref {
+		ctx = ctx<<2&0x3F | uint8(nt&3)
+		dst = append(dst, ctx)
+	}
+	return dst
+}
 
 // AlignContexts scores the windows starting in [lo, hi) over a shared
 // context array (see Contexts), in position order. Out-of-range bounds are

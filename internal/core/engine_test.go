@@ -170,3 +170,19 @@ func TestEngineAlignPacked(t *testing.T) {
 		t.Error("packed alignment differs")
 	}
 }
+
+func TestEValue(t *testing.T) {
+	prog := isa.MustEncodeProtein(bio.ProtSeq{bio.Met, bio.Trp})
+	e, _ := NewEngine(prog, 0)
+	// Perfect score: P = 0.25^6, E over 1001-window scan.
+	want := 1001.0 * 1.0 / (1 << 12)
+	if got := e.EValue(6, 1006); got < want*0.999 || got > want*1.001 {
+		t.Errorf("EValue = %g, want %g", got, want)
+	}
+	if e.EValue(3, 1) != 0 {
+		t.Error("short reference must have E=0")
+	}
+	if e.EValue(0, 1006) != 1001 {
+		t.Error("score 0 is certain: E = window count")
+	}
+}

@@ -3,18 +3,16 @@
 // FPGA DRAM, invokes the RTL kernel, and reads hit records back. The paper
 // measures *end-to-end* time — "reading both query and reference sequences
 // from the FPGA DRAM, aligning the sequences, and writing the results" —
-// so this package accounts every leg, while executing the alignment itself
-// functionally (bit-exact core.Engine) so results are real.
+// so this package accounts every leg. It is pure arithmetic over the
+// platform, the query element counts, the database length and the hit
+// counts: the hits themselves come from the facade's scan.
 package host
 
 import (
-	"context"
 	"fmt"
 
 	"fabp/internal/bio"
-	"fabp/internal/core"
 	"fabp/internal/fpga"
-	"fabp/internal/isa"
 )
 
 // PCIe models the host↔FPGA link.
@@ -87,238 +85,64 @@ type EndToEnd struct {
 	TotalSec float64
 }
 
-// QueryResult is the outcome of one end-to-end query.
-type QueryResult struct {
-	// Hits are the real alignment results (bit-exact engine).
-	Hits []core.Hit
-	// Sizing is the accelerator build used.
-	Sizing fpga.Estimate
-	// Timing decomposes the projected end-to-end time.
-	Timing EndToEnd
-}
-
-// Session owns a card with a resident database, mirroring the paper's
-// protocol: the database transfers once, then queries stream against it.
-type Session struct {
-	platform Platform
-	packed   *bio.PackedNucSeq
-	ref      bio.NucSeq
-	loadCost TransferStats
-	alignFn  AlignFunc
-	batchFn  BatchAlignFunc
-}
-
-// AlignFunc computes one encoded query's hits against the resident
-// database at an absolute threshold. Installing one (SetAlignFunc) lets
-// the facade substitute its sharded, plane-cached scan for the session's
-// built-in scalar engine; results must stay bit-exact, and only the hit
-// computation is replaced — the timing protocol is unchanged. The
-// function must honor the context's cancellation (return ctx.Err()
-// promptly); the built-in engine checks it before scanning.
-type AlignFunc func(ctx context.Context, prog isa.Program, threshold int) ([]core.Hit, error)
-
-// SetAlignFunc installs the hit-computation hook (nil restores the
-// built-in engine).
-func (s *Session) SetAlignFunc(f AlignFunc) { s.alignFn = f }
-
-// BatchAlignFunc computes a whole batch's hits against the resident
-// database in one fused pass — every reference tile is scanned once for
-// all queries instead of once per query. Thresholds are absolute
-// per-query scores, index-aligned with progs; the result has one hit
-// list per query, bit-exact with running AlignFunc per query. Like
-// AlignFunc, only the hit computation is replaced — the timing protocol
-// is unchanged — and the function must honor cancellation.
-type BatchAlignFunc func(ctx context.Context, progs []isa.Program, thresholds []int) ([][]core.Hit, error)
-
-// SetBatchAlignFunc installs the fused batch hook (nil falls back to the
-// per-query AlignFunc loop, or the built-in scalar batch).
-func (s *Session) SetBatchAlignFunc(f BatchAlignFunc) { s.batchFn = f }
-
-// NewSession prepares an empty card.
-func NewSession(p Platform) *Session { return &Session{platform: p} }
-
-// Platform returns the session's hardware description.
-func (s *Session) Platform() Platform { return s.platform }
-
-// LoadDatabase packs the reference 2-bit and ships it to card DRAM,
-// replacing any previous content. It fails if the packed database exceeds
-// the card's DRAM.
-func (s *Session) LoadDatabase(ref bio.NucSeq) (TransferStats, error) {
-	if len(ref) == 0 {
+// Load is the one-time transfer of a dbLen-nucleotide database, packed
+// 2-bit, into card DRAM — the protocol keeps it resident while queries
+// stream against it. It fails on an empty database or one the card's DRAM
+// cannot hold.
+func (p Platform) Load(dbLen int) (TransferStats, error) {
+	if dbLen <= 0 {
 		return TransferStats{}, fmt.Errorf("host: empty database")
 	}
-	packed := bio.Pack(ref)
-	bytes := int64(len(packed.Words()) * 8)
-	if bytes > s.platform.DRAMBytes {
+	bytes := int64((dbLen+bio.NucsPerWord-1)/bio.NucsPerWord) * 8
+	if bytes > p.DRAMBytes {
 		return TransferStats{}, fmt.Errorf("host: database needs %d bytes, card DRAM holds %d",
-			bytes, s.platform.DRAMBytes)
+			bytes, p.DRAMBytes)
 	}
-	s.packed = packed
-	s.ref = ref
-	s.loadCost = TransferStats{Bytes: bytes, Seconds: s.platform.Link.TransferSec(bytes)}
-	return s.loadCost, nil
+	return TransferStats{Bytes: bytes, Seconds: p.Link.TransferSec(bytes)}, nil
 }
 
-// DatabaseLen returns the resident database length in nucleotides (0 if
-// none).
-func (s *Session) DatabaseLen() int { return len(s.ref) }
-
-// LoadCost returns the one-time database transfer stats.
-func (s *Session) LoadCost() TransferStats { return s.loadCost }
-
-// RunQuery executes one encoded query end-to-end: size the build, scan the
-// resident database (bit-exact), and account every protocol leg.
-func (s *Session) RunQuery(prog isa.Program, threshold int) (*QueryResult, error) {
-	return s.RunQueryContext(context.Background(), prog, threshold)
-}
-
-// RunQueryContext is RunQuery under a context: the scan aborts with
-// ctx.Err() on cancellation or deadline (through the installed AlignFunc's
-// shard checkpoints, or before the built-in engine's scan starts).
-func (s *Session) RunQueryContext(ctx context.Context, prog isa.Program, threshold int) (*QueryResult, error) {
-	if s.packed == nil {
-		return nil, fmt.Errorf("host: no database loaded")
-	}
-	est := fpga.Size(s.platform.Device, fpga.Config{QueryElems: len(prog)})
+// Fit sizes the accelerator build for queries of up to maxElems elements
+// (a batch sizes for its longest query). It fails when no build fits the
+// device.
+func (p Platform) Fit(maxElems int) (fpga.Estimate, error) {
+	est := fpga.Size(p.Device, fpga.Config{QueryElems: maxElems})
 	if !est.Fits {
-		return nil, fmt.Errorf("host: query of %d elements does not fit %s",
-			len(prog), s.platform.Device.Name)
+		return est, fmt.Errorf("host: query of %d elements does not fit %s", maxElems, p.Device.Name)
 	}
-	var hits []core.Hit
-	if s.alignFn != nil {
-		var err error
-		if hits, err = s.alignFn(ctx, prog, threshold); err != nil {
-			return nil, err
-		}
-	} else {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		engine, err := core.NewEngine(prog, threshold)
-		if err != nil {
-			return nil, err
-		}
-		hits = engine.Align(s.ref)
-	}
-
-	kernel := fpga.Time(est, len(s.ref), nil)
-	encode := float64(len(prog)) * s.platform.EncodeNsPerElement * 1e-9
-	queryXfer := s.platform.Link.TransferSec(int64(len(prog))) // 1 byte/instr
-	readback := s.platform.Link.TransferSec(int64(len(hits) * s.platform.HitRecordBytes))
-	timing := EndToEnd{
-		EncodeSec:        encode,
-		QueryTransferSec: queryXfer,
-		KernelSec:        kernel.Seconds,
-		ReadbackSec:      readback,
-	}
-	timing.TotalSec = encode + queryXfer + kernel.Seconds + readback + s.platform.InvokeOverheadSec
-	return &QueryResult{Hits: hits, Sizing: est, Timing: timing}, nil
+	return est, nil
 }
 
-// BatchResult aggregates a multi-query run.
-type BatchResult struct {
-	// PerQuery holds each query's hits.
-	PerQuery [][]core.Hit
-	// TotalSec is the end-to-end batch time: one database load amortized
-	// across all kernels and readbacks.
-	TotalSec float64
-	// KernelSec is the accelerator-only component.
-	KernelSec float64
+// QueryTiming decomposes one query's end-to-end time: encoding its elems
+// instructions, shipping them, one kernel pass over the dbLen-nucleotide
+// resident database on the build est (from Fit), and reading hits records
+// back.
+func (p Platform) QueryTiming(est fpga.Estimate, elems, dbLen, hits int) EndToEnd {
+	t := EndToEnd{
+		EncodeSec:        float64(elems) * p.EncodeNsPerElement * 1e-9,
+		QueryTransferSec: p.Link.TransferSec(int64(elems)), // 1 byte/instr
+		KernelSec:        fpga.Time(est, dbLen, nil).Seconds,
+		ReadbackSec:      p.Link.TransferSec(int64(hits * p.HitRecordBytes)),
+	}
+	t.TotalSec = t.EncodeSec + t.QueryTransferSec + t.KernelSec + t.ReadbackSec + p.InvokeOverheadSec
+	return t
 }
 
-// RunBatch executes many queries against the resident database,
-// reproducing the paper's measurement protocol (database resident, queries
-// streamed). All queries must share one length class so a single bitstream
-// sizing applies; mixed lengths size per the longest.
-func (s *Session) RunBatch(progs []isa.Program, thresholdFrac float64) (*BatchResult, error) {
-	return s.RunBatchContext(context.Background(), progs, thresholdFrac)
-}
-
-// RunBatchContext is RunBatch under a context: cancellation is checked
-// between queries (and within each query's scan when an AlignFunc with
-// shard checkpoints is installed), so an aborted batch returns ctx.Err()
-// without scanning the remaining queries.
-func (s *Session) RunBatchContext(ctx context.Context, progs []isa.Program, thresholdFrac float64) (*BatchResult, error) {
-	if s.packed == nil {
-		return nil, fmt.Errorf("host: no database loaded")
-	}
-	if len(progs) == 0 {
-		return nil, fmt.Errorf("host: empty batch")
-	}
-	maxElems := 0
-	for _, p := range progs {
-		if len(p) > maxElems {
-			maxElems = len(p)
-		}
-	}
-	est := fpga.Size(s.platform.Device, fpga.Config{QueryElems: maxElems})
-	if !est.Fits {
-		return nil, fmt.Errorf("host: batch sizing (%d elements) does not fit %s",
-			maxElems, s.platform.Device.Name)
-	}
-	var perQuery [][]core.Hit
-	if s.batchFn != nil {
-		// The fused path: one reference pass for the whole batch. Resolve
-		// every query's absolute threshold first so a bad fraction fails
-		// before any scanning starts (matching the per-query loop).
-		thresholds := make([]int, len(progs))
-		for i, p := range progs {
-			threshold, err := core.ThresholdFromFraction(thresholdFrac, len(p))
-			if err != nil {
-				return nil, err
-			}
-			thresholds[i] = threshold
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		var err error
-		if perQuery, err = s.batchFn(ctx, progs, thresholds); err != nil {
-			return nil, err
-		}
-	} else if s.alignFn != nil {
-		perQuery = make([][]core.Hit, len(progs))
-		for i, p := range progs {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			threshold, err := core.ThresholdFromFraction(thresholdFrac, len(p))
-			if err != nil {
-				return nil, err
-			}
-			hits, err := s.alignFn(ctx, p, threshold)
-			if err != nil {
-				return nil, err
-			}
-			perQuery[i] = hits
-		}
-	} else {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		batch, err := core.NewBatchUniform(progs, thresholdFrac)
-		if err != nil {
-			return nil, err
-		}
-		perQuery = batch.Align(s.ref)
-	}
-
-	kernelOne := fpga.Time(est, len(s.ref), nil).Seconds
-	var total float64
+// BatchTiming is the end-to-end and kernel-only time of a batch against
+// the resident database, reproducing the paper's measurement protocol:
+// every query is encoded and shipped, one kernel pass per query runs on
+// the build est (sized by Fit for the longest query), and the batch's hit
+// records return in one readback. elems and hits are index-aligned per
+// query.
+func (p Platform) BatchTiming(est fpga.Estimate, elems []int, dbLen int, hits []int) (totalSec, kernelSec float64) {
 	var hitBytes int64
-	for i, hits := range perQuery {
-		total += float64(len(progs[i])) * s.platform.EncodeNsPerElement * 1e-9
-		total += s.platform.Link.TransferSec(int64(len(progs[i])))
-		hitBytes += int64(len(hits) * s.platform.HitRecordBytes)
+	for i, n := range elems {
+		totalSec += float64(n) * p.EncodeNsPerElement * 1e-9
+		totalSec += p.Link.TransferSec(int64(n))
+		hitBytes += int64(hits[i] * p.HitRecordBytes)
 	}
-	kernelTotal := kernelOne * float64(len(progs))
-	total += kernelTotal
-	total += s.platform.Link.TransferSec(hitBytes)
-	total += s.platform.InvokeOverheadSec * float64(len(progs))
-
-	return &BatchResult{
-		PerQuery:  perQuery,
-		TotalSec:  total,
-		KernelSec: kernelTotal,
-	}, nil
+	kernelSec = fpga.Time(est, dbLen, nil).Seconds * float64(len(elems))
+	totalSec += kernelSec
+	totalSec += p.Link.TransferSec(hitBytes)
+	totalSec += p.InvokeOverheadSec * float64(len(elems))
+	return totalSec, kernelSec
 }

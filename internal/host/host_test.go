@@ -1,16 +1,10 @@
 package host
 
 import (
-	"context"
 	"math"
-	"math/rand"
-	"reflect"
 	"testing"
 
-	"fabp/internal/bio"
-	"fabp/internal/core"
 	"fabp/internal/fpga"
-	"fabp/internal/isa"
 )
 
 func TestPCIeTransfer(t *testing.T) {
@@ -28,85 +22,63 @@ func TestPCIeTransfer(t *testing.T) {
 	}
 }
 
+// TestSessionLifecycle: the database load is the 2-bit packed image of
+// its length, shipped once over the link; an empty database fails.
 func TestSessionLifecycle(t *testing.T) {
-	s := NewSession(DefaultPlatform())
-	if s.DatabaseLen() != 0 {
-		t.Error("fresh session must be empty")
-	}
-	prog := isa.MustEncodeProtein(bio.ProtSeq{bio.Met, bio.Lys})
-	if _, err := s.RunQuery(prog, 3); err == nil {
-		t.Error("query before load must fail")
-	}
-	if _, err := s.RunBatch([]isa.Program{prog}, 0.8); err == nil {
-		t.Error("batch before load must fail")
-	}
-	if _, err := s.LoadDatabase(nil); err == nil {
+	p := DefaultPlatform()
+	if _, err := p.Load(0); err == nil {
 		t.Error("empty database must fail")
 	}
-
-	rng := rand.New(rand.NewSource(1))
-	ref := bio.RandomNucSeq(rng, 100_000)
-	stats, err := s.LoadDatabase(ref)
+	stats, err := p.Load(100_000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.Bytes != int64((100_000+31)/32*8) {
 		t.Errorf("packed bytes %d", stats.Bytes)
 	}
-	if stats.Seconds <= 0 || s.LoadCost() != stats {
+	if stats.Seconds != p.Link.TransferSec(stats.Bytes) {
 		t.Error("load cost bookkeeping")
-	}
-	if s.DatabaseLen() != 100_000 {
-		t.Error("database length")
 	}
 }
 
 func TestSessionCapacity(t *testing.T) {
 	p := DefaultPlatform()
 	p.DRAMBytes = 1024
-	s := NewSession(p)
-	if _, err := s.LoadDatabase(make(bio.NucSeq, 100_000)); err == nil {
+	if _, err := p.Load(100_000); err == nil {
 		t.Error("oversized database must fail")
+	}
+	if _, err := p.Load(4096); err != nil {
+		t.Errorf("a database of exactly the card's DRAM must load: %v", err)
 	}
 }
 
+// TestRunQueryEndToEnd: the timing legs follow the protocol and add up to
+// the total; readback grows with the hit count.
 func TestRunQueryEndToEnd(t *testing.T) {
-	s := NewSession(DefaultPlatform())
-	rng := rand.New(rand.NewSource(2))
-	ref, genes := bio.SyntheticReference(rng, 80_000, 3, 50)
-	if _, err := s.LoadDatabase(ref); err != nil {
-		t.Fatal(err)
-	}
-	g := genes[1]
-	prog := isa.MustEncodeProtein(g.Protein)
-	threshold := len(prog) * 9 / 10
-	res, err := s.RunQuery(prog, threshold)
+	p := DefaultPlatform()
+	est, err := p.Fit(90)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Real hits: must match a direct engine run.
-	e, _ := core.NewEngine(prog, threshold)
-	if !reflect.DeepEqual(res.Hits, e.Align(ref)) {
-		t.Error("session hits differ from engine")
+	if !est.Fits {
+		t.Fatal("estimate does not fit")
 	}
-	found := false
-	for _, h := range res.Hits {
-		if h.Pos == g.Pos {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("planted gene not recovered through the session")
-	}
-	// Timing decomposition must add up.
-	tm := res.Timing
-	sum := tm.EncodeSec + tm.QueryTransferSec + tm.KernelSec + tm.ReadbackSec +
-		s.platform.InvokeOverheadSec
+	tm := p.QueryTiming(est, 90, 80_000, 12)
+	sum := tm.EncodeSec + tm.QueryTransferSec + tm.KernelSec + tm.ReadbackSec + p.InvokeOverheadSec
 	if math.Abs(sum-tm.TotalSec) > 1e-12 {
 		t.Errorf("timing legs %.3e != total %.3e", sum, tm.TotalSec)
 	}
-	if tm.KernelSec <= 0 || !res.Sizing.Fits {
-		t.Error("kernel timing/sizing missing")
+	if tm.KernelSec != fpga.Time(est, 80_000, nil).Seconds || tm.KernelSec <= 0 {
+		t.Errorf("kernel %.3e does not follow the fpga timing model", tm.KernelSec)
+	}
+	if tm.EncodeSec != 90*p.EncodeNsPerElement*1e-9 || tm.QueryTransferSec != p.Link.TransferSec(90) {
+		t.Errorf("encode/transfer legs %+v", tm)
+	}
+	if more := p.QueryTiming(est, 90, 80_000, 10_000); more.ReadbackSec <= tm.ReadbackSec {
+		t.Error("readback must grow with the hit count")
+	}
+	if none := p.QueryTiming(est, 90, 80_000, 0); none.ReadbackSec != 0 {
+		t.Error("no hits, no readback")
 	}
 }
 
@@ -114,134 +86,39 @@ func TestRunQueryOversized(t *testing.T) {
 	p := DefaultPlatform()
 	p.Device = fpga.Artix7()
 	p.Device.LUTs = 5000
-	s := NewSession(p)
-	ref := make(bio.NucSeq, 10_000)
-	if _, err := s.LoadDatabase(ref); err != nil {
-		t.Fatal(err)
-	}
-	prog := isa.MustEncodeProtein(make(bio.ProtSeq, 500))
-	if _, err := s.RunQuery(prog, 10); err == nil {
+	if _, err := p.Fit(1500); err == nil {
 		t.Error("non-fitting query must fail")
 	}
-	if _, err := s.RunBatch([]isa.Program{prog}, 0.5); err == nil {
-		t.Error("non-fitting batch must fail")
-	}
 }
 
-// TestRunBatchPrefersBatchAlignFunc: an installed BatchAlignFunc replaces
-// the per-query loop (one call, resolved thresholds), its results flow
-// into PerQuery unchanged, and clearing it falls back to the AlignFunc
-// loop.
-func TestRunBatchPrefersBatchAlignFunc(t *testing.T) {
-	s := NewSession(DefaultPlatform())
-	rng := rand.New(rand.NewSource(4))
-	ref, genes := bio.SyntheticReference(rng, 40_000, 3, 30)
-	if _, err := s.LoadDatabase(ref); err != nil {
-		t.Fatal(err)
-	}
-	var progs []isa.Program
-	for _, g := range genes {
-		progs = append(progs, isa.MustEncodeProtein(g.Protein))
-	}
-
-	batchCalls, loopCalls := 0, 0
-	s.SetAlignFunc(func(ctx context.Context, prog isa.Program, threshold int) ([]core.Hit, error) {
-		loopCalls++
-		e, err := core.NewEngine(prog, threshold)
-		if err != nil {
-			return nil, err
-		}
-		return e.Align(ref), nil
-	})
-	s.SetBatchAlignFunc(func(ctx context.Context, bprogs []isa.Program, thresholds []int) ([][]core.Hit, error) {
-		batchCalls++
-		if len(bprogs) != len(progs) || len(thresholds) != len(progs) {
-			t.Errorf("batch hook got %d progs / %d thresholds", len(bprogs), len(thresholds))
-		}
-		for i, p := range bprogs {
-			want, err := core.ThresholdFromFraction(0.9, len(p))
-			if err != nil || thresholds[i] != want {
-				t.Errorf("threshold[%d] = %d, want %d", i, thresholds[i], want)
-			}
-		}
-		out := make([][]core.Hit, len(bprogs))
-		for i, p := range bprogs {
-			e, err := core.NewEngine(p, thresholds[i])
-			if err != nil {
-				return nil, err
-			}
-			out[i] = e.Align(ref)
-		}
-		return out, nil
-	})
-
-	res, err := s.RunBatch(progs, 0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if batchCalls != 1 || loopCalls != 0 {
-		t.Errorf("batch hook called %d times, per-query loop %d times", batchCalls, loopCalls)
-	}
-	for i, g := range genes {
-		found := false
-		for _, h := range res.PerQuery[i] {
-			if h.Pos == g.Pos {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("batch query %d missed its gene", i)
-		}
-	}
-
-	// Bad threshold fractions fail before the hook runs.
-	if _, err := s.RunBatch(progs, 1.5); err == nil || batchCalls != 1 {
-		t.Errorf("bad fraction: err=%v batchCalls=%d", err, batchCalls)
-	}
-
-	// Clearing the batch hook falls back to the per-query loop.
-	s.SetBatchAlignFunc(nil)
-	if _, err := s.RunBatch(progs, 0.9); err != nil {
-		t.Fatal(err)
-	}
-	if loopCalls != len(progs) {
-		t.Errorf("fallback loop ran %d times, want %d", loopCalls, len(progs))
-	}
-}
-
+// TestRunBatchAmortization: a batch pays one kernel pass per query and one
+// readback for all hits; its total is the per-query legs, kernels,
+// readback and launch overheads, and a one-query batch costs exactly one
+// query's end-to-end time.
 func TestRunBatchAmortization(t *testing.T) {
-	s := NewSession(DefaultPlatform())
-	rng := rand.New(rand.NewSource(3))
-	ref, genes := bio.SyntheticReference(rng, 60_000, 4, 40)
-	if _, err := s.LoadDatabase(ref); err != nil {
-		t.Fatal(err)
-	}
-	var progs []isa.Program
-	for _, g := range genes {
-		progs = append(progs, isa.MustEncodeProtein(g.Protein))
-	}
-	res, err := s.RunBatch(progs, 0.9)
+	p := DefaultPlatform()
+	elems := []int{120, 90, 60}
+	hits := []int{3, 0, 40}
+	est, err := p.Fit(120)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.PerQuery) != len(progs) {
-		t.Fatal("per-query results missing")
+	total, kernel := p.BatchTiming(est, elems, 60_000, hits)
+	if kernel != 3*fpga.Time(est, 60_000, nil).Seconds {
+		t.Errorf("kernel %.3e, want 3 passes", kernel)
 	}
-	for i, g := range genes {
-		found := false
-		for _, h := range res.PerQuery[i] {
-			if h.Pos == g.Pos {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("batch query %d missed its gene", i)
-		}
+	if kernel <= 0 || total <= kernel {
+		t.Errorf("batch timing implausible: total %.3e kernel %.3e", total, kernel)
 	}
-	if res.KernelSec <= 0 || res.TotalSec <= res.KernelSec {
-		t.Errorf("batch timing implausible: %+v", res)
+	var separate float64
+	for i, n := range elems {
+		separate += p.QueryTiming(est, n, 60_000, hits[i]).TotalSec
 	}
-	if _, err := s.RunBatch(nil, 0.9); err == nil {
-		t.Error("empty batch must fail")
+	if total >= separate {
+		t.Errorf("batch %.3e must amortize the readbacks of %.3e", total, separate)
+	}
+	one, _ := p.BatchTiming(est, elems[:1], 60_000, hits[:1])
+	if q := p.QueryTiming(est, 120, 60_000, 3).TotalSec; math.Abs(one-q) > 1e-15 {
+		t.Errorf("one-query batch %.6e != query %.6e", one, q)
 	}
 }

@@ -71,7 +71,7 @@ var defaultMetrics = &Metrics{reg: telemetry.Default()}
 
 // DefaultMetrics returns the process-wide collector: every aligner
 // without a private WithTelemetry collector, the shared shard pool, and
-// the package-level batch/session paths report here.
+// every Scan not run by an aligner (batches, streams, Session) report here.
 func DefaultMetrics() *Metrics { return defaultMetrics }
 
 // LatencyBucket is one histogram bucket; UpperNs < 0 marks the overflow
@@ -251,8 +251,8 @@ func (tm *alignerMetrics) kernelChosen(bitparallel bool) {
 // line.
 func observeSince(h *telemetry.Histogram, t0 time.Time) { h.Observe(time.Since(t0)) }
 
-// defaultAlignerTM instruments the package-level paths (AlignBatch,
-// Session) that have no per-aligner collector.
+// defaultAlignerTM instruments the scans no aligner runs (Scan, the batch
+// functions, Session), which have no per-aligner collector.
 var defaultAlignerTM = newAlignerMetrics(telemetry.Default())
 
 // Warm-start accounting: how LoadDatabase calls resolved. A "reused" load

@@ -123,31 +123,6 @@ func (e *PartialError) Error() string {
 	return strings.TrimSuffix(b.String(), ";")
 }
 
-// batchRetryPolicy is the policy the package-level batch and Session
-// paths use (they have no Aligner to carry WithRetryPolicy).
-var (
-	batchRetryMu     sync.RWMutex
-	batchRetryPolicy RetryPolicy
-)
-
-// SetBatchRetryPolicy sets the retry/hedge policy for the package-level
-// fused batch, batch-stream and Session scan paths (AlignBatch*,
-// AlignDatabaseBatch*, AlignBatchStream*, Session.Run*), which have no
-// Aligner to configure. The zero policy restores single-attempt behavior.
-// Safe for concurrent use; those scans read the policy once at call start
-// and pass it down.
-func SetBatchRetryPolicy(rp RetryPolicy) {
-	batchRetryMu.Lock()
-	batchRetryPolicy = rp
-	batchRetryMu.Unlock()
-}
-
-func currentBatchRetryPolicy() RetryPolicy {
-	batchRetryMu.RLock()
-	defer batchRetryMu.RUnlock()
-	return batchRetryPolicy
-}
-
 // newResilience builds the per-call scheduler policy from rp, reporting
 // on tm's counters.
 func newResilience(rp RetryPolicy, tm *alignerMetrics) *sched.Resilience {

@@ -3,26 +3,34 @@ package fabp
 import (
 	"context"
 	"crypto/sha256"
+	"io"
+	"slices"
+	"strconv"
+	"strings"
 	"time"
 
+	"fabp/internal/bitpar"
 	"fabp/internal/core"
+	"fabp/internal/isa"
 	"fabp/internal/resultcache"
 	"fabp/internal/sched"
 	"fabp/internal/tblastn"
 )
 
 // This file is the unified scan spine: the one code path every
-// non-streaming alignment entrypoint — Scan and the legacy
-// Align/AlignContext/AlignDatabase/AlignDatabaseContext wrappers —
+// alignment entrypoint — Scan, the Align*/AlignDatabase* wrappers, the
+// batch and batch-stream functions, Aligner.AlignStream* and Session —
 // shares, and the single place the content-addressed scan-result cache
-// hooks in. A scan's outcome is a pure function of (query instruction
-// digest, target content digest, threshold, resolved kernel, shard
-// geometry), which is exactly the cache key; invalidation is therefore
-// free (new content → new digest → new key) and cached hits are
-// bit-identical to rescanning by construction. Streaming and batch
-// entrypoints stay uncached: a stream's contract is incremental
-// delivery, and a fused batch's unit of work is the batch, not a
-// cacheable single scan. See DESIGN.md §13.
+// hooks in. A request loads K ≥ 1 queries and names one target: a
+// Reference, a Database or a letter Stream. A one-query scan's outcome is
+// a pure function of (query instruction digest, target content digest,
+// threshold, resolved kernel, shard geometry), which is exactly the cache
+// key; invalidation is therefore free (new content → new digest → new
+// key) and cached hits are bit-identical to rescanning by construction.
+// Queries (batch) and Stream requests take the same plan and executor but
+// bypass the cache: a stream's contract is incremental delivery, and a
+// fused batch's unit of work is the batch, not a cacheable single scan.
+// See DESIGN.md §13.
 
 // CacheOutcome is a ScanResult's provenance: how the scan spine
 // satisfied the request.
@@ -41,36 +49,55 @@ const (
 	CacheShared CacheOutcome = "shared"
 )
 
-// ScanRequest is the unified request for a single-query scan — the typed
-// form of everything the legacy Align* matrix spread across method
-// choice and aligner options. Exactly one of Database or Reference must
-// be set; zero values elsewhere mean the documented defaults.
+// ScanRequest is the unified scan request — the typed form of everything
+// the legacy Align* matrix spread across method choice and aligner
+// options. Set exactly one of Query or Queries, and exactly one target:
+// Database, Reference or Stream. Zero values elsewhere mean the documented
+// defaults.
 type ScanRequest struct {
-	// Query is the prepared protein query (required).
+	// Query is the prepared protein query of a one-query scan.
 	Query *Query
-	// Database XOR Reference is the scan target. A Database target
-	// yields record-attributed hits (ScanResult.RecordHits); a Reference
-	// target yields position hits (ScanResult.Hits).
+	// Queries loads K ≥ 1 queries into one fused scan: every query is
+	// scored from one pass over the target, as the paper's comparator
+	// array scores every loaded query while the reference streams past.
+	// Answers land in ScanResult.PerQuery, index-aligned with Queries.
+	// With K > 1, thresholds come from ThresholdFrac only and KernelScalar
+	// is not available. Queries scans never use the result cache.
+	Queries []*Query
+	// Database XOR Reference XOR Stream is the scan target. A Database
+	// target yields record-attributed hits (RecordHits); a Reference target
+	// yields position hits (Hits).
 	Database  *Database
 	Reference *Reference
+	// Stream is a nucleotide letter stream of any length (raw letters,
+	// either case, whitespace tolerated), scanned in bounded memory with
+	// windows carried across chunk boundaries. Its hits go to Emit (required
+	// with Stream, and only with it) with the index of their query (0 for
+	// Query) and their global stream position, in position order per query
+	// within each chunk; an error from Emit stops the scan. Chunk reads pass
+	// the stream.read fault hook and retry under RetryPolicy. Partial and
+	// MaxHits do not apply to streams.
+	Stream io.Reader
+	Emit   func(query int, h Hit) error
 	// Threshold is the absolute hit threshold in [0, Query.MaxScore()].
 	// Nil selects ThresholdFrac instead; setting both is an error.
 	Threshold *int
-	// ThresholdFrac is the threshold as a fraction of the query's
-	// maximum score, in (0, 1]. Zero defaults to 0.8 (the paper's
-	// operating point) when Threshold is nil.
+	// ThresholdFrac is the threshold as a fraction of each query's maximum
+	// score, in (0, 1]. Zero defaults to 0.8 (the paper's operating point)
+	// when Threshold is nil.
 	ThresholdFrac float64
 	// Kernel selects the implementation (default KernelAuto).
 	Kernel Kernel
 	// ShardLen overrides the scan's shard size in window starts
 	// (0 = scheduler default; negative is an error).
 	ShardLen int
-	// MaxHits truncates the returned hits to the first N in position
-	// order (0 = unlimited), setting ScanResult.Truncated. Truncation is
-	// per-request: the cache always holds complete results.
+	// MaxHits truncates the returned hits — each query's, for Queries — to
+	// the first N in position order (0 = unlimited), setting
+	// ScanResult.Truncated. Truncation is per-request: the cache always
+	// holds complete results.
 	MaxHits int
 	// RetryPolicy bounds automatic re-execution of failed or straggling
-	// shards (zero value = single attempt).
+	// shards and stream chunk reads (zero value = single attempt).
 	RetryPolicy RetryPolicy
 	// Partial opts into degraded completion: shard failures that outlive
 	// the retry budget return the surviving hits plus a *PartialError
@@ -82,18 +109,29 @@ type ScanRequest struct {
 	// ProteinSearch, when non-nil, runs the request as a TBLASTN-style
 	// protein search (six-frame translation + seeded ungapped extension)
 	// instead of a nucleotide scan: results land in ScanResult.HSPs and
-	// the nucleotide-only fields (Threshold/ThresholdFrac, Kernel,
-	// ShardLen, RetryPolicy, Partial) must stay unset. MaxHits and
+	// the nucleotide-only fields (Queries, Stream, Threshold/ThresholdFrac,
+	// Kernel, ShardLen, RetryPolicy, Partial) must stay unset. MaxHits and
 	// NoCache apply as usual.
 	ProteinSearch *ProteinSearchOptions
+}
+
+// QueryHits is one query's answer within a Queries scan.
+type QueryHits struct {
+	// Threshold is the query's resolved absolute threshold.
+	Threshold int
+	// Hits (Reference targets) or RecordHits (Database targets), in
+	// position order.
+	Hits       []Hit
+	RecordHits []RecordHit
 }
 
 // ScanResult is the unified scan answer: hits plus everything the legacy
 // matrix made the caller reconstruct — degradation, provenance, timing.
 type ScanResult struct {
-	// Hits holds position hits for Reference targets (nil for Database
-	// targets); RecordHits holds record-attributed hits for Database
-	// targets. Both are position-ordered.
+	// Hits holds a Query scan's position hits for Reference targets (nil
+	// for Database targets); RecordHits holds its record-attributed hits
+	// for Database targets. Both are position-ordered. A Stream scan
+	// returns its hits through Emit only.
 	Hits       []Hit
 	RecordHits []RecordHit
 	// Threshold is the resolved absolute threshold the scan used.
@@ -110,6 +148,9 @@ type ScanResult struct {
 	// with cached results on a hit — treat as read-only).
 	HSPs         []HSP
 	ProteinStats *ProteinSearchStats
+	// PerQuery holds a Queries scan's answers, index-aligned with
+	// ScanRequest.Queries (Hits, RecordHits and Threshold stay zero).
+	PerQuery []QueryHits
 	// Cache is the result's provenance (hit/miss/shared/bypass).
 	Cache CacheOutcome
 	// Elapsed is this call's wall time — queue plus scan on a miss, the
@@ -131,26 +172,36 @@ func (r *ScanResult) sizeBytes() int64 {
 	return n
 }
 
-// clipped returns a per-request shallow copy, truncated to maxHits. The
-// hit slices stay shared with the cached original (read-only by the
-// cache contract), so a hot hit copies a fixed-size struct, not hits.
+// clipped returns a per-request shallow copy, truncated to maxHits (per
+// query for PerQuery). The hit slices stay shared with the cached original
+// (read-only by the cache contract), so a hot hit copies a fixed-size
+// struct, not hits.
 func (r *ScanResult) clipped(maxHits int) *ScanResult {
 	out := *r
-	if maxHits > 0 {
-		if len(out.Hits) > maxHits {
-			out.Hits = out.Hits[:maxHits:maxHits]
-			out.Truncated = true
-		}
-		if len(out.RecordHits) > maxHits {
-			out.RecordHits = out.RecordHits[:maxHits:maxHits]
-			out.Truncated = true
-		}
-		if len(out.HSPs) > maxHits {
-			out.HSPs = out.HSPs[:maxHits:maxHits]
-			out.Truncated = true
+	if maxHits <= 0 {
+		return &out
+	}
+	out.Hits = clip(out.Hits, maxHits, &out.Truncated)
+	out.RecordHits = clip(out.RecordHits, maxHits, &out.Truncated)
+	out.HSPs = clip(out.HSPs, maxHits, &out.Truncated)
+	if out.PerQuery != nil {
+		out.PerQuery = slices.Clone(out.PerQuery)
+		for i := range out.PerQuery {
+			qh := &out.PerQuery[i]
+			qh.Hits = clip(qh.Hits, maxHits, &out.Truncated)
+			qh.RecordHits = clip(qh.RecordHits, maxHits, &out.Truncated)
 		}
 	}
 	return &out
+}
+
+// clip caps s at n elements, flagging truncated when it cut any.
+func clip[T any](s []T, n int, truncated *bool) []T {
+	if len(s) > n {
+		*truncated = true
+		return s[:n:n]
+	}
+	return s
 }
 
 // targetKind tags the cache key with the result shape: a database scan
@@ -254,42 +305,76 @@ func fromOutcome(o resultcache.Outcome) CacheOutcome {
 	return CacheMiss
 }
 
-// scanPlan is a validated, normalized ScanRequest: the resolved
-// threshold plus everything needed to build the cache key without
-// constructing an aligner (so cached hits never pay aligner setup).
+// scanPlan is a validated, normalized ScanRequest: the loaded queries and
+// their resolved thresholds plus everything needed to build the cache key
+// without compiling a kernel (so cached hits never pay scan setup).
 type scanPlan struct {
-	req       ScanRequest
-	threshold int
+	req ScanRequest
+	// queries are the loaded queries (Query alone, or Queries) and
+	// thresholds their absolute thresholds, index-aligned.
+	queries    []*Query
+	thresholds []int
 	// protein is the resolved pipeline option set for ProteinSearch
 	// requests (nil for nucleotide scans).
 	protein *tblastn.Options
-	// a runs the cold scan: the calling Aligner for its own scans, nil
-	// for Scan, which builds one from req on a miss.
+	// a runs the cold scan: the calling Aligner for its own scans (its
+	// kernel, pool and telemetry), nil for the others, which compile the
+	// queries on a miss.
 	a *Aligner
 }
 
 // plan renders one of this aligner's scans as a scanPlan — req names the
-// target — so Align*, AlignDatabase* and Scan take one cached path.
+// target — so Align*, AlignDatabase*, AlignStream* and Scan take one path.
 func (a *Aligner) plan(req ScanRequest) *scanPlan {
 	req.Query, req.Kernel, req.ShardLen = a.query, a.mode, a.shardLen
 	req.RetryPolicy, req.Partial = a.retryPolicy, a.partial
-	return &scanPlan{req: req, threshold: a.Threshold(), a: a}
+	return &scanPlan{req: req, queries: []*Query{a.query}, thresholds: []int{a.Threshold()}, a: a}
 }
 
 // plan validates the request field by field (errors name the field and
-// match ErrBadQuery/ErrBadOption) and resolves the effective threshold.
+// match ErrBadQuery/ErrBadOption) and resolves every query's threshold.
 func (req ScanRequest) plan() (*scanPlan, error) {
-	if req.Query == nil {
+	p := &scanPlan{req: req}
+	switch {
+	case req.Query != nil && req.Queries != nil:
+		return nil, badOptionf("fabp: ScanRequest.Query and ScanRequest.Queries conflict: set exactly one")
+	case req.Query != nil:
+		p.queries = []*Query{req.Query}
+	case len(req.Queries) > 0:
+		if err := checkQueries(req.Queries); err != nil {
+			return nil, err
+		}
+		p.queries = req.Queries
+	case req.Queries != nil:
+		return nil, badQueryf("fabp: ScanRequest.Queries is an empty batch")
+	default:
 		return nil, badQueryf("fabp: ScanRequest.Query is nil")
 	}
-	if (req.Database == nil) == (req.Reference == nil) {
-		return nil, badOptionf("fabp: ScanRequest needs exactly one target: set Database or Reference")
+	targets := 0
+	for _, set := range []bool{req.Database != nil, req.Reference != nil, req.Stream != nil} {
+		if set {
+			targets++
+		}
+	}
+	if targets != 1 {
+		return nil, badOptionf("fabp: ScanRequest needs exactly one target: set Database, Reference or Stream")
 	}
 	if req.ProteinSearch != nil {
-		return req.planProtein()
+		return p.planProtein()
 	}
+	if (req.Emit != nil) != (req.Stream != nil) {
+		return nil, badOptionf("fabp: ScanRequest.Emit and ScanRequest.Stream go together: set both or neither")
+	}
+	if req.Stream != nil && (req.Partial || req.MaxHits != 0) {
+		return nil, badOptionf("fabp: ScanRequest.Partial and ScanRequest.MaxHits do not apply to a Stream")
+	}
+	multi := len(p.queries) > 1
 	switch req.Kernel {
-	case KernelAuto, KernelScalar, KernelBitParallel:
+	case KernelAuto, KernelBitParallel:
+	case KernelScalar:
+		if multi {
+			return nil, badOptionf("fabp: ScanRequest.Kernel scalar scans one query: use Query, or Queries with one query")
+		}
 	default:
 		return nil, badOptionf("fabp: ScanRequest.Kernel %v unknown", req.Kernel)
 	}
@@ -305,36 +390,60 @@ func (req ScanRequest) plan() (*scanPlan, error) {
 	if req.Threshold != nil && req.ThresholdFrac != 0 {
 		return nil, badOptionf("fabp: ScanRequest.Threshold and ScanRequest.ThresholdFrac conflict: set exactly one")
 	}
-	var threshold int
-	switch {
-	case req.Threshold != nil:
-		threshold = *req.Threshold
-		if threshold < 0 || threshold > req.Query.MaxScore() {
-			return nil, badOptionf("fabp: ScanRequest.Threshold %d outside [0, %d]", threshold, req.Query.MaxScore())
+	if req.Threshold != nil {
+		t, top := *req.Threshold, p.queries[0].MaxScore()
+		if multi {
+			return nil, badOptionf("fabp: ScanRequest.Threshold applies to one query: set ThresholdFrac for Queries")
 		}
-	default:
-		frac := req.ThresholdFrac
-		if frac == 0 {
-			frac = 0.8
+		if t < 0 || t > top {
+			return nil, badOptionf("fabp: ScanRequest.Threshold %d outside [0, %d]", t, top)
 		}
-		if frac < 0 || frac > 1 || frac != frac {
-			return nil, badOptionf("fabp: ScanRequest.ThresholdFrac %v outside (0,1]", req.ThresholdFrac)
-		}
-		t, err := core.ThresholdFromFraction(frac, req.Query.MaxScore())
+		p.thresholds = []int{t}
+		return p, nil
+	}
+	frac := req.ThresholdFrac
+	if frac == 0 {
+		frac = 0.8
+	}
+	if frac < 0 || frac > 1 || frac != frac {
+		return nil, badOptionf("fabp: ScanRequest.ThresholdFrac %v outside (0,1]", req.ThresholdFrac)
+	}
+	p.thresholds = make([]int, len(p.queries))
+	for i, q := range p.queries {
+		t, err := core.ThresholdFromFraction(frac, q.MaxScore())
 		if err != nil {
 			return nil, badOption(err)
 		}
-		threshold = t
+		p.thresholds[i] = t
 	}
-	return &scanPlan{req: req, threshold: threshold}, nil
+	return p, nil
+}
+
+// checkQueries rejects a batch holding nil or empty queries, naming every
+// offending index, before any scanning starts.
+func checkQueries(queries []*Query) error {
+	var bad []string
+	for i, q := range queries {
+		if q == nil || q.Elements() == 0 {
+			bad = append(bad, strconv.Itoa(i))
+		}
+	}
+	if len(bad) > 0 {
+		return badQueryf("fabp: invalid batch queries at index %s (nil or empty)", strings.Join(bad, ", "))
+	}
+	return nil
 }
 
 // planProtein validates and normalizes a protein-search request: the
 // nucleotide-only knobs must stay unset (their semantics — window-score
-// thresholds, bit-parallel kernels, shard retries — do not transfer),
-// and the pipeline options resolve once, here, so the cache key and the
-// cold path agree on the exact option set.
-func (req ScanRequest) planProtein() (*scanPlan, error) {
+// thresholds, bit-parallel kernels, shard retries, fused batches, letter
+// streams — do not transfer), and the pipeline options resolve once,
+// here, so the cache key and the cold path agree on the exact option set.
+func (p *scanPlan) planProtein() (*scanPlan, error) {
+	req := p.req
+	if req.Queries != nil || req.Stream != nil || req.Emit != nil {
+		return nil, badOptionf("fabp: ScanRequest.Queries/Stream/Emit do not apply to protein search")
+	}
 	if req.Threshold != nil || req.ThresholdFrac != 0 {
 		return nil, badOptionf("fabp: ScanRequest.Threshold/ThresholdFrac do not apply to protein search: use ProteinSearch.MinScore and MaxEValue")
 	}
@@ -357,44 +466,21 @@ func (req ScanRequest) planProtein() (*scanPlan, error) {
 	if err != nil {
 		return nil, badOption(err)
 	}
-	return &scanPlan{req: req, protein: &resolved}, nil
+	p.protein = &resolved
+	return p, nil
 }
 
-// newAligner builds the plan's aligner — only on the cold path; cache
-// hits never reach here.
-func (p *scanPlan) newAligner() (*Aligner, error) {
-	opts := []AlignerOption{WithThreshold(p.threshold), WithKernelType(p.req.Kernel)}
-	if p.req.ShardLen > 0 {
-		opts = append(opts, WithShardLen(p.req.ShardLen))
-	}
-	if p.req.RetryPolicy.enabled() {
-		opts = append(opts, WithRetryPolicy(p.req.RetryPolicy))
-	}
-	if p.req.Partial {
-		opts = append(opts, WithPartialResults())
-	}
-	return NewAligner(p.req.Query, opts...)
-}
-
-// key builds the plan's cache key without an aligner — the one builder
-// of scan cache keys.
+// key builds the plan's cache key without compiling a kernel — the one
+// builder of scan cache keys. Only one-query Reference and Database plans
+// reach it (see bypass).
 func (p *scanPlan) key() scanKey {
+	k := scanKey{query: p.queries[0].digest}
 	if p.protein != nil {
-		k := scanKey{query: p.req.Query.digest, protein: proteinKeyOf(p.protein)}
-		if p.req.Database != nil {
-			k.target = [sha256.Size]byte(p.req.Database.d.Digest())
-			k.kind = targetProteinDatabase
-		} else {
-			k.target = p.req.Reference.contentDigest()
-			k.kind = targetProteinReference
-		}
-		return k
-	}
-	k := scanKey{
-		query:     p.req.Query.digest,
-		threshold: p.threshold,
-		kernel:    resolveKernel(p.req.Kernel),
-		shardLen:  canonShardLen(p.req.ShardLen),
+		k.protein = proteinKeyOf(p.protein)
+	} else {
+		k.threshold = p.thresholds[0]
+		k.kernel = resolveKernel(p.req.Kernel)
+		k.shardLen = canonShardLen(p.req.ShardLen)
 	}
 	if p.req.Database != nil {
 		k.target = [sha256.Size]byte(p.req.Database.d.Digest())
@@ -403,30 +489,149 @@ func (p *scanPlan) key() scanKey {
 		k.target = p.req.Reference.contentDigest()
 		k.kind = targetReference
 	}
+	if p.protein != nil {
+		// Each protein kind sits two above its nucleotide kind.
+		k.kind += targetProteinDatabase - targetDatabase
+	}
 	return k
 }
 
-// bypass reports whether this plan must scan uncached.
+// bypass reports whether this plan must scan uncached: on request, in
+// partial mode, for Queries and Stream plans, or with the cache disabled.
 func (p *scanPlan) bypass() bool {
-	return p.req.NoCache || p.req.Partial || !scanResults.Enabled()
+	return p.req.NoCache || p.req.Partial || p.req.Queries != nil || p.req.Stream != nil || !scanResults.Enabled()
 }
 
-// cold runs the plan's scan uncached under ctx.
+// executor builds the plan's executor: the calling aligner's, or one fused
+// kernel over the loaded queries on the shared pool under the request's
+// retry policy — the scalar engine beside it for an explicit KernelScalar.
+func (p *scanPlan) executor() (*executor, error) {
+	if p.a != nil {
+		return p.a.executor(), nil
+	}
+	progs := make([]isa.Program, len(p.queries))
+	for i, q := range p.queries {
+		progs[i] = q.program
+	}
+	bk, err := bitpar.NewBatchKernel(progs, p.thresholds)
+	if err != nil {
+		return nil, badOption(err)
+	}
+	x := &executor{bk: bk, shardLen: p.req.ShardLen, pool: sched.Shared(), partial: p.req.Partial, tm: &defaultAlignerTM}
+	if p.req.Kernel == KernelScalar {
+		// NewBatchKernel already validated the program and threshold.
+		x.eng, _ = core.NewEngine(progs[0], p.thresholds[0])
+	}
+	return x.ready(p.req.RetryPolicy), nil
+}
+
+// cold runs the plan's scan uncached under ctx. Every telemetry update of
+// a nucleotide scan lives here and below, so cached and collapsed calls
+// observably run zero scans; Queries plans also count on batch.*.
 func (p *scanPlan) cold(ctx context.Context) (*ScanResult, error) {
 	if p.protein != nil {
 		return p.executeProteinSearch(ctx)
 	}
-	a := p.a
-	if a == nil {
-		var err error
-		if a, err = p.newAligner(); err != nil {
-			return nil, err
+	x, err := p.executor()
+	if err != nil {
+		return nil, err
+	}
+	tm := x.tm
+	tm.queries.Add(uint64(len(p.queries)))
+	if p.req.Queries != nil {
+		tm.batchQueries.Add(uint64(len(p.queries)))
+	}
+	t0 := time.Now()
+	defer func() { observeSince(tm.alignLatency, t0) }()
+	if err := ctx.Err(); err != nil {
+		tm.recordCtxErr(err)
+		return nil, err
+	}
+	var res *ScanResult
+	if p.req.Stream != nil {
+		res, err = &ScanResult{}, p.stream(ctx, x)
+	} else {
+		res, err = p.scan(ctx, x)
+	}
+	if _, degraded := err.(*PartialError); err != nil && !degraded {
+		tm.recordCtxErr(err)
+		return nil, err
+	}
+	return res, err
+}
+
+// scan runs the plan over its in-memory target on x and shapes the answer:
+// top-level hits for a Query plan, PerQuery for a Queries plan.
+func (p *scanPlan) scan(ctx context.Context, x *executor) (*ScanResult, error) {
+	var t scanTarget
+	if p.req.Database != nil {
+		t = p.req.Database.target()
+	} else {
+		t = p.req.Reference.target()
+	}
+	hits, recs, err := x.run(ctx, t)
+	pe, degraded := err.(*PartialError)
+	if err != nil && !degraded {
+		return nil, err
+	}
+	if p.req.Queries != nil && err == nil && x.shards != nil {
+		recordFusedPass(x)
+	}
+	per := make([]QueryHits, len(hits))
+	for qi := range per {
+		per[qi].Threshold = p.thresholds[qi]
+		if recs != nil {
+			per[qi].RecordHits = toRecordHits(recs[qi])
+			x.tm.hits.Add(uint64(len(recs[qi])))
+		} else {
+			per[qi].Hits = toHits(hits[qi])
+			x.tm.hits.Add(uint64(len(hits[qi])))
 		}
 	}
-	if p.req.Database != nil {
-		return a.execute(ctx, p.req.Database.target())
+	res := &ScanResult{PerQuery: per}
+	if p.req.Queries == nil {
+		res = &ScanResult{Threshold: per[0].Threshold, Hits: per[0].Hits, RecordHits: per[0].RecordHits}
 	}
-	return a.execute(ctx, p.req.Reference.target())
+	if degraded {
+		// Degraded completion: surviving hits + *PartialError.
+		res.Degraded = true
+		res.FailedRanges = pe.Failed
+	}
+	return res, err
+}
+
+// stream scans the plan's letter stream on x, chunk by chunk — the one
+// chunk callback of every stream scan, one query or fused, either kernel:
+// each chunk's new window starts run through executor.chunk, and hits go
+// to Emit with their query index and global stream position.
+func (p *scanPlan) stream(ctx context.Context, x *executor) error {
+	x.partial = false // a stream has no partial mode
+	tm, bk, emit := x.tm, x.bk, p.req.Emit
+	if x.eng != nil {
+		tm.kernelScalar.Inc()
+	} else {
+		tm.kernelBitpar.Add(uint64(bk.NumQueries()))
+	}
+	fused := p.req.Queries != nil
+	return scanChunks(ctx, p.req.Stream, bk.MaxElems(), bk.MinElems(), x.pool, tm, p.req.RetryPolicy,
+		func(pp *bitpar.Planes, lo, hi, base int) error {
+			perQuery, err := x.chunk(ctx, pp, lo, hi)
+			if err != nil {
+				return err
+			}
+			if fused {
+				recordFusedPass(x)
+			}
+			for qi, hits := range perQuery {
+				for _, h := range hits {
+					tm.hits.Inc()
+					if err := emit(qi, Hit{Pos: base + h.Pos, Score: h.Score}); err != nil {
+						return err
+					}
+				}
+			}
+			return nil
+		})
 }
 
 // run answers the plan through the singleflight result cache, or cold

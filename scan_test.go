@@ -3,6 +3,7 @@ package fabp
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -50,6 +51,17 @@ func TestScanRequestValidation(t *testing.T) {
 		{"fraction above one", ScanRequest{Query: q, Reference: ref, ThresholdFrac: 1.5}, ErrBadOption, "ScanRequest.ThresholdFrac"},
 		{"negative fraction", ScanRequest{Query: q, Reference: ref, ThresholdFrac: -0.2}, ErrBadOption, "ScanRequest.ThresholdFrac"},
 		{"bad retry policy", ScanRequest{Query: q, Reference: ref, RetryPolicy: RetryPolicy{MaxRetries: -1}}, ErrBadOption, "MaxRetries"},
+		{"query and queries", ScanRequest{Query: q, Queries: []*Query{q}, Reference: ref}, ErrBadOption, "ScanRequest.Queries"},
+		{"empty queries", ScanRequest{Queries: []*Query{}, Reference: ref}, ErrBadQuery, "ScanRequest.Queries"},
+		{"nil batch entry", ScanRequest{Queries: []*Query{q, nil}, Reference: ref}, ErrBadQuery, "index 1"},
+		{"scalar batch", ScanRequest{Queries: []*Query{q, q}, Reference: ref, Kernel: KernelScalar}, ErrBadOption, "ScanRequest.Kernel"},
+		{"batch absolute threshold", ScanRequest{Queries: []*Query{q, q}, Reference: ref, Threshold: ptrInt(3)}, ErrBadOption, "ScanRequest.Threshold"},
+		{"stream without emit", ScanRequest{Query: q, Stream: strings.NewReader("ACGU")}, ErrBadOption, "ScanRequest.Emit"},
+		{"emit without stream", ScanRequest{Query: q, Reference: ref, Emit: emitNone}, ErrBadOption, "ScanRequest.Emit"},
+		{"stream and reference", ScanRequest{Query: q, Reference: ref, Stream: strings.NewReader("ACGU"), Emit: emitNone}, ErrBadOption, "exactly one target"},
+		{"partial stream", ScanRequest{Query: q, Stream: strings.NewReader("ACGU"), Emit: emitNone, Partial: true}, ErrBadOption, "ScanRequest.Partial"},
+		{"capped stream", ScanRequest{Query: q, Stream: strings.NewReader("ACGU"), Emit: emitNone, MaxHits: 3}, ErrBadOption, "ScanRequest.MaxHits"},
+		{"protein batch", ScanRequest{Queries: []*Query{q}, Reference: ref, ProteinSearch: &ProteinSearchOptions{}}, ErrBadOption, "ScanRequest.Queries"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -76,6 +88,71 @@ func TestScanRequestValidation(t *testing.T) {
 }
 
 func ptrInt(v int) *int { return &v }
+
+func emitNone(int, Hit) error { return nil }
+
+// TestScanQueriesPerQuery: a Queries request answers each query exactly as
+// its own one-query Scan does, index-aligned in PerQuery with its own
+// threshold; MaxHits clips every query; the request bypasses an enabled
+// cache and counts on batch.*.
+func TestScanQueriesPerQuery(t *testing.T) {
+	enableScanCache(t, 8<<20)
+	ref, genes := SyntheticReference(19, 40_000, 3, 25)
+	var queries []*Query
+	for _, g := range genes {
+		q, err := NewQuery(g.Protein)
+		if err != nil {
+			t.Fatal(err)
+		}
+		queries = append(queries, q)
+	}
+	ctx := context.Background()
+	before := DefaultMetrics().Snapshot().Counters
+	res, err := Scan(ctx, ScanRequest{Queries: queries, Reference: ref, ThresholdFrac: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := DefaultMetrics().Snapshot().Counters
+	if res.Cache != CacheBypass || res.Hits != nil || res.RecordHits != nil {
+		t.Fatalf("Queries result: cache %s, top-level hits %v/%v", res.Cache, res.Hits, res.RecordHits)
+	}
+	if got := after["batch.queries"] - before["batch.queries"]; got != uint64(len(queries)) {
+		t.Errorf("batch.queries moved by %d, want %d", got, len(queries))
+	}
+	if len(res.PerQuery) != len(queries) {
+		t.Fatalf("%d answers for %d queries", len(res.PerQuery), len(queries))
+	}
+	most := 0
+	for i, q := range queries {
+		one, err := Scan(ctx, ScanRequest{Query: q, Reference: ref, ThresholdFrac: 0.5, NoCache: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.PerQuery[i].Threshold != one.Threshold {
+			t.Errorf("query %d: threshold %d, one-query scan %d", i, res.PerQuery[i].Threshold, one.Threshold)
+		}
+		assertHitsEqual(t, fmt.Sprintf("query %d", i), one.Hits, res.PerQuery[i].Hits)
+		most = max(most, len(one.Hits))
+	}
+	if most < 2 {
+		t.Fatal("too few hits to test truncation")
+	}
+	capped, err := Scan(ctx, ScanRequest{Queries: queries, Reference: ref, ThresholdFrac: 0.5, MaxHits: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !capped.Truncated {
+		t.Error("MaxHits clipped a query but Truncated is false")
+	}
+	for i, qh := range capped.PerQuery {
+		if len(qh.Hits) > 1 {
+			t.Errorf("query %d: %d hits over MaxHits 1", i, len(qh.Hits))
+		}
+		if len(res.PerQuery[i].Hits) > 1 && len(qh.Hits) != 1 {
+			t.Errorf("query %d: clipped to %d hits, want 1", i, len(qh.Hits))
+		}
+	}
+}
 
 // TestScanMatchesLegacy pins the wrapper contract: Scan and the legacy
 // Align*/AlignDatabase* entrypoints are one spine, so their hits are

@@ -21,8 +21,7 @@ var streamChunkLetters = 1 << 20
 // bit-planes (PlaneBuilder.AppendASCII: parallel spans on pool for large
 // reads, inline for small ones), carrying the last Lq−1 elements plus two
 // elements of comparison context between chunks — the same cross-beat
-// carry the hardware reference buffer implements and
-// core.Engine.AlignReader mirrors — and invokes scan once
+// carry the hardware reference buffer implements — and invokes scan once
 // per chunk with the packed planes and the chunk-local window-start range
 // [lo, hi) that is new in this chunk. Global position = base + local
 // position. The planes alias the pooled builder: scan must finish reading
@@ -161,10 +160,10 @@ func scanChunks(ctx context.Context, r io.Reader, m, mFinal int, pool *sched.Poo
 // queries from those shared plane words — K queries cost one read+pack,
 // not K, exactly as AlignBatch fuses a database scan. Hits are delivered
 // to emit with their query index, in position order per query within each
-// chunk. Thresholds are the given fraction of each query's own maximum
-// score; every query is validated before any reading starts. Return an
-// error from emit to stop early. It is AlignBatchStreamContext under
-// context.Background().
+// chunk. Thresholds are the given fraction, in (0, 1], of each query's own
+// maximum score; every query is validated before any reading starts.
+// Return an error from emit to stop early. It is AlignBatchStreamContext
+// under context.Background().
 func AlignBatchStream(queries []*Query, r io.Reader, thresholdFrac float64, emit func(query int, h Hit) error) error {
 	return AlignBatchStreamContext(context.Background(), queries, r, thresholdFrac, emit)
 }
@@ -173,43 +172,10 @@ func AlignBatchStream(queries []*Query, r io.Reader, thresholdFrac float64, emit
 // cancellation: the context is checked before every chunk read and at
 // shard boundaries within each chunk, so the call returns ctx.Err()
 // without reading the rest of the stream. Aborts are recorded on
-// align.canceled / align.deadline.exceeded; reads and shards retry under
-// the batch retry policy (SetBatchRetryPolicy).
+// align.canceled / align.deadline.exceeded. It is Scan of
+// ScanRequest{Queries, Stream, Emit, ThresholdFrac}, which also takes a
+// RetryPolicy for reads and shards.
 func AlignBatchStreamContext(ctx context.Context, queries []*Query, r io.Reader, thresholdFrac float64, emit func(query int, h Hit) error) error {
-	progs, thresholds, err := batchKernelInputs(queries, thresholdFrac)
-	if err != nil {
-		return err
-	}
-	rp := currentBatchRetryPolicy()
-	x, err := queryExecutor(progs, thresholds, rp)
-	if err != nil {
-		return err
-	}
-	tm, bk := x.tm, x.bk
-	k := uint64(bk.NumQueries())
-	tm.batchQueries.Add(k)
-	tm.kernelBitpar.Add(k)
-	t0 := time.Now()
-	defer func() { observeSince(tm.alignLatency, t0) }()
-	err = scanChunks(ctx, r, bk.MaxElems(), bk.MinElems(), sched.Shared(), tm, rp,
-		func(pp *bitpar.Planes, lo, hi, base int) error {
-			perQuery, cerr := x.chunk(ctx, pp, lo, hi)
-			if cerr != nil {
-				return cerr
-			}
-			recordFusedPass(x)
-			for qi, hits := range perQuery {
-				tm.hits.Add(uint64(len(hits)))
-				for _, h := range hits {
-					if err := emit(qi, Hit{Pos: base + h.Pos, Score: h.Score}); err != nil {
-						return err
-					}
-				}
-			}
-			return nil
-		})
-	if err != nil {
-		tm.recordCtxErr(err)
-	}
+	_, err := batchScan(ctx, ScanRequest{Queries: queries, Stream: r, Emit: emit, ThresholdFrac: thresholdFrac})
 	return err
 }

@@ -5,12 +5,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"math/rand"
 	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"fabp/internal/bio"
 	"fabp/internal/faultinject"
 )
 
@@ -106,7 +109,8 @@ func TestChaosStreamInjectedErrorFlushesCompleteWindows(t *testing.T) {
 	}
 	// The 5th read faults, so exactly 4 full chunks (16384 letters) are
 	// delivered — past gene 0's slot [0, 10k), keeping its hit in the
-	// prefix. The injection hooks live on the chunked (bitparallel) path.
+	// prefix. The injection hooks live on the chunked path every kernel
+	// takes.
 	const cut = 4 * 4096
 	a, err := NewAligner(q, WithThresholdFraction(0.7), WithKernelType(KernelBitParallel))
 	if err != nil {
@@ -145,7 +149,8 @@ func TestChaosStreamInjectedErrorFlushesCompleteWindows(t *testing.T) {
 // TestChaosStreamReadRetryRecoversFullScan: the same injected fault under
 // a retry budget is absorbed — the re-read delivers the chunk and the
 // stream completes byte-identical to a fault-free scan, with the retry
-// counted.
+// counted. Both kernels read the stream through the one chunked path, so
+// the scalar engine's stream retries exactly like the bit-parallel one.
 func TestChaosStreamReadRetryRecoversFullScan(t *testing.T) {
 	defer func(old int) { streamChunkLetters = old }(streamChunkLetters)
 	streamChunkLetters = 4096
@@ -155,34 +160,38 @@ func TestChaosStreamReadRetryRecoversFullScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := NewAligner(q, WithThresholdFraction(0.7), WithKernelType(KernelBitParallel),
-		WithRetryPolicy(RetryPolicy{MaxRetries: 2, Base: 10 * time.Microsecond}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := a.Align(ref)
-	if len(want) == 0 {
-		t.Fatal("no hits; test is vacuous")
-	}
+	for _, kernel := range []Kernel{KernelBitParallel, KernelScalar} {
+		t.Run(kernel.String(), func(t *testing.T) {
+			a, err := NewAligner(q, WithThresholdFraction(0.7), WithKernelType(kernel),
+				WithRetryPolicy(RetryPolicy{MaxRetries: 2, Base: 10 * time.Microsecond}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := a.Align(ref)
+			if len(want) == 0 {
+				t.Fatal("no hits; test is vacuous")
+			}
 
-	before := DefaultMetrics().Snapshot().Counters["scan.retries"]
-	faultinject.Enable(1, faultinject.Plan{faultinject.SiteStreamRead: {Nth: 5, Fail: true}})
-	defer faultinject.Disable()
-	var got []Hit
-	if err := a.AlignStream(strings.NewReader(ref.String()),
-		func(h Hit) error { got = append(got, h); return nil }); err != nil {
-		t.Fatalf("retried stream failed: %v", err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("%d hits after retry, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("hit %d = %+v, want %+v", i, got[i], want[i])
-		}
-	}
-	if after := DefaultMetrics().Snapshot().Counters["scan.retries"]; after != before+1 {
-		t.Fatalf("scan.retries %d -> %d, want exactly one retry", before, after)
+			before := DefaultMetrics().Snapshot().Counters["scan.retries"]
+			faultinject.Enable(1, faultinject.Plan{faultinject.SiteStreamRead: {Nth: 5, Fail: true}})
+			defer faultinject.Disable()
+			var got []Hit
+			if err := a.AlignStream(strings.NewReader(ref.String()),
+				func(h Hit) error { got = append(got, h); return nil }); err != nil {
+				t.Fatalf("retried stream failed: %v", err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%d hits after retry, want %d", len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("hit %d = %+v, want %+v", i, got[i], want[i])
+				}
+			}
+			if after := DefaultMetrics().Snapshot().Counters["scan.retries"]; after != before+1 {
+				t.Fatalf("scan.retries %d -> %d, want exactly one retry", before, after)
+			}
+		})
 	}
 }
 
@@ -465,5 +474,130 @@ func TestAlignStreamReaderErrorEmitErrorWins(t *testing.T) {
 		func(Hit) error { return emitErr })
 	if !errors.Is(streamErr, emitErr) {
 		t.Fatalf("error %v, want the emit callback's", streamErr)
+	}
+}
+
+// streamAll runs an aligner's AlignStream over r, collecting every hit.
+func streamAll(a *Aligner, r io.Reader) ([]Hit, error) {
+	var hits []Hit
+	err := a.AlignStream(r, func(h Hit) error {
+		hits = append(hits, h)
+		return nil
+	})
+	return hits, err
+}
+
+// TestAlignStreamScalarMatchesAlign: the scalar engine's stream over an
+// io.Reader reproduces its in-memory scan exactly across two default-size
+// chunk boundaries (context and carry correctness).
+func TestAlignStreamScalarMatchesAlign(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	q, err := NewQuery(bio.RandomProtSeq(rng, 6).String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := NewAligner(q, WithThreshold(q.MaxScore()*2/3), WithKernelType(KernelScalar))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 2.5 Mi letters force two boundaries of the default 1 Mi-letter chunk.
+	ref := &Reference{seq: bio.RandomNucSeq(rng, 2_500_000)}
+	got, err := streamAll(a, strings.NewReader(ref.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertHitsEqual(t, "scalar stream", a.Align(ref), got)
+}
+
+// TestAlignStreamScalarPlantedAtBoundary plants perfect genes straddling
+// the default chunk boundary both ways; both kernels must recover every
+// one and equal the in-memory scan.
+func TestAlignStreamScalarPlantedAtBoundary(t *testing.T) {
+	rng := rand.New(rand.NewSource(72))
+	p := bio.ProtSeq{bio.Met, bio.Lys, bio.Trp, bio.Glu, bio.His}
+	seq := bio.RandomNucSeq(rng, 1<<20+3000)
+	gene := bio.EncodeGene(rng, p)
+	// Non-overlapping (gene is 15 nt), straddling the boundary both ways.
+	positions := []int{1<<20 - 45, 1<<20 - 25, 1<<20 - 7, 1<<20 + 15}
+	for _, pos := range positions {
+		copy(seq[pos:], gene)
+	}
+	ref := &Reference{seq: seq}
+	q, err := NewQuery(p.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kernel := range []Kernel{KernelScalar, KernelBitParallel} {
+		a, err := NewAligner(q, WithThreshold(q.MaxScore()), WithKernelType(kernel))
+		if err != nil {
+			t.Fatal(err)
+		}
+		hits, err := streamAll(a, strings.NewReader(seq.DNAString()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		found := map[int]bool{}
+		for _, h := range hits {
+			found[h.Pos] = true
+		}
+		for _, pos := range positions {
+			if !found[pos] {
+				t.Errorf("%s: planted gene at %d lost at the chunk boundary", kernel, pos)
+			}
+		}
+		assertHitsEqual(t, kernel.String()+" stream", a.Align(ref), hits)
+	}
+}
+
+// TestAlignStreamScalarWhitespaceAndCase: lowercase letters and CRLF line
+// breaks in the stream change nothing, for either kernel.
+func TestAlignStreamScalarWhitespaceAndCase(t *testing.T) {
+	rng := rand.New(rand.NewSource(73))
+	q, err := NewQuery(bio.RandomProtSeq(rng, 3).String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := bio.RandomNucSeq(rng, 200)
+	var sb strings.Builder
+	for i, nt := range seq {
+		sb.WriteByte(nt.DNALetter() | 0x20) // lowercase
+		if i%60 == 59 {
+			sb.WriteString("\r\n")
+		}
+	}
+	for _, kernel := range []Kernel{KernelScalar, KernelBitParallel} {
+		a, err := NewAligner(q, WithThreshold(0), WithKernelType(kernel))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := streamAll(a, strings.NewReader(sb.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertHitsEqual(t, kernel.String()+" whitespace/case", a.Align(&Reference{seq: seq}), got)
+	}
+}
+
+// TestAlignStreamScalarErrors pins the scalar stream's edges: an invalid
+// letter fails with its position, an emit error stops the scan, and an
+// empty stream yields no hits and no error.
+func TestAlignStreamScalarErrors(t *testing.T) {
+	q, err := NewQuery("M")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := NewAligner(q, WithThreshold(0), WithKernelType(KernelScalar))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := streamAll(a, strings.NewReader("ACGX")); err == nil || !strings.Contains(err.Error(), "position 3") {
+		t.Errorf("invalid letter: err %v, want it positioned at 3", err)
+	}
+	boom := errors.New("stop")
+	if err := a.AlignStream(strings.NewReader("ACGUACGU"), func(Hit) error { return boom }); !errors.Is(err, boom) {
+		t.Errorf("callback error lost: %v", err)
+	}
+	if hits, err := streamAll(a, strings.NewReader("")); err != nil || hits != nil {
+		t.Errorf("empty stream: %v %v", hits, err)
 	}
 }
