@@ -282,7 +282,7 @@ func BenchmarkMultiQueryScan(b *testing.B) {
 }
 
 // BenchmarkDatabaseScan measures repeated whole-database scans against a
-// resident database — the case the plane cache exists for.
+// resident database — the case a database's resident planes exist for.
 func BenchmarkDatabaseScan(b *testing.B) {
 	ref, genes := SyntheticReference(12, 2_000_000, 4, 50)
 	d, err := BuildDatabase(strings.NewReader(">chr1\n" + ref.String() + "\n"))

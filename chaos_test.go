@@ -9,10 +9,13 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"fabp/internal/bitpar"
 	"fabp/internal/faultinject"
 	"fabp/internal/sched"
 )
@@ -52,7 +55,7 @@ func assertPoolIdle(t *testing.T) {
 // under seeded fault injection with retries enabled: 100 scans across
 // every scan path — gather, stream, cancelable reference scan, fused
 // batch — each with per-shard fault probability 0.1 (plus merge stalls
-// and plane-cache eviction storms), then AlignStream over multi-shard
+// and eviction storms on the database planes), then AlignStream over multi-shard
 // chunks, and every one must be byte-identical to its fault-free oracle.
 // Afterwards goroutines and pool slots are back at baseline.
 func TestChaosConformanceSeededFaultInjection(t *testing.T) {
@@ -89,7 +92,7 @@ func TestChaosConformanceSeededFaultInjection(t *testing.T) {
 
 	// Seeded chaos: transient shard-dispatch failures (KeyLimit under the
 	// retry budget, so every shard recovers), merge stalls, eviction
-	// storms on the plane cache, and stream-read faults.
+	// storms on the database's planes, and stream-read faults.
 	faultinject.Enable(1234, faultinject.Plan{
 		faultinject.SiteShardDispatch: {Prob: 0.1, KeyLimit: 2, Fail: true},
 		faultinject.SiteShardMerge:    {Prob: 0.05, Delay: 100 * time.Microsecond},
@@ -148,6 +151,9 @@ func TestChaosConformanceSeededFaultInjection(t *testing.T) {
 	}
 	if faultinject.Fired(faultinject.SiteShardDispatch) == 0 {
 		t.Fatal("dispatch site never fired; the chaos run tested nothing")
+	}
+	if faultinject.Fired(faultinject.SiteCacheEvict) == 0 {
+		t.Fatal("eviction site never fired; the database scans never repacked")
 	}
 	if DefaultMetrics().Snapshot().Counters["scan.retries"] == 0 {
 		t.Fatal("no retries recorded; injected failures were not absorbed by the retry layer")
@@ -499,26 +505,111 @@ func TestChaosDBSectionLoadInjection(t *testing.T) {
 	}
 }
 
-// TestChaosPlaneCacheEvictionStorm: eviction-storm injections force
-// repacks (cache.evictions grows) but never change scan results.
-func TestChaosPlaneCacheEvictionStorm(t *testing.T) {
+// TestChaosPlaneEvictionStorm: eviction-storm injections drop a
+// database's planes before every scan, forcing one repack per scan
+// (counted by bitpar.PackCount), but never change scan results.
+func TestChaosPlaneEvictionStorm(t *testing.T) {
 	ref, genes := SyntheticReference(13, 80_000, 3, 25)
+	d, err := DatabaseFromReference("storm", ref)
+	if err != nil {
+		t.Fatal(err)
+	}
 	q, err := NewQuery(genes[0].Protein)
 	if err != nil {
 		t.Fatal(err)
 	}
 	a := mustConformAligner(t, q, WithThresholdFraction(0.7), WithKernelType(KernelBitParallel))
-	want := a.Align(ref)
+	want := a.AlignDatabase(d)
+	if len(want) == 0 {
+		t.Fatal("no hits; the storm test is vacuous")
+	}
 
-	before := DefaultMetrics().Snapshot().Counters["cache.evictions"]
+	packs := bitpar.PackCount()
 	faultinject.Enable(3, faultinject.Plan{faultinject.SiteCacheEvict: {Every: 1, Fail: true}})
 	defer faultinject.Disable()
 	for i := 0; i < 3; i++ {
-		assertHitsEqual(t, "eviction-storm Align", want, a.Align(ref))
+		assertRecordHitsEqual(t, "eviction-storm AlignDatabase", want, a.AlignDatabase(d))
 	}
 	faultinject.Disable()
-	after := DefaultMetrics().Snapshot().Counters["cache.evictions"]
-	if after <= before {
-		t.Fatalf("evictions %d -> %d; the storm never evicted", before, after)
+	if n := bitpar.PackCount() - packs; n != 3 {
+		t.Fatalf("3 scans under the storm packed %d times, want 3 (one repack per eviction)", n)
+	}
+}
+
+// TestChaosEvictPlanesDuringScans: EvictPlanes racing scans of the same
+// database never changes a result — a running scan keeps the planes it
+// read, and the next scan repacks. Both kernels and a fused batch scan
+// while another goroutine evicts; run it under -race.
+func TestChaosEvictPlanesDuringScans(t *testing.T) {
+	ref, genes := SyntheticReference(17, 120_000, 3, 25)
+	d, err := DatabaseFromReference("evict", ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := make([]*Query, len(genes))
+	for i, g := range genes {
+		if queries[i], err = NewQuery(g.Protein); err != nil {
+			t.Fatal(err)
+		}
+	}
+	aligners := []*Aligner{
+		mustConformAligner(t, queries[0], WithThresholdFraction(0.7), WithShardLen(8192), WithParallelism(2)),
+		mustConformAligner(t, queries[0], WithThresholdFraction(0.7), WithShardLen(8192), WithKernelType(KernelScalar)),
+	}
+	want := aligners[0].AlignDatabase(d)
+	wantBatch, err := AlignDatabaseBatch(d, queries, 0.7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 {
+		t.Fatal("no hits; the eviction race is vacuous")
+	}
+
+	packs := bitpar.PackCount()
+	stop := make(chan struct{})
+	evicted := make(chan struct{})
+	go func() {
+		defer close(evicted)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				d.EvictPlanes()
+				runtime.Gosched()
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 4; i++ {
+				if w == 3 {
+					got, err := AlignDatabaseBatch(d, queries, 0.7)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					for qi := range wantBatch {
+						if !slices.Equal(got[qi], wantBatch[qi]) {
+							t.Errorf("batch query %d differs while planes are evicted", qi)
+						}
+					}
+					continue
+				}
+				a := aligners[w%len(aligners)]
+				if got := a.AlignDatabase(d); !slices.Equal(got, want) {
+					t.Errorf("%s AlignDatabase differs while planes are evicted", a.Kernel())
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	<-evicted
+	if n := bitpar.PackCount() - packs; n < 2 {
+		t.Fatalf("16 scans racing EvictPlanes packed %d times; the evictions never forced a repack", n)
 	}
 }

@@ -215,33 +215,56 @@ func TestCLIAlignDemo(t *testing.T) {
 }
 
 // TestCLIAlignMetrics checks the -metrics dump: valid JSON whose counters
-// reconcile — shards run == shards planned, and the plane cache saw exactly
-// the lookups the scans issued.
+// reconcile — shards run == shards planned — and, for a v2 database file,
+// a warm load: every query scans the file's planes, none packed in-process.
 func TestCLIAlignMetrics(t *testing.T) {
 	bin := buildCLI(t, "fabp-align")
-	out := run(t, bin, "-demo", "-metrics")
-	_, jsonPart, found := strings.Cut(out, "=== metrics\n")
-	if !found {
-		t.Fatalf("no metrics section in output:\n%s", out)
+	counters := func(out string) map[string]uint64 {
+		t.Helper()
+		_, jsonPart, found := strings.Cut(out, "=== metrics\n")
+		if !found {
+			t.Fatalf("no metrics section in output:\n%s", out)
+		}
+		var snap struct {
+			Counters map[string]uint64 `json:"counters"`
+		}
+		if err := json.Unmarshal([]byte(jsonPart), &snap); err != nil {
+			t.Fatalf("metrics are not valid JSON: %v\n%s", err, jsonPart)
+		}
+		return snap.Counters
 	}
-	var snap struct {
-		Counters map[string]uint64 `json:"counters"`
-	}
-	if err := json.Unmarshal([]byte(jsonPart), &snap); err != nil {
-		t.Fatalf("metrics are not valid JSON: %v\n%s", err, jsonPart)
-	}
-	c := snap.Counters
+	c := counters(run(t, bin, "-demo", "-metrics"))
 	if c["align.queries.started"] == 0 {
 		t.Error("no queries recorded")
 	}
 	if c["scan.shards.run"] != c["scan.shards.planned"] || c["scan.shards.run"] == 0 {
 		t.Errorf("shards run %d != planned %d", c["scan.shards.run"], c["scan.shards.planned"])
 	}
-	if got := c["cache.hits"] + c["cache.misses"]; got != c["scan.plane.lookups"] {
-		t.Errorf("cache lookups %d != plane lookups %d", got, c["scan.plane.lookups"])
+
+	dir := t.TempDir()
+	ref, genes := fabp.SyntheticReference(23, 20_000, 2, 30)
+	d, err := fabp.BuildDatabase(strings.NewReader(">synt\n" + ref.String() + "\n"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if c["cache.hits"] == 0 {
-		t.Error("demo queries share one database; expected plane-cache hits")
+	var v2 bytes.Buffer
+	if err := d.SaveDatabase(&v2); err != nil {
+		t.Fatal(err)
+	}
+	dbPath, qPath := filepath.Join(dir, "synt.fdb"), filepath.Join(dir, "q.fasta")
+	if err := os.WriteFile(dbPath, v2.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(qPath, []byte(">g0\n"+genes[0].Protein+"\n>g1\n"+genes[1].Protein+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c = counters(run(t, bin, "-query", qPath, "-db", dbPath, "-metrics"))
+	if c["db.load.planes_reused"] != 1 || c["db.load.planes_packed"] != 0 {
+		t.Errorf("v2 load: planes_reused %d, planes_packed %d; want 1 and 0",
+			c["db.load.planes_reused"], c["db.load.planes_packed"])
+	}
+	if c["align.queries.started"] == 0 {
+		t.Error("no queries recorded on the database file")
 	}
 }
 

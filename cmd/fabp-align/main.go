@@ -56,7 +56,7 @@ func main() {
 	}
 
 	// One shared database so the packed planes are built once and every
-	// query after the first is a plane-cache hit. -db loads a packed file
+	// query after the first reads the planes it holds. -db loads a packed file
 	// (a v2 file's persisted planes make this a zero-packing warm start);
 	// -ref indexes a FASTA reference in-process.
 	var dbase *fabp.Database
@@ -187,7 +187,7 @@ func alignOne(id, prot string, ref *fabp.Reference, dbase *fabp.Database, opts a
 		return
 	}
 	// Scan through the database path: sharded across the worker pool, with
-	// the packed planes served from the shared cache.
+	// the packed planes the database holds.
 	hits := a.AlignDatabase(dbase)
 	fmt.Printf("\nquery %s (%d aa, %d elements, threshold %d/%d): %d hits\n",
 		id, q.Residues(), q.Elements(), a.Threshold(), q.MaxScore(), len(hits))

@@ -149,6 +149,10 @@ func loadDatabase(refPath, dbPath string) (*fabp.Database, error) {
 	return nil, fmt.Errorf("a database is required: -ref db.fasta or -db db.fdb")
 }
 
+// readHeaderTimeout bounds how long a connection may take to send its
+// request headers, so slow or idle clients cannot pin connections.
+const readHeaderTimeout = 10 * time.Second
+
 // serve runs the HTTP server until SIGINT/SIGTERM, then drains: the
 // listener closes immediately, in-flight scans get drainTimeout to finish
 // (their request contexts are canceled past that), and the call returns
@@ -164,8 +168,9 @@ func serve(s *server, addr string, drainTimeout time.Duration) error {
 	baseCtx, abortScans := context.WithCancel(context.Background())
 	defer abortScans()
 	srv := &http.Server{
-		Handler:     s.handler(),
-		BaseContext: func(net.Listener) context.Context { return baseCtx },
+		Handler:           s.handler(),
+		BaseContext:       func(net.Listener) context.Context { return baseCtx },
+		ReadHeaderTimeout: readHeaderTimeout,
 	}
 
 	sigCtx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

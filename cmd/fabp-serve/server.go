@@ -236,6 +236,28 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
+// maxBodyBytes bounds the JSON body of /align, /align/batch and /search.
+// The largest legal request, a -max-batch batch of long queries, fits
+// far below it; a larger body is refused before it is buffered.
+const maxBodyBytes = 4 << 20
+
+// decodeBody decodes a JSON request body of at most maxBodyBytes into v.
+// A larger body is answered 413 and a malformed one 400; either way the
+// caller must not write again.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", maxBodyBytes)
+	case err != nil:
+		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	default:
+		return true
+	}
+	return false
+}
+
 // retryAfterSeconds rounds a shed hint up to whole seconds for the
 // Retry-After header (minimum 1 — a zero hint is not actionable).
 func retryAfterSeconds(d time.Duration) string {
@@ -353,8 +375,7 @@ func (s *server) handleAlign(w http.ResponseWriter, r *http.Request) {
 	defer func() { s.m.latency.Observe(time.Since(t0)) }()
 
 	var req alignRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if strings.TrimSpace(req.Query) == "" {
@@ -500,8 +521,7 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	defer func() { s.m.latency.Observe(time.Since(t0)) }()
 
 	var req searchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if strings.TrimSpace(req.Query) == "" {
@@ -688,8 +708,7 @@ func (s *server) handleAlignBatch(w http.ResponseWriter, r *http.Request) {
 	defer func() { s.m.latency.Observe(time.Since(t0)) }()
 
 	var req batchAlignRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	frac := 0.8
@@ -930,8 +949,8 @@ type healthzResponse struct {
 	CacheResidentBytes int64 `json:"cache_resident_bytes"`
 	// Planes names where the bit-planes came from at startup ("persisted"
 	// from a v2 file, "packed" by this process); PlanesResident reports
-	// whether they are in the shared cache right now — the readiness
-	// signal that the first query will not pay packing latency.
+	// whether the database holds them right now — the readiness signal
+	// that the next query will not pay packing latency.
 	Planes         string `json:"planes"`
 	PlanesResident bool   `json:"planes_resident"`
 }
@@ -954,7 +973,7 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // handleMetrics serves the process-wide telemetry snapshot as expvar-style
 // JSON: the alignment pipeline's counters (align.*, scan.*, pool.*,
-// cache.*, rcache.*, admission.*) plus the serve.* layer registered here.
+// rcache.*, admission.*) plus the serve.* layer registered here.
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	b, err := json.MarshalIndent(fabp.DefaultMetrics(), "", "  ")
 	if err != nil {

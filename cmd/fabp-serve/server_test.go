@@ -1423,3 +1423,34 @@ func TestServeRetryPolicyBatchAndStream(t *testing.T) {
 		t.Fatal("dispatch faults never fired; the stream tested nothing")
 	}
 }
+
+// TestServeBodyLimit: a JSON body over maxBodyBytes on /align,
+// /align/batch or /search is refused with 413 before it is buffered, and
+// the server answers the next request normally.
+func TestServeBodyLimit(t *testing.T) {
+	s, protein := testServer(t, serverConfig{maxInflight: 2})
+	ts := httptest.NewServer(s.handler())
+	defer ts.Close()
+
+	huge := `{"query":"` + strings.Repeat("M", maxBodyBytes) + `"}`
+	for _, route := range []string{"/align", "/align/batch", "/search"} {
+		resp, err := http.Post(ts.URL+route, "application/json", strings.NewReader(huge))
+		if err != nil {
+			t.Fatalf("%s: %v", route, err)
+		}
+		var e errorResponse
+		derr := json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: over-limit body got %d, want 413", route, resp.StatusCode)
+		}
+		if derr != nil || !strings.Contains(e.Error, "exceeds") {
+			t.Errorf("%s: 413 body %+v (%v), want a JSON error naming the limit", route, e, derr)
+		}
+
+		resp, body := postAlign(t, ts.URL, alignRequest{Query: protein})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("request after an over-limit %s body got %d: %s", route, resp.StatusCode, body)
+		}
+	}
+}

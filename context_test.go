@@ -3,7 +3,7 @@ package fabp_test
 // Cancellation-semantics tests for the context-aware scan pipeline: a
 // cancel mid-database-scan returns context.Canceled within a bounded
 // time of the cancel (one shard boundary plus scheduling), leaks no pool
-// goroutines, and leaves the shared plane cache consistent; a deadline
+// goroutines, and leaves the database's planes consistent; a deadline
 // on a slow stream reader surfaces context.DeadlineExceeded; and both
 // aborts land on the align.canceled / align.deadline.exceeded counters.
 
@@ -126,7 +126,7 @@ func TestAlignDatabaseContextCancelMidScan(t *testing.T) {
 // TestAlignDatabaseStreamContextCancelDuringEmit cancels from inside the
 // emit callback — fully deterministic — and checks the abort surfaces as
 // context.Canceled, the emitted hits are a position-ordered prefix, and
-// the shared plane cache stays consistent for the next (bit-parallel)
+// the database's planes stay consistent for the next (bit-parallel)
 // scan.
 func TestAlignDatabaseStreamContextCancelDuringEmit(t *testing.T) {
 	ref, genes := fabp.SyntheticReference(22, 300_000, 6, 40)
@@ -176,8 +176,8 @@ func TestAlignDatabaseStreamContextCancelDuringEmit(t *testing.T) {
 		t.Errorf("align.canceled = %d, want 1", got)
 	}
 
-	// Plane cache consistent after the abort: a full streamed scan over
-	// the same cached planes reproduces the golden hits.
+	// Planes consistent after the abort: a full streamed scan over
+	// the same resident planes reproduces the golden hits.
 	var after []fabp.RecordHit
 	if err := a.AlignDatabaseStreamContext(context.Background(), dbase, func(h fabp.RecordHit) error {
 		after = append(after, h)
@@ -366,7 +366,7 @@ func TestSessionRunContextLive(t *testing.T) {
 // context.Canceled promptly, the remaining shards are shed for every
 // query of the batch at once (one shard is the whole batch's unit of
 // work), no pool goroutines leak, and a full rescan afterwards is
-// bit-exact — the shared plane cache survives the abort.
+// bit-exact — the database's planes survive the abort.
 func TestAlignDatabaseBatchContextCancelMidScan(t *testing.T) {
 	// 8 Mnt at the default shard size → ~32 fused shards, each scanning
 	// all six queries, so the watcher cancels well before the plan drains.
@@ -436,7 +436,7 @@ func TestAlignDatabaseBatchContextCancelMidScan(t *testing.T) {
 	}
 	waitQuiesce(t, baseline)
 
-	// The aborted batch must not have corrupted the shared plane cache or
+	// The aborted batch must not have corrupted the database's planes or
 	// pooled kernel scratch: a fresh batch rescans bit-exact.
 	again, err := fabp.AlignDatabaseBatch(dbase, queries, 0.85)
 	if err != nil {

@@ -11,6 +11,7 @@ import (
 	"fabp/internal/bitpar"
 	"fabp/internal/db"
 	"fabp/internal/experiments"
+	"fabp/internal/faultinject"
 	"fabp/internal/fpga"
 	"fabp/internal/host"
 	"fabp/internal/sched"
@@ -95,47 +96,29 @@ func (d *Database) SaveDatabaseLegacy(w io.Writer) error {
 var ErrCorruptDatabase = db.ErrCorrupt
 
 // LoadDatabase reads a database saved with SaveDatabase (v2) or
-// SaveDatabaseLegacy (v1). A v2 file's persisted bit-planes are installed
-// into the shared plane cache keyed by content digest, so the first
-// bit-parallel scan — and every scan after it, from any Database loaded
-// from the same content — runs with zero packing work (counted on
+// SaveDatabaseLegacy (v1). A v2 file's persisted bit-planes become the
+// database's own planes, so the first bit-parallel scan — and every scan
+// after it — runs with zero packing work (counted on
 // db.load.planes_reused). A v1 file, or a v2 file whose plane section
-// fails its checksum or version check, still loads: scans fall back to
-// packing in-process (db.load.planes_packed), and the fallback is logged
-// through SetWarnLogger's sink. Structural damage anywhere else returns
+// fails its checksum or version check, still loads: its first scan packs
+// in-process (db.load.planes_packed), and the fallback is logged through
+// SetWarnLogger's sink. Structural damage anywhere else returns
 // ErrCorruptDatabase; malformed input never panics.
 func LoadDatabase(r io.Reader) (*Database, error) {
 	inner, err := db.Read(r)
 	if err != nil {
 		return nil, err
 	}
-	d := &Database{d: inner}
-	d.installPersistedPlanes()
-	return d, nil
-}
-
-// installPersistedPlanes is LoadDatabase's warm-start step: persisted
-// planes become cache-resident under the content digest, and the
-// reused/packed telemetry records how this load will scan.
-func (d *Database) installPersistedPlanes() {
-	cache := bitpar.SharedPlanes()
-	key := planeKey{d.d.Digest()}
-	if pp := d.d.PersistedPlanes(); pp != nil {
-		cache.Install(key, pp)
+	if inner.PersistedPlanes() != nil {
 		dbLoadPlanesReused.Inc()
-		return
+	} else {
+		if err := inner.PlaneSectionError(); err != nil {
+			warnf("fabp: database %s: plane section rejected, falling back to in-process packing: %v",
+				inner.Digest(), err)
+		}
+		dbLoadPlanesPacked.Inc()
 	}
-	if cache.Contains(key) {
-		// No planes in this file, but an earlier load of the same content
-		// already made them resident — still a warm start.
-		dbLoadPlanesReused.Inc()
-		return
-	}
-	if err := d.d.PlaneSectionError(); err != nil {
-		warnf("fabp: database %s: plane section rejected, falling back to in-process packing: %v",
-			d.d.Digest(), err)
-	}
-	dbLoadPlanesPacked.Inc()
+	return &Database{d: inner}, nil
 }
 
 // DatabaseFileInfo describes a database file's on-disk shape, as
@@ -210,41 +193,33 @@ type RecordHit struct {
 	Score int
 }
 
-// planeKey keys the shared plane cache by content digest: two Database
-// objects holding identical concatenated sequences — two loads of one
-// file, or a load and a fresh build — share one resident plane set.
-// (Pointer identity, the old key, packed once per object and let reloads
-// of the same file masquerade as distinct databases.)
-type planeKey struct{ d db.Digest }
-
-// planes returns the database's packed bit-planes through the process-wide
-// cache: the first scan packs once (or reuses planes a v2 load
-// installed), every later query, batch or session call against the same
-// content reuses the resident planes — the software analogue of the
-// card-DRAM-resident database of the paper's protocol.
+// planes returns the database's bit-planes: persisted by a v2 load, or
+// packed once by the first scan, and held for the object's lifetime — the
+// software analogue of the card-DRAM-resident database of the paper's
+// protocol, which every query, batch and session call then reads. It is
+// the eviction fault site: a firing bitpar.cache.evict rule drops the
+// planes first, so this scan repacks.
 func (d *Database) planes() *bitpar.Planes {
-	return bitpar.SharedPlanes().Get(planeKey{d.d.Digest()}, d.d.EnsurePlanes)
+	if faultinject.Check(context.Background(), faultinject.SiteCacheEvict, 0) != nil {
+		d.d.DropPlanes()
+	}
+	return d.d.EnsurePlanes()
 }
 
-// WarmPlanes makes the database's bit-planes cache-resident now — the
-// deliberate warm-up servers run at startup so the first query never pays
-// packing latency. After a v2 LoadDatabase this is free (the persisted
-// planes are already installed); otherwise it packs once.
+// WarmPlanes makes the database's bit-planes resident now — the deliberate
+// warm-up servers run at startup so the first query never pays packing
+// latency. After a v2 LoadDatabase this is free (the persisted planes are
+// already there); otherwise it packs once.
 func (d *Database) WarmPlanes() { d.planes() }
 
-// PlanesResident reports whether the shared cache currently holds this
-// database's planes (installed, packed, or still packing).
-func (d *Database) PlanesResident() bool {
-	return bitpar.SharedPlanes().Contains(planeKey{d.d.Digest()})
-}
+// PlanesResident reports whether the database holds its planes now
+// (persisted by the load, or packed by a scan or WarmPlanes).
+func (d *Database) PlanesResident() bool { return d.d.PlanesResident() }
 
-// EvictPlanes drops this database's planes from the shared cache AND the
-// database's own memoized copy, so the next scan packs from scratch — the
-// cold-start control for benchmarks and memory-pressure handling.
-func (d *Database) EvictPlanes() {
-	bitpar.SharedPlanes().Invalidate(planeKey{d.d.Digest()})
-	d.d.DropPlanes()
-}
+// EvictPlanes drops the database's planes, so the next scan packs from
+// scratch — the cold-start control for benchmarks and memory-pressure
+// handling. Scans already running keep the planes they read.
+func (d *Database) EvictPlanes() { d.d.DropPlanes() }
 
 // AsReference exposes the database's concatenated sequence as a Reference
 // for the single-reference APIs (AlignContext, AlignBatch) — hits carry
@@ -267,9 +242,8 @@ func (a *Aligner) AlignDatabase(d *Database) []RecordHit {
 // deadlines are honored at shard boundaries: undispatched shards are shed,
 // shards already executing finish, and the call returns ctx.Err() within
 // one shard of the cancel — recorded on align.canceled /
-// align.deadline.exceeded. The shared plane cache is untouched by an
-// abort (packing is atomic within the cache), so a later retry scans the
-// same resident planes.
+// align.deadline.exceeded. The database's planes are untouched by an
+// abort, so a later retry scans the same resident planes.
 //
 // When the scan-result cache is enabled (SetScanCacheCapacity), the call
 // shares the cache- and singleflight-aware spine with Scan: repeats are
@@ -311,7 +285,7 @@ func (a *Aligner) AlignDatabaseStreamContext(ctx context.Context, d *Database, e
 	// The executor supplies the shard function and its resilience; the
 	// ordered merge keeps only a bounded window of shard results.
 	x := a.executor()
-	shards := x.load(d.target())
+	shards := x.load(d.planes())
 	x.shards = shards
 	a.tm.shardsPlanned.Add(uint64(len(shards)))
 	m := a.query.Elements()
@@ -354,8 +328,8 @@ type Session struct {
 // NewSession creates a session on the paper's default platform (Kintex-7
 // card, PCIe Gen3 x8, 8 GB card DRAM) with the database loaded; it fails
 // if the database's 2-bit image exceeds the card's DRAM. Scans read the
-// database's cached planes, so it is packed once and reused across Run and
-// RunBatch calls; batches take the fused path (every reference tile
+// database's resident planes, so it is packed once and reused across Run
+// and RunBatch calls; batches take the fused path (every reference tile
 // scanned once for the whole batch).
 func NewSession(d *Database) (*Session, error) {
 	p := host.DefaultPlatform()
@@ -468,9 +442,9 @@ func batchScan(ctx context.Context, req ScanRequest) (*ScanResult, error) {
 // returning per-query hit lists. Thresholds are the given fraction, in
 // (0, 1], of each query's own maximum score (rounded, not truncated).
 // Every query is validated before any scanning starts. The reference packs
-// into bit-planes once — cached across calls — and the fused batch kernel
-// reads each reference tile once for the whole batch, bit-exact with a
-// serial per-query scan. It is AlignBatchContext under
+// into bit-planes once — the Reference holds them across calls — and the
+// fused batch kernel reads each reference tile once for the whole batch,
+// bit-exact with a serial per-query scan. It is AlignBatchContext under
 // context.Background().
 func AlignBatch(queries []*Query, ref *Reference, thresholdFrac float64) ([][]Hit, error) {
 	return AlignBatchContext(context.Background(), queries, ref, thresholdFrac)
@@ -480,8 +454,8 @@ func AlignBatch(queries []*Query, ref *Reference, thresholdFrac float64) ([][]Hi
 // deadlines are honored at shard boundaries for the whole batch at once —
 // undispatched shards are shed for every query, shards already executing
 // finish, and the call returns ctx.Err() recorded on align.canceled /
-// align.deadline.exceeded. The shared plane cache is untouched by an
-// abort, so a retry scans the same resident planes. It is Scan of
+// align.deadline.exceeded. The reference's planes are untouched by an
+// abort, so a retry scans the same planes. It is Scan of
 // ScanRequest{Queries, Reference, ThresholdFrac}.
 func AlignBatchContext(ctx context.Context, queries []*Query, ref *Reference, thresholdFrac float64) ([][]Hit, error) {
 	res, err := batchScan(ctx, ScanRequest{Queries: queries, Reference: ref, ThresholdFrac: thresholdFrac})

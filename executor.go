@@ -18,54 +18,15 @@ import (
 // comparator array that scores every loaded query as the reference
 // streams past; K = 1 is simply the one-query batch. See DESIGN.md §10.
 
-// scanTarget is what an executor scan reads: n letters, their bit-planes
-// (fetched only when the bit-parallel kernel runs; a cached source counts
-// the lookup on tm), their letters (explicit KernelScalar only), and the
-// database that attributes the hits (nil: hits keep their positions).
-type scanTarget struct {
-	n      int
-	planes func(tm *alignerMetrics) *bitpar.Planes
-	seq    func() bio.NucSeq
-	db     *db.Database
-}
-
-// target is the reference as a scan target; its planes come from the
-// shared plane cache, keyed on the Reference (immutable once built).
-func (r *Reference) target() scanTarget {
-	return scanTarget{
-		n: r.Len(),
-		planes: func(tm *alignerMetrics) *bitpar.Planes {
-			tm.planeLookups.Inc()
-			return bitpar.SharedPlanes().Get(r, func() *bitpar.Planes { return bitpar.PackReference(r.seq) })
-		},
-		seq: func() bio.NucSeq { return r.seq },
-	}
-}
-
-// target is the database as a scan target: cached planes, hits attributed
-// to records.
-func (d *Database) target() scanTarget {
-	return scanTarget{
-		n: d.Len(),
-		planes: func(tm *alignerMetrics) *bitpar.Planes {
-			tm.planeLookups.Inc()
-			return d.planes()
-		},
-		seq: d.d.Seq,
-		db:  d.d,
-	}
-}
-
-// executor runs K ≥ 1 compiled queries over scan targets on a pool, under
-// a retry policy (nil res: one attempt per shard) and optionally partial
-// completion. One executor serves one call — a scan, a batch, or every
-// chunk of one stream, in sequence.
+// executor runs K ≥ 1 compiled queries over a target's bit-planes on a
+// pool, under a retry policy (nil res: one attempt per shard) and
+// optionally partial completion. One executor serves one call — a scan, a
+// batch, or every chunk of one stream, in sequence.
 type executor struct {
 	bk *bitpar.BatchKernel
 	// eng, when set, is explicit KernelScalar (K = 1): the scalar engine
-	// is the only alternative shard function. It reads the comparison
-	// contexts of the target's letters (ctxs); a stream chunk's letters are
-	// read back from its planes into letters.
+	// is the only alternative shard function. It reads the same planes as
+	// the kernel, each shard only its own letters (see scalarShard).
 	eng      *core.Engine
 	shardLen int
 	pool     *sched.Pool
@@ -73,14 +34,12 @@ type executor struct {
 	partial  bool
 	tm       *alignerMetrics
 
-	// The pass in flight: its shard plan, what its shards read, and (once
-	// it succeeds) its wall time.
+	// The pass in flight: its shard plan, the planes its shards read, and
+	// (once it succeeds) its wall time.
 	shards  []sched.Shard
 	elapsed time.Duration
 	one     [1]sched.Shard
 	pp      *bitpar.Planes
-	ctxs    []uint8
-	letters bio.NucSeq
 	fc      failureCollector
 	// A stream chunk that is one shard and cannot be hedged runs inline on
 	// the executor's own scratch and hit lists (first is that shard, bound
@@ -110,40 +69,38 @@ func (a *Aligner) executor() *executor {
 	return x.ready(a.retryPolicy)
 }
 
-// load points the executor at t and plans its window starts (nil when no
-// query fits): the kernel dispatch is recorded for every query and only
-// the chosen kernel's input is fetched.
-func (x *executor) load(t scanTarget) []sched.Shard {
-	starts := x.bk.Starts(t.n)
+// load points the executor at the planes pp and plans their window starts
+// (nil when no query fits), recording the kernel dispatch for every query.
+func (x *executor) load(pp *bitpar.Planes) []sched.Shard {
+	starts := x.bk.Starts(pp.Len())
 	if starts <= 0 {
 		return nil
 	}
+	x.pp = pp
 	if x.eng != nil {
 		x.tm.kernelScalar.Inc()
-		x.ctxs = core.Contexts(t.seq())
 	} else {
 		x.tm.kernelBitpar.Add(uint64(x.bk.NumQueries()))
-		x.pp = t.planes(x.tm)
 	}
 	return sched.Plan(starts, x.shardLen)
 }
 
-// run scans t and returns per-query hits in position order, attributed to
-// t's records when t has a database (recs is nil otherwise). A partial
-// completion returns the surviving hits beside its *PartialError; any
-// other error returns no hits.
-func (x *executor) run(ctx context.Context, t scanTarget) (hits [][]bitpar.Hit, recs [][]db.RecordHit, err error) {
-	if shards := x.load(t); shards != nil {
+// run scans the planes pp and returns per-query hits in position order,
+// attributed to the records of d when it is set (recs is nil otherwise).
+// A partial completion returns the surviving hits beside its
+// *PartialError; any other error returns no hits.
+func (x *executor) run(ctx context.Context, pp *bitpar.Planes, d *db.Database) (hits [][]bitpar.Hit, recs [][]db.RecordHit, err error) {
+	if shards := x.load(pp); shards != nil {
 		hits, err = x.gather(ctx, shards, false)
 	} else {
 		hits, err = make([][]bitpar.Hit, x.bk.NumQueries()), ctx.Err()
 	}
-	if t.db == nil || (err != nil && hits == nil) {
+	if d == nil || (err != nil && hits == nil) {
 		return hits, nil, err
 	}
 	recs = make([][]db.RecordHit, len(hits))
 	for qi, qh := range hits {
-		recs[qi] = t.db.Attribute(bitparToCore(qh), x.bk.QueryElems(qi))
+		recs[qi] = d.Attribute(bitparToCore(qh), x.bk.QueryElems(qi))
 	}
 	return hits, recs, err
 }
@@ -152,14 +109,9 @@ func (x *executor) run(ctx context.Context, t scanTarget) (hits [][]bitpar.Hit, 
 // chunk scanner of every stream scan. It shards at the scheduler's default
 // length, so a default-sized chunk is one shard; a one-shard chunk that
 // cannot be hedged runs inline on the executor's own scratch (a hedged
-// duplicate would share it). The scalar engine reads the chunk's letters
-// back from its planes. The hits are valid until the next call.
+// duplicate would share it). The hits are valid until the next call.
 func (x *executor) chunk(ctx context.Context, pp *bitpar.Planes, lo, hi int) ([][]bitpar.Hit, error) {
 	x.pp = pp
-	if x.eng != nil {
-		x.letters = pp.AppendLetters(x.letters[:0])
-		x.ctxs = core.AppendContexts(x.ctxs[:0], x.letters)
-	}
 	if hi <= lo&^63+sched.DefaultShardLen && !x.res.MayHedge() {
 		x.one[0] = sched.Shard{Lo: lo, Hi: hi}
 		return x.gather(ctx, x.one[:], true)
@@ -232,9 +184,9 @@ func (x *executor) attempt(ctx context.Context, i int) ([][]bitpar.Hit, error) {
 	})
 }
 
-// scanShard scans shard i — the fused kernel over the pass's planes (on
-// sc and the executor's hit lists when sc is set), or the scalar engine
-// over its letters — and records its latency on scan.shard.latency.
+// scanShard scans shard i of the pass's planes — with the fused kernel (on
+// sc and the executor's hit lists when sc is set) or the scalar engine —
+// and records its latency on scan.shard.latency.
 func (x *executor) scanShard(ctx context.Context, i int, sc *bitpar.Scratch) ([][]bitpar.Hit, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -244,7 +196,7 @@ func (x *executor) scanShard(ctx context.Context, i int, sc *bitpar.Scratch) ([]
 	var hits [][]bitpar.Hit
 	switch {
 	case x.eng != nil:
-		hits = [][]bitpar.Hit{coreToBitpar(x.eng.AlignContexts(x.ctxs, s.Lo, s.Hi))}
+		hits = [][]bitpar.Hit{x.scalarShard(s)}
 	case sc != nil:
 		if x.dst == nil {
 			x.dst = make([][]bitpar.Hit, x.bk.NumQueries())
@@ -259,6 +211,31 @@ func (x *executor) scanShard(ctx context.Context, i int, sc *bitpar.Scratch) ([]
 	observeSince(x.tm.shardLatency, t0)
 	x.tm.shardsRun.Inc()
 	return hits, nil
+}
+
+// scalarPiece is how many window starts a scalar shard scores per read of
+// its letters, which bounds its scratch whatever the shard length.
+const scalarPiece = 1 << 14
+
+// scalarShard scores shard s with the scalar engine. It reads back only
+// the letters its windows cover, [Lo−2, Hi+m−1) — two letters of
+// comparison context first — from the pass's planes, a piece at a time
+// into scratch it reuses, so an explicit-scalar scan never copies the
+// whole target.
+func (x *executor) scalarShard(s sched.Shard) []bitpar.Hit {
+	var hits []bitpar.Hit
+	var letters bio.NucSeq
+	var ctxs []uint8
+	m, n := x.bk.MaxElems(), x.pp.Len()
+	for lo := s.Lo; lo < s.Hi; lo += scalarPiece {
+		hi, from := min(lo+scalarPiece, s.Hi), max(lo-2, 0)
+		letters = x.pp.AppendLetters(letters[:0], from, min(hi+m-1, n))
+		ctxs = core.AppendContexts(ctxs[:0], letters)
+		for _, h := range x.eng.AlignContexts(ctxs, lo-from, hi-from) {
+			hits = append(hits, bitpar.Hit{Pos: from + h.Pos, Score: h.Score})
+		}
+	}
+	return hits
 }
 
 // recordFusedPass reports x's last gather as one fused batch pass: its
@@ -278,15 +255,6 @@ func bitparToCore(raw []bitpar.Hit) []core.Hit {
 	hits := make([]core.Hit, len(raw))
 	for i, h := range raw {
 		hits[i] = core.Hit(h)
-	}
-	return hits
-}
-
-// coreToBitpar converts scalar-engine hits to the kernel's hit type.
-func coreToBitpar(raw []core.Hit) []bitpar.Hit {
-	hits := make([]bitpar.Hit, len(raw))
-	for i, h := range raw {
-		hits[i] = bitpar.Hit(h)
 	}
 	return hits
 }

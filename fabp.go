@@ -138,6 +138,17 @@ type Reference struct {
 	// hash once per Reference object, and only when caching is on.
 	digestOnce sync.Once
 	digest     [sha256.Size]byte
+	// pp memoizes the bit-planes the reference's scans read, packed by the
+	// first scan; they live and die with the Reference.
+	planesOnce sync.Once
+	pp         *bitpar.Planes
+}
+
+// planes returns the reference's bit-planes, packing them on first use
+// (concurrent first scans pack once).
+func (r *Reference) planes() *bitpar.Planes {
+	r.planesOnce.Do(func() { r.pp = bitpar.PackReference(r.seq) })
+	return r.pp
 }
 
 // contentDigest returns the reference's SHA-256 content digest,
@@ -349,9 +360,9 @@ func WithParallelism(p int) AlignerOption {
 
 // WithTelemetry directs the aligner's metrics to a private collector
 // (see NewMetrics) instead of the process-wide DefaultMetrics. The shared
-// shard pool and plane cache remain process-wide reporters; an aligner
-// that also sets WithParallelism gets a private pool whose pool.* metrics
-// follow the private collector.
+// shard pool remains a process-wide reporter; an aligner that also sets
+// WithParallelism gets a private pool whose pool.* metrics follow the
+// private collector.
 func WithTelemetry(m *Metrics) AlignerOption {
 	return func(c *alignerConfig) {
 		if m == nil {

@@ -36,6 +36,15 @@ func assertHitsEqual(t *testing.T, label string, want, got []Hit) {
 	}
 }
 
+// coreHits converts the scalar engine's hits to the public type.
+func coreHits(raw []core.Hit) []Hit {
+	hits := make([]Hit, len(raw))
+	for i, h := range raw {
+		hits[i] = Hit(h)
+	}
+	return hits
+}
+
 // recordHitsAsHits maps a one-record database's hits back to reference
 // positions.
 func recordHitsAsHits(rh []RecordHit) []Hit {
@@ -46,13 +55,16 @@ func recordHitsAsHits(rh []RecordHit) []Hit {
 	return got
 }
 
-// checkAlignConformance is the differential oracle: the scalar whole-
-// reference scan defines the truth, and every other execution strategy —
-// bit-parallel kernel, KernelAuto through every entrypoint that takes it
-// or has no kernel option, sharded database scans under both kernels, and
-// the chunked stream scan at chunk sizes straddling the L_q-element carry
-// boundary — must reproduce it hit for hit, in order. References shorter
-// than the query must yield no hits anywhere.
+// checkAlignConformance is the differential oracle: the scalar engine's
+// whole-reference scan of the parsed letters defines the truth, and every
+// execution strategy — both kernels and KernelAuto through every
+// entrypoint that takes a kernel or has no kernel option, sharded database
+// scans under both kernels, and the chunked stream scan at chunk sizes
+// straddling the L_q-element carry boundary — must reproduce it hit for
+// hit, in order. Every one of them reads the target's bit-planes, the
+// explicit-scalar arms included, so the truth never does: a packing bug
+// cannot agree with itself. References shorter than the query must yield
+// no hits anywhere.
 func checkAlignConformance(t *testing.T, protein, refStr string, thr int) {
 	t.Helper()
 	q, err := NewQuery(protein)
@@ -63,9 +75,14 @@ func checkAlignConformance(t *testing.T, protein, refStr string, thr int) {
 	if err != nil {
 		t.Skip(err)
 	}
-	scalar := mustConformAligner(t, q, WithKernelType(KernelScalar), WithThreshold(thr))
-	want := scalar.Align(ref)
+	eng, err := core.NewEngine(q.program, thr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := coreHits(eng.Align(ref.seq))
 
+	scalar := mustConformAligner(t, q, WithKernelType(KernelScalar), WithThreshold(thr))
+	assertHitsEqual(t, "scalar Align", want, scalar.Align(ref))
 	bitp := mustConformAligner(t, q, WithKernelType(KernelBitParallel), WithThreshold(thr))
 	assertHitsEqual(t, "bitparallel Align", want, bitp.Align(ref))
 
@@ -88,9 +105,12 @@ func checkAlignConformance(t *testing.T, protein, refStr string, thr int) {
 		}
 		assertHitsEqual(t, "Scan/"+a.Kernel().String(), want, res.Hits)
 	}
-	wantBest, wantOK := scalar.Best(ref)
-	if best, ok := auto.Best(ref); best != wantBest || ok != wantOK {
-		t.Fatalf("auto Best = %+v, %v; scalar %+v, %v", best, ok, wantBest, wantOK)
+	wb, wantOK := eng.BestHit(ref.seq)
+	wantBest := Hit(wb)
+	for _, a := range []*Aligner{scalar, auto} {
+		if best, ok := a.Best(ref); best != wantBest || ok != wantOK {
+			t.Fatalf("%s Best = %+v, %v; engine %+v, %v", a.Kernel(), best, ok, wantBest, wantOK)
+		}
 	}
 
 	// The batch and Session entrypoints have no kernel option: one-query
@@ -174,8 +194,10 @@ func checkAlignConformance(t *testing.T, protein, refStr string, thr int) {
 	}
 }
 
-// checkBatchConformance is the batch arm of the differential oracle: the
-// scalar batch engine defines the truth, and the fused batch kernel —
+// checkBatchConformance is the batch arm of the differential oracle: one
+// scalar engine per query over the parsed letters, at the threshold
+// derived from the fraction on its own, defines the truth, and the fused
+// batch kernel —
 // whole-scan and under shard sizes straddling the longest query's carry
 // overlap — the Scan{Queries} request over a reference and a database,
 // and the fused batch stream must reproduce it per query, hit for hit, in
@@ -208,17 +230,18 @@ func checkBatchConformance(t *testing.T, proteins []string, refStr string, frac 
 		progs[i] = q.program
 	}
 
-	// Scalar truth: one batch engine over the whole reference.
-	oracle, err := core.NewBatchUniform(progs, frac)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Scalar truth: one engine per query over the whole reference.
 	want := make([][]Hit, len(queries))
-	for i, hits := range oracle.Align(ref.seq) {
-		want[i] = make([]Hit, len(hits))
-		for j, h := range hits {
-			want[i][j] = Hit{Pos: h.Pos, Score: h.Score}
+	for i, prog := range progs {
+		thr, err := core.ThresholdFromFraction(frac, len(prog))
+		if err != nil {
+			t.Fatal(err)
 		}
+		eng, err := core.NewEngine(prog, thr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = coreHits(eng.Align(ref.seq))
 	}
 
 	assertBatch := func(label string, got [][]Hit) {
@@ -242,7 +265,7 @@ func checkBatchConformance(t *testing.T, proteins []string, refStr string, frac 
 	shardLens := []int{0, 64, 128, (maxElems + 63) &^ 63, (maxElems + 127) &^ 63}
 	for _, shardLen := range shardLens {
 		x := (&executor{bk: bk, shardLen: shardLen, pool: sched.Shared(), tm: &defaultAlignerTM}).ready(RetryPolicy{})
-		raw, _, err := x.run(context.Background(), ref.target())
+		raw, _, err := x.run(context.Background(), ref.planes(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

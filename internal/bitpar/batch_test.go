@@ -51,7 +51,7 @@ func TestBatchKernelMatchesPerQuery(t *testing.T) {
 		}
 		refLen := 3 + rng.Intn(400)
 		ref := bio.RandomNucSeq(rng, refLen)
-		ctxs := core.Contexts(ref)
+		ctxs := core.AppendContexts(nil, ref)
 		pp := PackReference(ref)
 
 		bk, err := NewBatchKernel(progs, thresholds)
@@ -127,7 +127,7 @@ func TestBatchKernelShortReference(t *testing.T) {
 	if len(got[1]) != 0 {
 		t.Errorf("query longer than reference got %d hits, want 0", len(got[1]))
 	}
-	sameHits(t, "short query", got[0], goldenHits(t, short, 0, core.Contexts(ref), 0, len(ref)))
+	sameHits(t, "short query", got[0], goldenHits(t, short, 0, core.AppendContexts(nil, ref), 0, len(ref)))
 }
 
 // BenchmarkBatchVsPerQuery measures the fused win the batch kernel exists
@@ -231,7 +231,7 @@ func TestFusedScanMatchesEngine(t *testing.T) {
 		L := len(prog)
 		ref := bio.RandomNucSeq(rng, L+rng.Intn(400))
 		plantGenes(rng, ref, p, 2)
-		ctxs := core.Contexts(ref)
+		ctxs := core.AppendContexts(nil, ref)
 		pp := PackReference(ref)
 		starts := len(ref) - L + 1
 		lo := rng.Intn(starts)
@@ -298,7 +298,7 @@ func TestFusedScanStagingIsolation(t *testing.T) {
 	for _, pos := range []int{5, 64*4 + 17, 64*8 + 63} {
 		copy(ref[pos:], bio.EncodeGene(rng, p))
 	}
-	ctxs := core.Contexts(ref)
+	ctxs := core.AppendContexts(nil, ref)
 	pp := PackReference(ref)
 	short := isa.MustEncodeProtein(bio.RandomProtSeq(rng, 3))
 	long := isa.MustEncodeProtein(bio.RandomProtSeq(rng, 150))

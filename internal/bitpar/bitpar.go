@@ -173,12 +173,13 @@ func (pp *Planes) SizeBytes() int64 {
 	return int64(len(pp.p.b0)+len(pp.p.b1)) * 8
 }
 
-// AppendLetters appends the packed nucleotides to dst and returns it — the
-// letter view through which the scalar engine reads a packed stream chunk.
-func (pp *Planes) AppendLetters(dst bio.NucSeq) bio.NucSeq {
+// AppendLetters appends the packed nucleotides [lo, hi) to dst and returns
+// it — the letter view through which the scalar engine reads one shard of
+// a packed target.
+func (pp *Planes) AppendLetters(dst bio.NucSeq, lo, hi int) bio.NucSeq {
 	p := pp.p
-	dst = slices.Grow(dst, p.n)
-	for j := 0; j < p.n; j++ {
+	dst = slices.Grow(dst, hi-lo)
+	for j := lo; j < hi; j++ {
 		w, s := 1+j>>6, uint(j&63)
 		dst = append(dst, bio.Nucleotide(p.b0[w]>>s&1|(p.b1[w]>>s&1)<<1))
 	}

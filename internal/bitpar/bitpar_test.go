@@ -264,3 +264,69 @@ func BenchmarkKernelK1(b *testing.B) {
 		})
 	}
 }
+
+// TestAlignPlanesRangeMatchesFull: shard-range scans concatenated in order
+// must reproduce the full scan exactly, for ragged and aligned boundaries.
+func TestAlignPlanesRangeMatchesFull(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 20; trial++ {
+		p := bio.RandomProtSeq(rng, 2+rng.Intn(15))
+		prog := isa.MustEncodeProtein(p)
+		ref := bio.RandomNucSeq(rng, len(prog)+rng.Intn(3000))
+		k, err := NewKernel(prog, rng.Intn(len(prog)+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		planes := PackReference(ref)
+		full := k.AlignPlanes(planes)
+		n := len(ref) - len(prog) + 1
+
+		// 64-aligned shards.
+		var sharded []Hit
+		for lo := 0; lo < n; lo += 128 {
+			hi := lo + 128
+			if hi > n {
+				hi = n
+			}
+			sharded = append(sharded, k.AlignPlanesRange(planes, lo, hi)...)
+		}
+		assertSameHits(t, trial, full, sharded)
+
+		// Ragged (unaligned) split point: trimming must still be exact.
+		cut := rng.Intn(n + 1)
+		ragged := append(k.AlignPlanesRange(planes, 0, cut),
+			k.AlignPlanesRange(planes, cut, n)...)
+		assertSameHits(t, trial, full, ragged)
+
+		// Out-of-range requests are clamped, not panics.
+		assertSameHits(t, trial, k.AlignPlanesRange(planes, 0, 3), k.AlignPlanesRange(planes, -5, 3))
+		if got := k.AlignPlanesRange(planes, n+100, n+200); got != nil {
+			t.Fatalf("trial %d: beyond-end range returned %v", trial, got)
+		}
+	}
+}
+
+func TestAlignRangeMatchesAlign(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	p := bio.RandomProtSeq(rng, 6)
+	prog := isa.MustEncodeProtein(p)
+	ref := bio.RandomNucSeq(rng, 700)
+	k, _ := NewKernel(prog, len(prog)/3)
+	n := len(ref) - len(prog) + 1
+	full := k.Align(ref)
+	pp := &Planes{p: packPlanes(ref)}
+	got := append(k.AlignPlanesRange(pp, 0, 100), k.AlignPlanesRange(pp, 100, n)...)
+	assertSameHits(t, 0, full, got)
+}
+
+func assertSameHits(t *testing.T, trial int, want, got []Hit) {
+	t.Helper()
+	if len(want) != len(got) {
+		t.Fatalf("trial %d: %d hits vs %d", trial, len(got), len(want))
+	}
+	for i := range want {
+		if want[i] != got[i] {
+			t.Fatalf("trial %d hit %d: %+v vs %+v", trial, i, got[i], want[i])
+		}
+	}
+}

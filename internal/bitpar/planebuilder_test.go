@@ -27,9 +27,14 @@ func assertPlanesEqual(t *testing.T, label string, got *Planes, want bio.NucSeq)
 				label, w, p.b0[w], p.b1[w], ref.b0[w], ref.b1[w])
 		}
 	}
-	// The letter view reads the same planes back as the packed sequence.
-	if letters := got.AppendLetters(nil); letters.String() != want.String() {
-		t.Fatalf("%s: letter view differs from the packed sequence", label)
+	// The letter view reads the same planes back as the packed sequence,
+	// whole and over ranges that start and end inside and across words.
+	n := len(want)
+	for _, r := range [][2]int{{0, n}, {n / 3, n / 3}, {n / 3, n - n/5}, {n - min(n, 65), n}} {
+		letters := got.AppendLetters(nil, r[0], r[1])
+		if letters.String() != want[r[0]:r[1]].String() {
+			t.Fatalf("%s: letter view [%d, %d) differs from the packed sequence", label, r[0], r[1])
+		}
 	}
 }
 

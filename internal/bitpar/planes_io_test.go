@@ -81,65 +81,3 @@ func TestPlanesEqual(t *testing.T) {
 		t.Error("nil must equal nil")
 	}
 }
-
-func TestPlaneCacheInstall(t *testing.T) {
-	c := NewPlaneCache(4)
-	rng := rand.New(rand.NewSource(10))
-	ref := bio.RandomNucSeq(rng, 500)
-	pp := PackReference(ref)
-
-	if c.Install("k", nil) {
-		t.Error("nil planes must not install")
-	}
-	if c.Contains("k") {
-		t.Error("failed install must not create an entry")
-	}
-	if !c.Install("k", pp) {
-		t.Error("first install must succeed")
-	}
-	if !c.Contains("k") {
-		t.Error("installed key must be resident")
-	}
-	// A later Get must reuse the installed planes without packing.
-	got := c.Get("k", func() *Planes {
-		t.Fatal("Get after Install must not pack")
-		return nil
-	})
-	if got != pp {
-		t.Error("Get returned different planes than installed")
-	}
-	// Existing entries win: a second install is a no-op.
-	other := PackReference(ref)
-	if c.Install("k", other) {
-		t.Error("install over resident entry must report false")
-	}
-	if c.Get("k", func() *Planes { return nil }) != pp {
-		t.Error("second install replaced resident planes")
-	}
-	s := c.Stats()
-	if s.Installs != 1 {
-		t.Errorf("installs stat %d, want 1", s.Installs)
-	}
-	if s.Hits != 2 || s.Misses != 0 {
-		t.Errorf("stats %d/%d, want 2 hits 0 misses", s.Hits, s.Misses)
-	}
-	c.ResetStats()
-	if s := c.Stats(); s.Installs != 0 {
-		t.Error("ResetStats must zero installs")
-	}
-}
-
-func TestPlaneCacheInstallEvicts(t *testing.T) {
-	c := NewPlaneCache(1)
-	rng := rand.New(rand.NewSource(11))
-	a := PackReference(bio.RandomNucSeq(rng, 100))
-	b := PackReference(bio.RandomNucSeq(rng, 100))
-	c.Install("a", a)
-	c.Install("b", b)
-	if c.Len() != 1 {
-		t.Fatalf("capacity-1 cache holds %d entries", c.Len())
-	}
-	if c.Contains("a") || !c.Contains("b") {
-		t.Error("install must evict LRU, keeping the newcomer")
-	}
-}

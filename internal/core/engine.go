@@ -99,14 +99,9 @@ func (e *Engine) Align(ref bio.NucSeq) []Hit {
 	return e.alignRange(contexts(ref), 0, n)
 }
 
-// Contexts precomputes the per-position comparison contexts of a
-// reference for repeated AlignContexts calls — the shared read-only input
-// a shard scheduler fans scan ranges over.
-func Contexts(ref bio.NucSeq) []uint8 { return contexts(ref) }
-
-// AppendContexts appends the contexts of ref to dst and returns it —
-// Contexts into a buffer the caller reuses, as a stream scan does for
-// every chunk.
+// AppendContexts appends the per-position comparison contexts of ref to
+// dst and returns it — the input of AlignContexts, built into a buffer the
+// caller reuses, as a scalar shard does for every piece of its range.
 func AppendContexts(dst []uint8, ref bio.NucSeq) []uint8 {
 	dst = slices.Grow(dst, len(ref))
 	var ctx uint8
@@ -118,8 +113,9 @@ func AppendContexts(dst []uint8, ref bio.NucSeq) []uint8 {
 }
 
 // AlignContexts scores the windows starting in [lo, hi) over a shared
-// context array (see Contexts), in position order. Out-of-range bounds are
-// clamped. Concatenating adjacent ranges reproduces Align exactly.
+// context array (see AppendContexts), in position order. Out-of-range
+// bounds are clamped. Concatenating adjacent ranges reproduces Align
+// exactly.
 func (e *Engine) AlignContexts(ctxs []uint8, lo, hi int) []Hit {
 	n := len(ctxs) - len(e.prog) + 1
 	if hi > n {

@@ -109,7 +109,7 @@ func (d *Database) Packed() *bio.PackedNucSeq { return d.packed }
 // Digest returns the SHA-256 content digest of the packed payload (length
 // plus words). Two databases with identical concatenated sequences share
 // a digest regardless of how they were built or loaded — it is the
-// identity the shared plane cache keys on.
+// identity the scan-result cache keys on.
 func (d *Database) Digest() Digest { return d.digest }
 
 // EnsurePlanes returns the database's packed bit-planes: the planes
@@ -122,6 +122,14 @@ func (d *Database) EnsurePlanes() *bitpar.Planes {
 		d.planes = bitpar.PackReference(d.packed.Unpack())
 	}
 	return d.planes
+}
+
+// PlanesResident reports whether the database holds its bit-planes now
+// (persisted or packed), so the next scan packs nothing.
+func (d *Database) PlanesResident() bool {
+	d.planesMu.Lock()
+	defer d.planesMu.Unlock()
+	return d.planes != nil
 }
 
 // PersistedPlanes returns the bit-planes carried by the file this
@@ -138,7 +146,7 @@ func (d *Database) PersistedPlanes() *bitpar.Planes {
 
 // DropPlanes discards the memoized bit-planes (persisted or packed), so
 // the next EnsurePlanes packs from scratch — the cold-start control for
-// benchmarks and cache-pressure tests. The plane section error, which
+// benchmarks and eviction tests. The plane section error, which
 // describes the file rather than the memoization, survives.
 func (d *Database) DropPlanes() {
 	d.planesMu.Lock()

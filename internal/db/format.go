@@ -520,7 +520,7 @@ func readV2(br *bufio.Reader) (*Database, FileInfo, error) {
 	}
 	payloadBytes := sr.n + 4
 
-	// Content digest binds header to payload (and keys the plane cache);
+	// Content digest binds header to payload (and keys the result cache);
 	// a mismatch means the file lies about what it holds.
 	computed := computeDigest(int(total), words)
 	if computed != declared {

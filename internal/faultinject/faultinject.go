@@ -51,9 +51,9 @@ const (
 	// SiteDBSection fires at the start of every database file load
 	// (internal/db.Read / Inspect): the transient DB read error point.
 	SiteDBSection = "db.section.load"
-	// SiteCacheEvict fires on plane-cache lookups (bitpar.PlaneCache.Get)
-	// and evicts the requested entry first — a deterministic eviction
-	// storm forcing the scan to repack.
+	// SiteCacheEvict fires every time a scan fetches a database's
+	// bit-planes and drops them first — a deterministic eviction storm
+	// forcing the scan to repack.
 	SiteCacheEvict = "bitpar.cache.evict"
 )
 

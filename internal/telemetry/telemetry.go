@@ -1,6 +1,6 @@
 // Package telemetry is the measurement substrate of the FabP pipeline: a
 // lock-cheap registry of named counters, gauges and fixed-bucket latency
-// histograms that the aligner, the shard scheduler, the plane cache and
+// histograms that the aligner, the shard scheduler, the result cache and
 // the chunked stream scanner write into while they run — the software
 // rendering of the per-stage throughput/utilization counters FPGA designs
 // expose beside each pipeline stage.

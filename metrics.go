@@ -6,14 +6,13 @@ import (
 	"errors"
 	"time"
 
-	"fabp/internal/bitpar"
 	"fabp/internal/telemetry"
 )
 
 // Metrics is a handle on a telemetry registry — the instrument panel of
 // the alignment pipeline. Aligners report into the process-wide
 // DefaultMetrics unless NewAligner was given a private collector with
-// WithTelemetry; the shared shard pool and the shared plane cache always
+// WithTelemetry; the shared shard pool and the scan-result cache always
 // report process-wide (they are process-wide resources).
 //
 // Counter names (see README "Observability" for the full catalogue):
@@ -26,22 +25,19 @@ import (
 //	align.deadline.exceeded  scans aborted by a context deadline
 //	scan.shards.planned      shards the scheduler tiled
 //	scan.shards.run          shards that executed (== planned when quiet)
-//	scan.plane.lookups       packed-plane cache lookups issued by scans
 //	stream.chunks.processed  chunks (beats) scanned by AlignStream / AlignBatchStream
 //	stream.carry.restarts    chunk-boundary carries of the streaming scan
 //	stream.planes.packed_words plane words packed by the streaming packer
 //	batch.queries            queries scanned through the fused batch path
 //	batch.fused_passes       fused tile passes (each replacing K per-query passes)
 //	batch.plane_bytes_saved  plane bytes NOT re-read thanks to fusion: (K−1)×planes
-//	db.load.planes_reused    LoadDatabase calls resolved warm (persisted or resident planes)
-//	db.load.planes_packed    LoadDatabase calls whose scans must pack in-process
+//	db.load.planes_reused    LoadDatabase calls resolved warm (persisted planes)
+//	db.load.planes_packed    LoadDatabase calls whose first scan must pack in-process
 //	scan.retries             shard/chunk attempts re-run under a RetryPolicy
 //	scan.hedged              hedged duplicate shards launched for stragglers
 //	scan.partial             scans that completed degraded (WithPartialResults, AlignBothStrands)
 //	faultinject.fired        fault-injection rules that fired (process-wide)
 //	pool.tasks.*             worker-pool counters/gauges (process-wide pool)
-//	cache.*                  plane-cache stats, merged from the shared cache
-//	                         (cache.installs counts entries seeded from files)
 //	rcache.*                 scan-result cache stats, merged from the shared
 //	                         cache (rcache.collapsed counts requests that
 //	                         joined an in-flight identical scan;
@@ -106,18 +102,8 @@ type MetricsSnapshot struct {
 	Latencies map[string]LatencySnapshot `json:"latencies"`
 }
 
-// CacheHitRate returns cache.hits / (cache.hits + cache.misses), the
-// plane-cache efficiency (0 when the cache is untouched).
-func (s MetricsSnapshot) CacheHitRate() float64 {
-	h, m := s.Counters["cache.hits"], s.Counters["cache.misses"]
-	if h+m == 0 {
-		return 0
-	}
-	return float64(h) / float64(h+m)
-}
-
-// Snapshot captures every metric, merging the shared plane cache's stats
-// under cache.* (the cache is process-wide, so those numbers are global
+// Snapshot captures every metric, merging the scan-result cache's stats
+// under rcache.* (the cache is process-wide, so those numbers are global
 // even on a private collector).
 func (m *Metrics) Snapshot() MetricsSnapshot {
 	s := m.reg.Snapshot()
@@ -133,13 +119,6 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		}
 		out.Latencies[name] = ls
 	}
-	cs := bitpar.SharedPlanes().Stats()
-	out.Counters["cache.hits"] = cs.Hits
-	out.Counters["cache.misses"] = cs.Misses
-	out.Counters["cache.evictions"] = cs.Evictions
-	out.Counters["cache.installs"] = cs.Installs
-	out.Gauges["cache.entries"] = int64(cs.Entries)
-	out.Gauges["cache.resident.bytes"] = cs.ResidentBytes
 	rs := scanResults.Stats()
 	out.Counters["rcache.hits"] = rs.Hits
 	out.Counters["rcache.misses"] = rs.Misses
@@ -152,13 +131,11 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 	return out
 }
 
-// Reset zeroes the collector's metrics and the shared plane and
-// scan-result caches' cumulative counters (resident cache entries stay
-// resident). Metric identities survive, so concurrent scans keep
-// reporting.
+// Reset zeroes the collector's metrics and the scan-result cache's
+// cumulative counters (resident cache entries stay resident). Metric
+// identities survive, so concurrent scans keep reporting.
 func (m *Metrics) Reset() {
 	m.reg.Reset()
-	bitpar.SharedPlanes().ResetStats()
 	scanResults.ResetStats()
 }
 
@@ -182,7 +159,6 @@ type alignerMetrics struct {
 	queries, hits              *telemetry.Counter
 	kernelScalar, kernelBitpar *telemetry.Counter
 	shardsPlanned, shardsRun   *telemetry.Counter
-	planeLookups               *telemetry.Counter
 	chunks, carries            *telemetry.Counter
 	packWords                  *telemetry.Counter
 	canceled, deadline         *telemetry.Counter
@@ -204,7 +180,6 @@ func newAlignerMetrics(reg *telemetry.Registry) alignerMetrics {
 		kernelBitpar:  reg.Counter("align.kernel.bitparallel"),
 		shardsPlanned: reg.Counter("scan.shards.planned"),
 		shardsRun:     reg.Counter("scan.shards.run"),
-		planeLookups:  reg.Counter("scan.plane.lookups"),
 		chunks:        reg.Counter("stream.chunks.processed"),
 		carries:       reg.Counter("stream.carry.restarts"),
 		packWords:     reg.Counter("stream.planes.packed_words"),
@@ -256,9 +231,8 @@ func observeSince(h *telemetry.Histogram, t0 time.Time) { h.Observe(time.Since(t
 var defaultAlignerTM = newAlignerMetrics(telemetry.Default())
 
 // Warm-start accounting: how LoadDatabase calls resolved. A "reused" load
-// scans without any PackReference work (persisted planes installed, or
-// already resident from an earlier load of the same content); a "packed"
-// load pays one in-process packing before its first bit-parallel scan.
+// scans without any PackReference work (its file carried valid planes); a
+// "packed" load pays one in-process packing before its first scan.
 var (
 	dbLoadPlanesReused = telemetry.Default().Counter("db.load.planes_reused")
 	dbLoadPlanesPacked = telemetry.Default().Counter("db.load.planes_packed")

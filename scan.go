@@ -11,6 +11,7 @@ import (
 
 	"fabp/internal/bitpar"
 	"fabp/internal/core"
+	"fabp/internal/db"
 	"fabp/internal/isa"
 	"fabp/internal/resultcache"
 	"fabp/internal/sched"
@@ -563,13 +564,14 @@ func (p *scanPlan) cold(ctx context.Context) (*ScanResult, error) {
 // scan runs the plan over its in-memory target on x and shapes the answer:
 // top-level hits for a Query plan, PerQuery for a Queries plan.
 func (p *scanPlan) scan(ctx context.Context, x *executor) (*ScanResult, error) {
-	var t scanTarget
-	if p.req.Database != nil {
-		t = p.req.Database.target()
+	var hits [][]bitpar.Hit
+	var recs [][]db.RecordHit
+	var err error
+	if d := p.req.Database; d != nil {
+		hits, recs, err = x.run(ctx, d.planes(), d.d)
 	} else {
-		t = p.req.Reference.target()
+		hits, recs, err = x.run(ctx, p.req.Reference.planes(), nil)
 	}
-	hits, recs, err := x.run(ctx, t)
 	pe, degraded := err.(*PartialError)
 	if err != nil && !degraded {
 		return nil, err

@@ -43,22 +43,16 @@ type StrandHit struct {
 // strand counts on scan.partial. AlignContext reports such failures as
 // errors.
 func (a *Aligner) AlignBothStrands(ref *Reference) []StrandHit {
-	rc := bio.NucSeq(ref.seq).ReverseComplement()
-	rcTarget := scanTarget{
-		n:      len(rc),
-		planes: func(*alignerMetrics) *bitpar.Planes { return bitpar.PackReference(rc) },
-		seq:    func() bio.NucSeq { return rc },
-	}
 	m := a.query.Elements()
 	x := a.executor()
 	x.partial = true
 	var out []StrandHit
 	for _, strand := range []Strand{StrandForward, StrandReverse} {
-		t := ref.target()
+		pp := ref.planes()
 		if strand == StrandReverse {
-			t = rcTarget
+			pp = bitpar.PackReference(bio.NucSeq(ref.seq).ReverseComplement())
 		}
-		hits, _, _ := x.run(context.Background(), t)
+		hits, _, _ := x.run(context.Background(), pp, nil)
 		for _, qh := range hits { // the one query's hits
 			for _, h := range qh {
 				if strand == StrandReverse {

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"fabp/internal/bitpar"
 )
 
 // TestOptionValidationBoundaries pins the documented validation rules:
@@ -39,7 +41,7 @@ func TestOptionValidationBoundaries(t *testing.T) {
 // TestWithTelemetryPrivateCollector runs a sharded database scan on an
 // aligner with a private collector and checks that the books balance:
 // shards run == shards planned == pool tasks completed, hits counted
-// exactly, one plane lookup per scan matching the shared cache's delta,
+// exactly, one packing of the cold database for the whole sharded scan,
 // and nothing leaked into the process-wide collector.
 func TestWithTelemetryPrivateCollector(t *testing.T) {
 	ref, genes := SyntheticReference(11, 6000, 2, 20)
@@ -62,6 +64,7 @@ func TestWithTelemetryPrivateCollector(t *testing.T) {
 	}
 
 	d0 := DefaultMetrics().Snapshot()
+	packs := bitpar.PackCount()
 	hits := a.AlignDatabase(dbase)
 	if len(hits) == 0 {
 		t.Fatal("planted gene not found")
@@ -82,13 +85,8 @@ func TestWithTelemetryPrivateCollector(t *testing.T) {
 	if got := s.Counters["pool.tasks.completed"]; got != planned {
 		t.Errorf("pool completed %d tasks, want %d (one per shard)", got, planned)
 	}
-	if got := s.Counters["scan.plane.lookups"]; got != 1 {
-		t.Errorf("plane lookups %d, want 1", got)
-	}
-	cacheDelta := (d1.Counters["cache.hits"] + d1.Counters["cache.misses"]) -
-		(d0.Counters["cache.hits"] + d0.Counters["cache.misses"])
-	if cacheDelta != 1 {
-		t.Errorf("shared cache saw %d lookups, want 1", cacheDelta)
+	if got := bitpar.PackCount() - packs; got != 1 {
+		t.Errorf("the sharded scan of a cold database packed %d times, want 1", got)
 	}
 	if got := s.Counters["align.kernel.bitparallel"]; got != 1 {
 		t.Errorf("bitparallel dispatches %d, want 1", got)

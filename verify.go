@@ -45,7 +45,7 @@ func (a *Aligner) AlignVerified(ref *Reference, opts VerifyOptions) ([]VerifiedH
 	if opts.ContextResidues == 0 {
 		opts.ContextResidues = 10
 	}
-	scanned, _, err := a.executor().run(context.Background(), ref.target())
+	scanned, _, err := a.executor().run(context.Background(), ref.planes(), nil)
 	if err != nil {
 		return nil, err
 	}
