@@ -525,15 +525,16 @@ func (a *Aligner) EValueOf(score, refLen int) float64 {
 // threshold (ok=false when the reference is shorter than the query). It
 // dispatches through the same kernel rule as Align — the scalar engine
 // only under WithKernelType(KernelScalar), the bit-parallel best-hit scan
-// otherwise — and is instrumented like every other scan
-// (align.queries.started, align.latency, kernel counters).
+// over the reference's memoized planes otherwise — and is instrumented
+// like every other scan (align.queries.started, align.latency, kernel
+// counters).
 func (a *Aligner) Best(ref *Reference) (Hit, bool) {
 	a.tm.queries.Inc()
 	t0 := time.Now()
 	defer func() { observeSince(a.tm.alignLatency, t0) }()
 	a.tm.kernelChosen(a.useBitpar())
 	if a.useBitpar() {
-		h, ok := a.kernel.BestHit(ref.seq)
+		h, ok := a.kernel.BestHitPlanes(ref.planes())
 		return Hit{Pos: h.Pos, Score: h.Score}, ok
 	}
 	h, ok := a.engine().BestHit(ref.seq)

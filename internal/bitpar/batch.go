@@ -2,12 +2,12 @@
 // compiled queries scan one reference in a single pass over the
 // bit-planes (K = 1 for a single-query Kernel). The paper's architecture
 // is bandwidth-bound — the reference streams past a resident query — so
-// K separate plane traversals are the hot-path waste. The fused kernel
-// stages each plane word pair (c0, c1) once per 64-lane block, lazily and
-// only as far as a query with live lanes needs it, and runs every query
-// over the staged block, turning K passes of memory traffic into one (the
-// amortization streaming FPGA aligners get from batching queries against
-// a tile-resident reference).
+// K separate plane traversals are the hot-path waste. A query scanned
+// alone computes each element's window in registers from the two plane
+// words it straddles, as FabP wires each comparator to a fixed offset of
+// the beat. A fused batch stages each window once per 64-lane block,
+// lazily and only as far as a query with live lanes needs it, and every
+// query reads the shared copy, turning K passes into one.
 package bitpar
 
 import (
@@ -20,37 +20,43 @@ import (
 	"fabp/internal/isa"
 )
 
-// stageChunk is the lazy-staging granularity in elements: a query that
-// reaches element i of a block first stages the plane words up to the end
-// of i's 32-element chunk (unless a batch-mate already did).
+// stageChunk is the window granularity in query positions: a chunk lies
+// within two plane words (32 divides 64), and in a fused batch the query
+// that first reaches position i of a block stages the windows up to the
+// end of i's chunk (unless a batch-mate already did).
 const stageChunk = 32
 
 // batchQuery is one query's compiled state inside a BatchKernel.
 //
 // The fused kernel scores by *mismatch budget* rather than full-width
 // score counting: a lane is a hit iff its mismatch count stays within
-// budget = len(elems) − threshold, so the vertical counters only need to
-// count to the budget (ctrW bits) instead of to the full score. That
-// narrows the carry chain enough to keep every counter plane in a
-// register, and a lane whose counter overflows is dead for good (the
-// sticky plane) — once all 64 lanes of a block are dead the query's
-// remaining elements are skipped, and their plane words are never staged.
-// Surviving lanes' scores stay exact: score = len(elems) − mismatches.
+// budget = n − threshold, so the vertical counters only need to count to
+// the budget (ctrW bits) instead of to the full score. That narrows the
+// carry chain enough to keep every counter plane in a register, and a lane
+// whose counter overflows is dead for good (the sticky plane) — once all
+// 64 lanes of a block are dead the query's remaining elements are skipped,
+// and their windows are never read. Surviving lanes' scores stay exact:
+// score = n − mismatches.
 type batchQuery struct {
-	elems []fusedElem
-	// deps holds the S=1 mux masks of the elements with a dependent bit,
-	// indexed by fusedElem.alt; most elements have none.
-	deps      []muxMasks
+	// n is the query length in elements.
+	n int
+	// elems are the elements without a dependent bit, in query order;
+	// chunk c of them is elems[chunks[c]:chunks[c+1]].
+	elems  []fusedElem
+	chunks []int
+	// deps are the elements with a dependent bit (the third nucleotide of
+	// Leu, Arg and stop), added after the register walk (see scanDeps).
+	deps      []depElem
 	threshold int
-	// budget is the mismatch allowance: len(elems) − threshold.
+	// budget is the mismatch allowance: n − threshold.
 	budget int
-	// ctrW is the counter width in bit-planes: the smallest width whose
-	// capacity 2^ctrW exceeds the budget (0 for exact-match queries, whose
-	// sticky plane alone decides).
+	// ctrW is the counter width in bit-planes: the smallest width of at
+	// least 2 whose capacity 2^ctrW exceeds the budget.
 	ctrW int
-	// satAll marks budget+1 == 2^ctrW: within-width counts can never
-	// exceed the budget, so hit extraction reduces to ^sticky.
-	satAll bool
+	// bias is every counter's starting value, 2^ctrW − 1 − budget: a
+	// counter overflows into the sticky plane exactly when its lane's
+	// mismatches exceed the budget, so the sticky plane alone decides hits.
+	bias int
 	// ctrOff is the query's offset into the flat vertical-counter scratch.
 	ctrOff int
 }
@@ -63,18 +69,24 @@ type batchQuery struct {
 //	hi = g ^ (w0 & gu)        // w0 ? u : g   (gu = g^u)
 //	m  = lo ^ (w1 & (lo^hi))  // w1 ? hi : lo
 //
-// — seven branchless ops over the block's staged words.
+// — seven branchless ops over one window's plane words.
 type muxMasks struct {
 	a, ac, g, gu uint64
 }
 
-// fusedElem is one query element in fused mux form: the S=0 accept
-// function inline and, for a dependent element, the index of its S=1
-// function in batchQuery.deps (40 bytes instead of carrying both sets).
+// fusedElem is one element without a dependent bit: its accept function
+// in mux form and its position in the query.
 type fusedElem struct {
 	muxMasks
+	pos int
+}
+
+// depElem is one element with a dependent bit: its S=0 element, its S=1
+// accept function and the earlier-reference bit-plane that supplies S.
+type depElem struct {
+	fusedElem
+	s1  muxMasks
 	dep backtrans.DepSource
-	alt uint32
 }
 
 // expandMux turns a 4-bit accept truth table into the mux-form word masks.
@@ -86,7 +98,7 @@ func expandMux(mask uint8) muxMasks {
 	return muxMasks{a: a, ac: a ^ c, g: g, gu: g ^ u}
 }
 
-// match evaluates the mux form over one staged word pair.
+// match evaluates the mux form over one window's plane words.
 func (m *muxMasks) match(w0, w1 uint64) uint64 {
 	lo := m.a ^ (w0 & m.ac)
 	hi := m.g ^ (w0 & m.gu)
@@ -104,10 +116,9 @@ type BatchKernel struct {
 }
 
 // batchScratch is one scan call's reusable state, pooled process-wide and
-// sized for the kernel on Get. w0s/w1s hold the block's staged plane
-// words, offset by two so steps −2 and −1 (the dependent-bit context
-// before the block) sit at indexes 0 and 1; staged counts the elements
-// staged so far for the block at p0.
+// sized for the kernel on Get. A fused batch (K > 1) stages the windows of
+// the block at p0 in w0s/w1s, and staged counts the positions staged so
+// far; a query scanned alone leaves both empty.
 type batchScratch struct {
 	p        *planes
 	p0       int
@@ -135,7 +146,10 @@ type Scratch struct{ s batchScratch }
 // (alignPlanesRange drains them before returning).
 func (bk *BatchKernel) size(s *batchScratch, p *planes) {
 	s.p = p
-	m, k := bk.maxElems+2, len(bk.queries)
+	m, k := bk.maxElems, len(bk.queries)
+	if k == 1 {
+		m = 0 // a lone query stages nothing
+	}
 	n := 2*m + bk.ctrWords + k
 	s.words = slices.Grow(s.words[:0], n)[:n]
 	s.w0s, s.w1s = s.words[:m:m], s.words[m:2*m:2*m]
@@ -156,17 +170,20 @@ func validate(prog isa.Program, threshold int) error {
 
 // compileQuery compiles a validated program into fused elements.
 func compileQuery(prog isa.Program) batchQuery {
-	q := batchQuery{elems: make([]fusedElem, len(prog))}
+	q := batchQuery{n: len(prog), elems: make([]fusedElem, 0, len(prog))}
 	for j, ins := range prog {
+		if j%stageChunk == 0 {
+			q.chunks = append(q.chunks, len(q.elems))
+		}
 		c := compile(ins)
-		f := &q.elems[j]
-		f.muxMasks = expandMux(c.mask0)
+		e := fusedElem{expandMux(c.mask0), j}
 		if c.mask0 != c.mask1 {
-			f.dep = c.dep
-			f.alt = uint32(len(q.deps))
-			q.deps = append(q.deps, expandMux(c.mask1))
+			q.deps = append(q.deps, depElem{e, expandMux(c.mask1), c.dep})
+		} else {
+			q.elems = append(q.elems, e)
 		}
 	}
+	q.chunks = append(q.chunks, len(q.elems))
 	return q
 }
 
@@ -174,11 +191,15 @@ func compileQuery(prog isa.Program) batchQuery {
 // implies.
 func (q batchQuery) withThreshold(threshold int) batchQuery {
 	q.threshold = threshold
-	q.budget = len(q.elems) - threshold
-	q.ctrW = bits.Len(uint(q.budget))
-	q.satAll = q.budget+1 == 1<<q.ctrW
+	q.budget = q.n - threshold
+	q.ctrW = max(bits.Len(uint(q.budget)), 2)
+	q.bias = 1<<q.ctrW - 1 - q.budget
 	return q
 }
+
+// ctr0 is counter plane b's starting value: bit b of the bias in every
+// lane.
+func (q *batchQuery) ctr0(b int) uint64 { return -(uint64(q.bias) >> b & 1) }
 
 // newBatchKernel lays out compiled queries: counter offsets and the
 // longest/shortest query lengths.
@@ -188,9 +209,9 @@ func newBatchKernel(queries []batchQuery) *BatchKernel {
 		q := &bk.queries[i]
 		q.ctrOff = bk.ctrWords
 		bk.ctrWords += q.ctrW
-		bk.maxElems = max(bk.maxElems, len(q.elems))
-		if bk.minElems == 0 || len(q.elems) < bk.minElems {
-			bk.minElems = len(q.elems)
+		bk.maxElems = max(bk.maxElems, q.n)
+		if bk.minElems == 0 || q.n < bk.minElems {
+			bk.minElems = q.n
 		}
 	}
 	return bk
@@ -227,7 +248,7 @@ func (bk *BatchKernel) MaxElems() int { return bk.maxElems }
 func (bk *BatchKernel) MinElems() int { return bk.minElems }
 
 // QueryElems returns query qi's compiled length.
-func (bk *BatchKernel) QueryElems(qi int) int { return len(bk.queries[qi].elems) }
+func (bk *BatchKernel) QueryElems(qi int) int { return bk.queries[qi].n }
 
 // Threshold returns query qi's absolute hit threshold.
 func (bk *BatchKernel) Threshold(qi int) int { return bk.queries[qi].threshold }
@@ -296,20 +317,16 @@ func (bk *BatchKernel) alignPlanesRange(pp *Planes, lo, hi int, dst [][]Hit, s *
 // queryStarts is query q's valid window-start limit within a scan range
 // ending at hi.
 func (s *batchScratch) queryStarts(q *batchQuery, hi int) int {
-	return min(hi, s.p.n-len(q.elems)+1)
+	return min(hi, s.p.n-q.n+1)
 }
 
 // scanBlock runs every query over the 64-lane block at p0 with its
 // mismatch counter planes held in registers (specialized by counter
 // width), so the carry-save walk never touches memory; a query whose 64
-// lanes all overflow their budget stops early. Plane words are staged on
-// demand (see stage): each is fetched at most once per block and shared
-// by every query, and the dependent-bit selectors come for free (the word
-// at step i−1/i−2 is just an earlier staged entry).
+// lanes all overflow their budget stops early. Where the walk reads its
+// windows follows from K alone (see chunk).
 func (bk *BatchKernel) scanBlock(p0, hi int, s *batchScratch) {
 	s.p0, s.staged = p0, 0
-	s.w0s[0], s.w1s[0] = fetch(s.p.b0, p0-2), fetch(s.p.b1, p0-2)
-	s.w0s[1], s.w1s[1] = fetch(s.p.b0, p0-1), fetch(s.p.b1, p0-1)
 	for qi := range bk.queries {
 		q := &bk.queries[qi]
 		// A block lying wholly past a query's last valid start (or past
@@ -318,31 +335,35 @@ func (bk *BatchKernel) scanBlock(p0, hi int, s *batchScratch) {
 		if p0 >= s.queryStarts(q, hi) {
 			continue
 		}
-		ctr := s.counters[q.ctrOff:]
+		ctr, sticky := s.counters[q.ctrOff:q.ctrOff+q.ctrW], uint64(0)
 		switch q.ctrW {
-		case 0:
-			s.sticky[qi] = scanQ0(q, s)
-		case 1:
-			ctr[0], s.sticky[qi] = scanQ1(q, s)
 		case 2:
-			ctr[0], ctr[1], s.sticky[qi] = scanQ2(q, s)
+			ctr[0], ctr[1], sticky = scanQ2(q, s)
 		case 3:
-			ctr[0], ctr[1], ctr[2], s.sticky[qi] = scanQ3(q, s)
+			ctr[0], ctr[1], ctr[2], sticky = scanQ3(q, s)
 		case 4:
-			ctr[0], ctr[1], ctr[2], ctr[3], s.sticky[qi] = scanQ4(q, s)
+			ctr[0], ctr[1], ctr[2], ctr[3], sticky = scanQ4(q, s)
 		case 5:
-			ctr[0], ctr[1], ctr[2], ctr[3], ctr[4], s.sticky[qi] = scanQ5(q, s)
+			ctr[0], ctr[1], ctr[2], ctr[3], ctr[4], sticky = scanQ5(q, s)
 		case 6:
-			ctr[0], ctr[1], ctr[2], ctr[3], ctr[4], ctr[5], s.sticky[qi] = scanQ6(q, s)
+			ctr[0], ctr[1], ctr[2], ctr[3], ctr[4], ctr[5], sticky = scanQ6(q, s)
 		default:
-			s.sticky[qi] = scanQGen(q, s, ctr[:q.ctrW])
+			sticky = scanQGen(q, s, ctr)
 		}
+		s.sticky[qi] = s.scanDeps(q, ctr, sticky)
 	}
 }
 
-// stage extends the block's staged plane words to cover elements
-// [0, n). Only the block's live queries call it, so words past the point
-// where every query's lanes died are never fetched. Every staged window
+// window is the 64 plane bits starting sh bits into lo and running on
+// into hi. Both shift counts provably stay below 64, so the compiler emits
+// no oversize-shift guard; sh == 0 yields lo alone.
+func window(lo, hi uint64, sh uint) uint64 {
+	return lo>>sh | hi<<1<<(^sh&63)
+}
+
+// stage extends the fused block's staged windows to cover positions
+// [0, n). Only the block's live queries call it, so windows past the point
+// where every query's lanes died are never computed. Every staged window
 // lies inside the planes: a scanned query's lane 0 is a valid start, so
 // p0+n−1 < len(reference).
 func (s *batchScratch) stage(n int) {
@@ -350,103 +371,104 @@ func (s *batchScratch) stage(n int) {
 	for i := s.staged; i < n; i++ {
 		off := s.p0 + i + 64 // planes carry one front padding word
 		w, sh := off>>6, uint(off&63)
-		// A shift by 64 yields 0, so sh == 0 needs no branch.
-		s.w0s[2+i] = b0[w]>>sh | b0[w+1]<<(64-sh)
-		s.w1s[2+i] = b1[w]>>sh | b1[w+1]<<(64-sh)
+		s.w0s[i] = window(b0[w], b0[w+1], sh)
+		s.w1s[i] = window(b1[w], b1[w+1], sh)
 	}
 	s.staged = n
 }
 
-// chunk stages the words for query q's elements [base, base+stageChunk)
-// and returns those elements with their staged windows: element i's words
-// sit at w0a[i+2]/w1a[i+2], its dependent-bit selectors (steps i−1 and
-// i−2) at w1a[i+1], w1a[i] and w0a[i].
-func (s *batchScratch) chunk(q *batchQuery, base int) (elems []fusedElem, w0a, w1a []uint64) {
-	end := min(base+stageChunk, len(q.elems))
-	if s.staged < end {
+// windows is one query's window source for one chunk of the block. Alone
+// (K = 1) the query computes each window in registers from the two words
+// of each plane the chunk straddles, as FabP wires each comparator to a
+// fixed offset of the beat; in a fused batch it reads the windows staged
+// once for every query.
+type windows struct {
+	lo0, hi0, lo1, hi1 uint64   // K = 1: words w and w+1 of b0 and b1
+	w0s, w1s           []uint64 // K > 1: the block's staged windows
+}
+
+// chunk returns query q's elements in chunk c of the block and their
+// window source, staging a fused batch's windows up to the chunk's end. A
+// K = 1 chunk reads at most up to the planes' tail padding word: its first
+// position lies in the window of lane 0, a valid start.
+func (s *batchScratch) chunk(q *batchQuery, c int) ([]fusedElem, windows) {
+	elems := q.elems[q.chunks[c]:q.chunks[c+1]]
+	if len(s.w0s) == 0 {
+		w := s.p0>>6 + 1 + c*stageChunk>>6
+		b0, b1 := s.p.b0[w:w+2:w+2], s.p.b1[w:w+2:w+2]
+		return elems, windows{lo0: b0[0], hi0: b0[1], lo1: b1[0], hi1: b1[1]}
+	}
+	if end := min((c+1)*stageChunk, q.n); s.staged < end {
 		s.stage(end)
 	}
-	elems = q.elems[base:end]
-	n := len(elems) + 2
-	return elems, s.w0s[base:][:n:n], s.w1s[base:][:n:n]
+	return elems, windows{w0s: s.w0s, w1s: s.w1s}
 }
 
-// depMatch muxes a dependent element's S=1 match plane into m on the
-// selected earlier-reference bit-plane, exactly like the hardware's
-// multiplexer LUT.
-func depMatch(e *fusedElem, m uint64, deps []muxMasks, w0a, w1a []uint64, i int) uint64 {
-	m1 := deps[e.alt].match(w0a[i+2], w1a[i+2])
-	var sel uint64
-	switch e.dep {
-	case backtrans.DepPrev1Hi:
-		sel = w1a[i+1]
-	case backtrans.DepPrev2Hi:
-		sel = w1a[i]
-	case backtrans.DepPrev2Lo:
-		sel = w0a[i]
+// at returns the window of query position pos: the reference's b0 and b1
+// bits at window starts p0 … p0+63, offset by pos.
+func (c *windows) at(pos int) (w0, w1 uint64) {
+	if len(c.w0s) > 0 {
+		return c.w0s[pos], c.w1s[pos]
 	}
-	return m ^ sel&(m^m1) // lane-wise mux: sel ? m1 : m
+	sh := uint(pos) & 63
+	return window(c.lo0, c.hi0, sh), window(c.lo1, c.hi1, sh)
 }
 
-// The scanQ* family runs one query's elements over the staged block with
-// its mismatch counter planes in registers; each returns the final
-// counter planes and the sticky overflow mask. The bodies are unrolled
-// per counter width because Go keeps the named locals in registers only
-// when the carry-save chain is written out straight-line — the whole
-// point of the narrow budget counters. Widths 0–6 cover every budget up
-// to 63 mismatches.
-
-// scanQ0 is the exact-match (budget 0) scan: any mismatch kills the lane,
-// so the sticky plane alone accumulates.
-func scanQ0(q *batchQuery, s *batchScratch) (sticky uint64) {
-	for base := 0; base < len(q.elems); base += stageChunk {
-		elems, w0a, w1a := s.chunk(q, base)
-		for i := range elems {
-			e := &elems[i]
-			m := e.match(w0a[i+2], w1a[i+2])
-			if e.dep != backtrans.DepNone {
-				m = depMatch(e, m, q.deps, w0a, w1a, i)
-			}
-			sticky |= ^m
-			if sticky == ^uint64(0) {
-				return
-			}
+// scanDeps adds query q's dependent elements to the counter planes the
+// register walk left in ctr and returns the updated sticky mask. Counting
+// commutes, so adding them last is exact. Each element muxes its S=1
+// match plane into its S=0 one on the selected earlier-reference
+// bit-plane, exactly like the hardware's multiplexer LUT; being few, they
+// read their windows straight from the planes.
+func (s *batchScratch) scanDeps(q *batchQuery, ctr []uint64, sticky uint64) uint64 {
+	b0, b1 := s.p.b0, s.p.b1
+	for i := 0; i < len(q.deps) && sticky != ^uint64(0); i++ {
+		d := &q.deps[i]
+		at := s.p0 + d.pos
+		w0, w1 := fetch(b0, at), fetch(b1, at)
+		var sel uint64
+		switch d.dep {
+		case backtrans.DepPrev1Hi:
+			sel = fetch(b1, at-1)
+		case backtrans.DepPrev2Hi:
+			sel = fetch(b1, at-2)
+		case backtrans.DepPrev2Lo:
+			sel = fetch(b0, at-2)
 		}
+		m := d.match(w0, w1)
+		m ^= sel & (m ^ d.s1.match(w0, w1)) // lane-wise mux: sel ? m1 : m
+		sticky |= addMiss(ctr, ^m)
 	}
-	return
+	return sticky
 }
 
-func scanQ1(q *batchQuery, s *batchScratch) (c0, sticky uint64) {
-	for base := 0; base < len(q.elems); base += stageChunk {
-		elems, w0a, w1a := s.chunk(q, base)
-		for i := range elems {
-			e := &elems[i]
-			m := e.match(w0a[i+2], w1a[i+2])
-			if e.dep != backtrans.DepNone {
-				m = depMatch(e, m, q.deps, w0a, w1a, i)
-			}
-			miss := ^m
-			x := c0 & miss
-			c0 ^= miss
-			sticky |= x
-			if sticky == ^uint64(0) {
-				return
-			}
-		}
+// addMiss ripples a miss plane into counter planes held in memory and
+// returns the carry out of the top plane.
+func addMiss(ctr []uint64, carry uint64) uint64 {
+	for b := 0; b < len(ctr) && carry != 0; b++ {
+		old := ctr[b]
+		ctr[b] = old ^ carry
+		carry = old & carry
 	}
-	return
+	return carry
 }
+
+// The scanQ* family walks one query's elements over the block with its
+// mismatch counter planes in registers, starting from the bias; each
+// returns the final counter planes and the sticky overflow mask. Only the
+// counter chain is unrolled per width (the window source and the match
+// are shared), because Go keeps the named locals in registers only when
+// the carry-save chain is written out straight-line — the whole point of
+// the narrow budget counters. Widths 2–6 cover every budget up to 63
+// mismatches.
 
 func scanQ2(q *batchQuery, s *batchScratch) (c0, c1, sticky uint64) {
-	for base := 0; base < len(q.elems); base += stageChunk {
-		elems, w0a, w1a := s.chunk(q, base)
+	c0, c1 = q.ctr0(0), q.ctr0(1)
+	for c := range len(q.chunks) - 1 {
+		elems, win := s.chunk(q, c)
 		for i := range elems {
 			e := &elems[i]
-			m := e.match(w0a[i+2], w1a[i+2])
-			if e.dep != backtrans.DepNone {
-				m = depMatch(e, m, q.deps, w0a, w1a, i)
-			}
-			miss := ^m
+			miss := ^e.match(win.at(e.pos))
 			x := c0 & miss
 			c0 ^= miss
 			y := c1 & x
@@ -461,15 +483,12 @@ func scanQ2(q *batchQuery, s *batchScratch) (c0, c1, sticky uint64) {
 }
 
 func scanQ3(q *batchQuery, s *batchScratch) (c0, c1, c2, sticky uint64) {
-	for base := 0; base < len(q.elems); base += stageChunk {
-		elems, w0a, w1a := s.chunk(q, base)
+	c0, c1, c2 = q.ctr0(0), q.ctr0(1), q.ctr0(2)
+	for c := range len(q.chunks) - 1 {
+		elems, win := s.chunk(q, c)
 		for i := range elems {
 			e := &elems[i]
-			m := e.match(w0a[i+2], w1a[i+2])
-			if e.dep != backtrans.DepNone {
-				m = depMatch(e, m, q.deps, w0a, w1a, i)
-			}
-			miss := ^m
+			miss := ^e.match(win.at(e.pos))
 			x := c0 & miss
 			c0 ^= miss
 			y := c1 & x
@@ -486,15 +505,12 @@ func scanQ3(q *batchQuery, s *batchScratch) (c0, c1, c2, sticky uint64) {
 }
 
 func scanQ4(q *batchQuery, s *batchScratch) (c0, c1, c2, c3, sticky uint64) {
-	for base := 0; base < len(q.elems); base += stageChunk {
-		elems, w0a, w1a := s.chunk(q, base)
+	c0, c1, c2, c3 = q.ctr0(0), q.ctr0(1), q.ctr0(2), q.ctr0(3)
+	for c := range len(q.chunks) - 1 {
+		elems, win := s.chunk(q, c)
 		for i := range elems {
 			e := &elems[i]
-			m := e.match(w0a[i+2], w1a[i+2])
-			if e.dep != backtrans.DepNone {
-				m = depMatch(e, m, q.deps, w0a, w1a, i)
-			}
-			miss := ^m
+			miss := ^e.match(win.at(e.pos))
 			x := c0 & miss
 			c0 ^= miss
 			y := c1 & x
@@ -513,15 +529,12 @@ func scanQ4(q *batchQuery, s *batchScratch) (c0, c1, c2, c3, sticky uint64) {
 }
 
 func scanQ5(q *batchQuery, s *batchScratch) (c0, c1, c2, c3, c4, sticky uint64) {
-	for base := 0; base < len(q.elems); base += stageChunk {
-		elems, w0a, w1a := s.chunk(q, base)
+	c0, c1, c2, c3, c4 = q.ctr0(0), q.ctr0(1), q.ctr0(2), q.ctr0(3), q.ctr0(4)
+	for c := range len(q.chunks) - 1 {
+		elems, win := s.chunk(q, c)
 		for i := range elems {
 			e := &elems[i]
-			m := e.match(w0a[i+2], w1a[i+2])
-			if e.dep != backtrans.DepNone {
-				m = depMatch(e, m, q.deps, w0a, w1a, i)
-			}
-			miss := ^m
+			miss := ^e.match(win.at(e.pos))
 			x := c0 & miss
 			c0 ^= miss
 			y := c1 & x
@@ -542,15 +555,12 @@ func scanQ5(q *batchQuery, s *batchScratch) (c0, c1, c2, c3, c4, sticky uint64) 
 }
 
 func scanQ6(q *batchQuery, s *batchScratch) (c0, c1, c2, c3, c4, c5, sticky uint64) {
-	for base := 0; base < len(q.elems); base += stageChunk {
-		elems, w0a, w1a := s.chunk(q, base)
+	c0, c1, c2, c3, c4, c5 = q.ctr0(0), q.ctr0(1), q.ctr0(2), q.ctr0(3), q.ctr0(4), q.ctr0(5)
+	for c := range len(q.chunks) - 1 {
+		elems, win := s.chunk(q, c)
 		for i := range elems {
 			e := &elems[i]
-			m := e.match(w0a[i+2], w1a[i+2])
-			if e.dep != backtrans.DepNone {
-				m = depMatch(e, m, q.deps, w0a, w1a, i)
-			}
-			miss := ^m
+			miss := ^e.match(win.at(e.pos))
 			x := c0 & miss
 			c0 ^= miss
 			y := c1 & x
@@ -573,27 +583,18 @@ func scanQ6(q *batchQuery, s *batchScratch) (c0, c1, c2, c3, c4, c5, sticky uint
 }
 
 // scanQGen is the fallback for budgets of 64 mismatches or more (ctrW ≥
-// 7): the carry-save walk spills to the counter scratch, still over the
-// lazily staged block. Only low thresholds on long queries, and the
-// budget-L best-hit scan of queries over 63 elements, land here.
+// 7): the carry-save walk spills to the counter scratch. Only low
+// thresholds on long queries, and the budget-L best-hit scan of queries
+// over 63 elements, land here.
 func scanQGen(q *batchQuery, s *batchScratch, ctr []uint64) (sticky uint64) {
-	clear(ctr)
-	for base := 0; base < len(q.elems); base += stageChunk {
-		elems, w0a, w1a := s.chunk(q, base)
+	for b := range ctr {
+		ctr[b] = q.ctr0(b)
+	}
+	for c := range len(q.chunks) - 1 {
+		elems, win := s.chunk(q, c)
 		for i := range elems {
 			e := &elems[i]
-			m := e.match(w0a[i+2], w1a[i+2])
-			if e.dep != backtrans.DepNone {
-				m = depMatch(e, m, q.deps, w0a, w1a, i)
-			}
-			carry := ^m
-			for b := 0; b < len(ctr) && carry != 0; b++ {
-				old := ctr[b]
-				ctr[b] = old ^ carry
-				carry = old & carry
-			}
-			sticky |= carry
-			if sticky == ^uint64(0) {
+			if sticky |= addMiss(ctr, ^e.match(win.at(e.pos))); sticky == ^uint64(0) {
 				return
 			}
 		}
@@ -603,9 +604,9 @@ func scanQGen(q *batchQuery, s *batchScratch, ctr []uint64) (sticky uint64) {
 
 // extractBlock pulls each query's within-budget lanes out of the block at
 // p0, clamped to the scan range [lo, hi) and to the query's own valid
-// window starts. A lane is a hit iff it is not sticky-dead and its
-// mismatch count stays at or below the budget; its exact score is the
-// query length minus its mismatches.
+// window starts. A lane is a hit iff it is not sticky-dead (its mismatches
+// stayed within the budget); its exact score is the query length minus
+// its mismatches, the counter less the bias.
 func (bk *BatchKernel) extractBlock(p0, lo, hi int, s *batchScratch) {
 	for qi := range bk.queries {
 		q := &bk.queries[qi]
@@ -614,26 +615,23 @@ func (bk *BatchKernel) extractBlock(p0, lo, hi int, s *batchScratch) {
 			continue
 		}
 		ctr := s.counters[q.ctrOff : q.ctrOff+q.ctrW]
-		ge := ^s.sticky[qi]
-		if !q.satAll {
-			ge &^= geThresh(ctr, q.budget+1)
-		}
-		ge &= lowMask(hiq - p0)
+		ge := ^s.sticky[qi] & lowMask(hiq-p0)
 		if lo > p0 {
 			ge &^= lowMask(lo - p0)
 		}
 		for ge != 0 {
 			j := bits.TrailingZeros64(ge)
 			ge &= ge - 1
-			s.hits[qi] = append(s.hits[qi], Hit{Pos: p0 + j, Score: len(q.elems) - laneScore(ctr, j)})
+			s.hits[qi] = append(s.hits[qi], Hit{Pos: p0 + j, Score: q.n + q.bias - laneScore(ctr, j)})
 		}
 	}
 }
 
-// bestPlanes is the budget-L scan behind Kernel.BestHit: with a budget of
-// the whole query no lane ever dies, so every window's exact mismatch
-// count survives in the counters, and a bit-sliced minimum per block (the
-// lowest lane on ties) finds the best window. bk holds one query.
+// bestPlanes is the budget-L scan behind Kernel.BestHitPlanes: with a
+// budget of the whole query no lane ever dies, so every window's exact
+// mismatch count survives in the counters, and a bit-sliced minimum per
+// block (the lowest lane on ties) finds the best window. bk holds one
+// query.
 func (bk *BatchKernel) bestPlanes(p *planes) (Hit, bool) {
 	q := &bk.queries[0]
 	n := bk.Starts(p.n)
@@ -653,7 +651,7 @@ func (bk *BatchKernel) bestPlanes(p *planes) (Hit, bool) {
 			}
 		}
 		j := bits.TrailingZeros64(lanes)
-		if sc := len(q.elems) - laneScore(ctr, j); sc > best.Score {
+		if sc := q.n + q.bias - laneScore(ctr, j); sc > best.Score {
 			best = Hit{Pos: p0 + j, Score: sc}
 		}
 	}

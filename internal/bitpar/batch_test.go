@@ -3,6 +3,7 @@ package bitpar
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"fabp/internal/bio"
@@ -201,8 +202,9 @@ func plantGenes(rng *rand.Rand, ref bio.NucSeq, p bio.ProtSeq, copies int) {
 }
 
 // budgetThresholds returns thresholds for an L-element query that put
-// the mismatch budget at both ends of every counter width 0–6 and into
-// the generic fallback, plus threshold 0 (budget L), L and a random one.
+// the mismatch budget at both ends of every counter width 2–6 (budgets
+// 0–3 share width 2) and into the generic fallback, plus threshold 0
+// (budget L), L and a random one.
 func budgetThresholds(rng *rand.Rand, L int) []int {
 	ths := []int{0, L, rng.Intn(L + 1)}
 	for _, b := range []int{1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 63, 64, 100} {
@@ -213,11 +215,12 @@ func budgetThresholds(rng *rand.Rand, L int) []int {
 	return ths
 }
 
-// TestFusedScanMatchesEngine is the lazy-staging property test: K=1
-// kernels, their best-hit scans and mixed-K batches must equal the scalar
-// golden model for queries of 1–150 aa (crossing the 32-element staging
-// chunk many times), every counter width 0–6 and the generic fallback,
-// unaligned scan starts and references ending mid-block.
+// TestFusedScanMatchesEngine is the scan property test: K=1 kernels
+// (register windows), their best-hit scans and mixed-K batches (lazily
+// staged windows) must equal the scalar golden model for queries of
+// 1–150 aa (crossing the 32-element window chunk many times), every
+// counter width 2–6 and the generic fallback, unaligned scan starts and
+// references ending mid-block.
 func TestFusedScanMatchesEngine(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	sizes := []int{1, 10, 11, 21, 22, 43, 50, 100, 150}
@@ -280,11 +283,14 @@ func TestFusedScanMatchesEngine(t *testing.T) {
 	}
 }
 
-// TestFusedScanStagingIsolation: words staged for one block are never
-// read in the next, and a batch-mate that needs words past the point where
-// another query died still gets them. The reference alternates blocks
-// holding a planted exact hit (fully staged) with blocks where every lane
-// of an exact-match query dies within the first staging chunk.
+// TestFusedScanStagingIsolation: in a fused batch (K > 1), which stages
+// each block's windows once for every query, windows staged for one block
+// are never read in the next, and a batch-mate that needs windows past the
+// point where another query died still gets them. The reference
+// alternates blocks holding a planted exact hit (fully staged) with
+// blocks where every lane of an exact-match query dies within the first
+// staging chunk. The K=1 case, which computes its windows in registers and
+// stages nothing, is the control.
 func TestFusedScanStagingIsolation(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	p := bio.RandomProtSeq(rng, 60) // 180 elements: six staging chunks
@@ -327,5 +333,90 @@ func TestFusedScanStagingIsolation(t *testing.T) {
 	k, _ := NewKernel(prog, len(prog))
 	if hits := k.AlignPlanes(pp); len(hits) != 3 {
 		t.Errorf("planted exact hits: got %+v, want 3", hits)
+	}
+}
+
+// TestFusedScanWindowEdges pins the window edges of both window sources
+// (K=1 registers, K=3 staging) against the scalar golden model: queries
+// over 128 elements, whose windows cross two plane-word boundaries; a
+// dependent element at query position 0 or 1 of each kind (Leu, Arg and
+// stop), whose selector reads the reference before the block; exact hits
+// planted at lane 0 of one block and lane 63 of another; every counter
+// width 2–6 and the generic fallback; shard ranges with unaligned starts;
+// and a reference whose length is a multiple of 64, so its last block
+// reads the planes' tail padding word.
+func TestFusedScanWindowEdges(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	type edgeCase struct {
+		prog  isa.Program
+		ref   bio.NucSeq
+		hits  []int // planted exact hits
+		ctxs  []uint8
+		pp    *Planes
+		label string
+	}
+	var cases []edgeCase
+	for _, lead := range []bio.AminoAcid{bio.Leu, bio.Arg, bio.Stop} {
+		for _, cut := range []int{2, 1} { // the lead's dependent third element lands at position 2−cut
+			p := append(bio.ProtSeq{lead}, bio.RandomProtSeq(rng, 44+rng.Intn(6))...)
+			for i := 1; i < len(p); i++ {
+				if p[i] == bio.Ser || p[i] == bio.Stop { // planted copies must hit exactly
+					p[i] = bio.Ala
+				}
+			}
+			gene := bio.EncodeGene(rng, p)
+			prog := isa.MustEncodeProtein(p)[cut:]
+			ref := bio.RandomNucSeq(rng, 64*12)
+			// Each copy starts cut elements early: the codon context the
+			// dependent element reads lies before the window.
+			hits := []int{64, 64*4 + 63, len(ref) - len(prog)}
+			for _, pos := range hits {
+				copy(ref[pos-cut:], gene)
+			}
+			cases = append(cases, edgeCase{prog, ref, hits, core.AppendContexts(nil, ref), PackReference(ref),
+				fmt.Sprintf("%v at position %d", lead, 2-cut)})
+		}
+	}
+	for ci, c := range cases {
+		L := len(c.prog)
+		if L <= 128 {
+			t.Fatalf("%s: %d elements, want > 128", c.label, L)
+		}
+		starts := len(c.ref) - L + 1
+		exact, _ := NewKernel(c.prog, L)
+		var at []int
+		for _, h := range exact.AlignPlanes(c.pp) {
+			at = append(at, h.Pos)
+		}
+		for _, pos := range c.hits {
+			if !slices.Contains(at, pos) {
+				t.Fatalf("%s: exact hits at %v, want the planted %v", c.label, at, c.hits)
+			}
+		}
+		// Batch-mates of other lengths and dependent leads share the
+		// staged windows.
+		mates := []isa.Program{cases[(ci+1)%len(cases)].prog, cases[(ci+3)%len(cases)].prog}
+		ranges := [][2]int{{0, starts}, {1, starts}, {63, 129}, {64, 65}, {64*4 + 63, starts - 1}, {starts - 1, starts}}
+		for _, th := range budgetThresholds(rng, L) {
+			k, err := NewKernel(c.prog, th)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bk, err := NewBatchKernel(append([]isa.Program{c.prog}, mates...), []int{th, len(mates[0]) / 2, len(mates[1])})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range ranges {
+				want := goldenHits(t, c.prog, th, c.ctxs, r[0], r[1])
+				what := fmt.Sprintf("%s t=%d [%d,%d)", c.label, th, r[0], r[1])
+				sameHits(t, what+" K=1", k.AlignPlanesRange(c.pp, r[0], r[1]), want)
+				got := bk.AlignPlanesRange(c.pp, r[0], r[1], nil)
+				sameHits(t, what+" K=3", got[0], want)
+				for mi, m := range mates {
+					sameHits(t, fmt.Sprintf("%s K=3 mate %d", what, mi+1), got[1+mi],
+						goldenHits(t, m, bk.Threshold(1+mi), c.ctxs, r[0], r[1]))
+				}
+			}
+		}
 	}
 }

@@ -36,15 +36,17 @@ type planes struct {
 	n      int
 }
 
+// newPlanes allocates zeroed planes for an n-element reference, padding
+// words included.
+func newPlanes(n int) *planes {
+	words := (n + 63) / 64
+	return &planes{b0: make([]uint64, words+2), b1: make([]uint64, words+2), n: n}
+}
+
 // packPlanes converts a reference into bit-planes (bulk table-driven
 // packing; see packSpan in planebuilder.go).
 func packPlanes(ref bio.NucSeq) *planes {
-	words := (len(ref) + 63) / 64
-	p := &planes{
-		b0: make([]uint64, words+2),
-		b1: make([]uint64, words+2),
-		n:  len(ref),
-	}
+	p := newPlanes(len(ref))
 	packSpan(p.b0, p.b1, 0, ref)
 	return p
 }
@@ -150,8 +152,9 @@ type Planes struct {
 	p *planes
 }
 
-// packsTotal counts PackReference calls process-wide; warm-start tests
-// assert it stays flat across a load-and-scan of a plane-carrying file.
+// packsTotal counts PackReference and PackPacked calls process-wide;
+// warm-start tests assert it stays flat across a load-and-scan of a
+// plane-carrying file.
 var packsTotal atomic.Uint64
 
 // PackReference packs a reference for repeated AlignPlanes calls.
@@ -160,8 +163,35 @@ func PackReference(ref bio.NucSeq) *Planes {
 	return &Planes{p: packPlanes(ref)}
 }
 
-// PackCount returns the cumulative PackReference calls this process has
-// made — the "did we recompute?" probe of the warm-start contract.
+// PackPacked packs a reference held in FabP's 2-bit DRAM layout (see
+// bio.PackedNucSeq) straight into bit-planes, with no unpacked letters in
+// between: each payload byte holds four elements in packSpan's table
+// index order, so every payload word yields 32 bits of each plane. It
+// counts as a pack (see PackCount).
+func PackPacked(ps *bio.PackedNucSeq) *Planes {
+	packsTotal.Add(1)
+	p := newPlanes(ps.Len())
+	for i, x := range ps.Words() {
+		var lo, hi uint64
+		for j := 0; j < 64; j += 8 {
+			lo |= uint64(pack4lo[uint8(x>>j)]) << (j / 2)
+			hi |= uint64(pack4hi[uint8(x>>j)]) << (j / 2)
+		}
+		p.b0[1+i/2] |= lo << (32 * (i & 1))
+		p.b1[1+i/2] |= hi << (32 * (i & 1))
+	}
+	// Bits past n are zero in every plane (the planes invariant), whatever
+	// the payload's last word holds there.
+	if w, r := (p.n+63)/64, uint(p.n&63); r != 0 {
+		p.b0[w] &= 1<<r - 1
+		p.b1[w] &= 1<<r - 1
+	}
+	return &Planes{p: p}
+}
+
+// PackCount returns the cumulative PackReference and PackPacked calls
+// this process has made — the "did we recompute?" probe of the warm-start
+// contract.
 func PackCount() uint64 { return packsTotal.Load() }
 
 // Len returns the packed reference length in nucleotides.
@@ -209,18 +239,12 @@ func (k *Kernel) Align(ref bio.NucSeq) []Hit {
 	return k.AlignPlanes(&Planes{p: packPlanes(ref)})
 }
 
-// BestHit returns the highest-scoring window position (ties broken by
-// lower position) regardless of the configured threshold, or ok=false
-// when the reference is shorter than the query — the bit-parallel
-// counterpart of core.Engine.BestHit: a budget-L fused scan (no lane ever
-// dies) with a best-lane reduction over the same counters.
-func (k *Kernel) BestHit(ref bio.NucSeq) (Hit, bool) {
-	return k.BestHitPlanes(&Planes{p: packPlanes(ref)})
-}
-
-// BestHitPlanes is BestHit over a pre-packed reference (see
-// PackReference), so session-resident databases find their best
-// sub-threshold position without repacking.
+// BestHitPlanes returns the highest-scoring window position of a
+// pre-packed reference (see PackReference), ties broken by lower position,
+// regardless of the configured threshold, or ok=false when the reference
+// is shorter than the query — the bit-parallel counterpart of
+// core.Engine.BestHit: a budget-L fused scan (no lane ever dies) with a
+// best-lane reduction over the same counters.
 func (k *Kernel) BestHitPlanes(pp *Planes) (Hit, bool) {
 	return newBatchKernel([]batchQuery{k.bk.queries[0].withThreshold(0)}).bestPlanes(pp.p)
 }
@@ -232,24 +256,6 @@ func laneScore(counters []uint64, j int) int {
 		score |= int(counters[b]>>uint(j)&1) << uint(b)
 	}
 	return score
-}
-
-// geThresh returns a bitmask of lanes whose vertical counter is >= the
-// threshold, using the same LSB-first comparison as the hardware's
-// CompareGEConst.
-func geThresh(counters []uint64, threshold int) uint64 {
-	if threshold == 0 {
-		return ^uint64(0)
-	}
-	ge := ^uint64(0)
-	for b := range counters {
-		if threshold>>uint(b)&1 == 1 {
-			ge = counters[b] & ge
-		} else {
-			ge = counters[b] | ge
-		}
-	}
-	return ge
 }
 
 func lowMask(n int) uint64 {

@@ -67,11 +67,7 @@ func ReadPlanes(r io.Reader, expectLen int) (*Planes, error) {
 	if words != wantWords {
 		return nil, fmt.Errorf("bitpar: %d words per plane, want %d for %d elements", words, wantWords, expectLen)
 	}
-	p := &planes{
-		b0: make([]uint64, words),
-		b1: make([]uint64, words),
-		n:  expectLen,
-	}
+	p := newPlanes(expectLen)
 	if err := binary.Read(r, binary.LittleEndian, p.b0); err != nil {
 		return nil, fmt.Errorf("bitpar: reading plane b0: %w", err)
 	}

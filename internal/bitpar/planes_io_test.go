@@ -81,3 +81,25 @@ func TestPlanesEqual(t *testing.T) {
 		t.Error("nil must equal nil")
 	}
 }
+
+// TestPackPackedMatchesPackReference: packing straight from the 2-bit
+// payload yields the planes PackReference builds from the unpacked
+// letters, across word-pair boundaries and on a payload whose last word
+// carries stray bits past the sequence end.
+func TestPackPackedMatchesPackReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for _, n := range []int{0, 1, 31, 32, 63, 64, 65, 4<<20 + 17} {
+		ps := bio.Pack(bio.RandomNucSeq(rng, n))
+		want := PackReference(ps.Unpack())
+		if got := PackPacked(ps); !got.Equal(want) {
+			t.Fatalf("n=%d: PackPacked differs from PackReference(Unpack())", n)
+		}
+		if r := n % bio.NucsPerWord; r != 0 {
+			words := ps.Words()
+			words[len(words)-1] |= ^uint64(0) << (2 * r)
+			if got := PackPacked(ps); !got.Equal(want) {
+				t.Fatalf("n=%d: stray payload bits past the end reached the planes", n)
+			}
+		}
+	}
+}

@@ -113,13 +113,14 @@ func (d *Database) Packed() *bio.PackedNucSeq { return d.packed }
 func (d *Database) Digest() Digest { return d.digest }
 
 // EnsurePlanes returns the database's packed bit-planes: the planes
-// deserialized from a v2 file when present, otherwise packed on first use
-// and memoized, so save-after-load and repeated scans share one packing.
+// deserialized from a v2 file when present, otherwise packed straight from
+// the 2-bit payload on first use and memoized, so save-after-load and
+// repeated scans share one packing.
 func (d *Database) EnsurePlanes() *bitpar.Planes {
 	d.planesMu.Lock()
 	defer d.planesMu.Unlock()
 	if d.planes == nil {
-		d.planes = bitpar.PackReference(d.packed.Unpack())
+		d.planes = bitpar.PackPacked(d.packed)
 	}
 	return d.planes
 }

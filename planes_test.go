@@ -129,12 +129,7 @@ func TestScalarScanAllocs(t *testing.T) {
 		if scan() == 0 {
 			t.Fatal("planted gene not found; the allocation pin is vacuous")
 		}
-		var m0, m1 runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&m0)
-		scan()
-		runtime.ReadMemStats(&m1)
-		return m1.TotalAlloc - m0.TotalAlloc
+		return allocDuring(func() { scan() })
 	}
 	for _, c := range []struct {
 		name  string
@@ -156,5 +151,53 @@ func TestScalarScanAllocs(t *testing.T) {
 		} else {
 			t.Logf("scalar %s of %d nt allocated %d KiB", c.name, ref.Len(), alloc>>10)
 		}
+	}
+}
+
+// allocDuring returns the bytes f allocates (the TotalAlloc delta).
+func allocDuring(f func()) uint64 {
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	f()
+	runtime.ReadMemStats(&m1)
+	return m1.TotalAlloc - m0.TotalAlloc
+}
+
+// TestBestAllocs pins Aligner.Best on a 4 Mi nt Reference: the best-hit
+// scan reads the planes the Reference memoized, so a warm Best allocates
+// no plane set of its own (1 040 KiB each when it packed privately).
+func TestBestAllocs(t *testing.T) {
+	ref, genes := SyntheticReference(47, 4<<20, 1, 30)
+	q, err := NewQuery(genes[0].Protein[:12])
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := mustConformAligner(t, q, WithThresholdFraction(0.9))
+	if best, ok := a.Best(ref); !ok || best.Pos != genes[0].Pos {
+		t.Fatalf("Best = %+v/%v, want the planted gene at %d", best, ok, genes[0].Pos)
+	}
+	if alloc := allocDuring(func() { a.Best(ref) }); alloc >= 64<<10 {
+		t.Fatalf("a warm Best on %d nt allocated %d KiB, want < 64 KiB", ref.Len(), alloc>>10)
+	}
+}
+
+// TestWarmPlanesAllocs pins Database.WarmPlanes on 4 Mi nt: the planes are
+// packed straight from the 2-bit payload, so the call allocates the
+// planes themselves (1 024 KiB) and no unpacked copy of the sequence
+// (5 136 KiB when it packed through Unpack).
+func TestWarmPlanesAllocs(t *testing.T) {
+	ref, _ := SyntheticReference(49, 4<<20, 1, 30)
+	d, err := DatabaseFromReference("big", ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	packs := bitpar.PackCount()
+	alloc := allocDuring(d.WarmPlanes)
+	if n := bitpar.PackCount() - packs; n != 1 {
+		t.Fatalf("WarmPlanes packed %d times, want 1", n)
+	}
+	if bound := uint64(1100 << 10); alloc > bound {
+		t.Fatalf("WarmPlanes on %d nt allocated %d KiB, want ≤ %d KiB", d.Len(), alloc>>10, bound>>10)
 	}
 }
