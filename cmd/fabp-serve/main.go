@@ -19,6 +19,9 @@
 //	                    "max_hits":100, "timeout_ms":500} — one fused scan
 //	                    for the whole batch; a K-query batch takes K
 //	                    in-flight slots (admission weighs scan work)
+//	POST /align/stream?query=MKWVTF...&query=...&threshold_frac=0.85
+//	                    nucleotide letters in the body; NDJSON hit lines
+//	                    and a trailer back; K queries take K slots
 //	POST /search       {"query":"MKWVTF...", "two_hit":true, "frames":6,
 //	                    "min_score":35, "max_evalue":1e-3, "max_hits":100,
 //	                    "timeout_ms":500} — TBLASTN-style protein search
@@ -120,38 +123,35 @@ func main() {
 // loadDatabase builds the resident database from exactly one of a FASTA
 // file or a packed database file.
 func loadDatabase(refPath, dbPath string) (*fabp.Database, error) {
+	path, load, what := refPath, fabp.BuildDatabase, "building database from"
 	switch {
 	case refPath != "" && dbPath != "":
 		return nil, fmt.Errorf("set -ref or -db, not both")
-	case refPath != "":
-		f, err := os.Open(refPath)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		db, err := fabp.BuildDatabase(f)
-		if err != nil {
-			return nil, fmt.Errorf("building database from %s: %w", refPath, err)
-		}
-		return db, nil
 	case dbPath != "":
-		f, err := os.Open(dbPath)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		db, err := fabp.LoadDatabase(f)
-		if err != nil {
-			return nil, fmt.Errorf("loading database %s: %w", dbPath, err)
-		}
-		return db, nil
+		path, load, what = dbPath, fabp.LoadDatabase, "loading database"
+	case refPath == "":
+		return nil, fmt.Errorf("a database is required: -ref db.fasta or -db db.fdb")
 	}
-	return nil, fmt.Errorf("a database is required: -ref db.fasta or -db db.fdb")
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	db, err := load(f)
+	if err != nil {
+		return nil, fmt.Errorf("%s %s: %w", what, path, err)
+	}
+	return db, nil
 }
 
 // readHeaderTimeout bounds how long a connection may take to send its
-// request headers, so slow or idle clients cannot pin connections.
-const readHeaderTimeout = 10 * time.Second
+// request headers, and idleTimeout how long a keep-alive connection may
+// wait for its next request, so slow or idle clients cannot pin
+// connections.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
 
 // serve runs the HTTP server until SIGINT/SIGTERM, then drains: the
 // listener closes immediately, in-flight scans get drainTimeout to finish
@@ -171,6 +171,7 @@ func serve(s *server, addr string, drainTimeout time.Duration) error {
 		Handler:           s.handler(),
 		BaseContext:       func(net.Listener) context.Context { return baseCtx },
 		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 
 	sigCtx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -145,16 +145,111 @@ func newServer(cfg serverConfig) *server {
 	}
 }
 
-// handler builds the route table.
+// handler builds the route table: each scan route is one parser on the
+// shared route lifecycle.
 func (s *server) handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /align", s.handleAlign)
-	mux.HandleFunc("POST /align/batch", s.handleAlignBatch)
-	mux.HandleFunc("POST /align/stream", s.handleAlignStream)
-	mux.HandleFunc("POST /search", s.handleSearch)
+	mux.HandleFunc("POST /align", s.route(nil, s.parseAlign))
+	mux.HandleFunc("POST /align/batch", s.route(s.m.batchRequests, s.parseAlignBatch))
+	mux.HandleFunc("POST /align/stream", s.route(s.m.streamRequests, s.parseAlignStream))
+	mux.HandleFunc("POST /search", s.route(s.m.searchRequests, s.parseSearch))
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	return mux
+}
+
+// call is one decoded and validated scan request: what the lifecycle
+// runs, and how the route answers the outcome.
+type call struct {
+	req fabp.ScanRequest
+	// timeout is the request's deadline: the admission queue sheds
+	// against it and the scan runs under it.
+	timeout time.Duration
+	// what names the scan in error messages.
+	what string
+	// write answers the outcome of the scan or cache hit of a request
+	// that arrived at t0. An error it hands back is answered through the
+	// error taxonomy (writeScanError).
+	write func(w http.ResponseWriter, res *fabp.ScanResult, err error, t0 time.Time) error
+}
+
+// route is the one lifecycle of every scan route: count the request on
+// serve.requests and on routeRequests (when set), parse it, probe the
+// result cache, admit it under its deadline, scan, release, and hand the
+// outcome to the route's writer. serve.latency observes every answer from
+// arrival — refusals, sheds and cache hits included.
+func (s *server) route(routeRequests *telemetry.Counter, parse func(http.ResponseWriter, *http.Request) (call, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		t0 := time.Now()
+		s.m.requests.Inc()
+		routeRequests.Inc()
+		defer func() { s.m.latency.Observe(time.Since(t0)) }()
+
+		c, err := parse(w, r)
+		var tooBig *http.MaxBytesError
+		switch {
+		case errors.As(err, &tooBig):
+			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", maxBodyBytes)
+			return
+		case err != nil:
+			writeError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
+
+		// Cache fast path: a resident result answers without an admission
+		// slot — repeats cost a map lookup, not queue position. CachedScan
+		// refuses every cache-ineligible plan (batch, stream, partial).
+		res, hit := s.lookup(c.req)
+		if hit {
+			s.m.cacheHits.Inc()
+		} else {
+			// The request context roots the scan: a client disconnect
+			// cancels it, the deadline bounds it, and a server drain (see
+			// main) lets it finish before the listener closes. The same
+			// deadline drives admission: infeasible requests are shed as
+			// 429 + Retry-After, not queued into a guaranteed 504, and a
+			// deadline that expires while queued is a 504.
+			ctx, cancel := context.WithTimeout(r.Context(), c.timeout)
+			defer cancel()
+			// The request weighs its scan work: 1, or K for a K-query batch
+			// or stream, so a batch cannot slip K queries' worth of load
+			// past a limit tuned for single scans. The queue grants all K
+			// atomically, clamping an over-wide batch to full capacity.
+			weight := max(1, len(c.req.Queries))
+			if err := s.adm.Admit(ctx, weight); err != nil {
+				var shed *sched.ShedError
+				switch {
+				case errors.As(err, &shed):
+					s.m.rejected.Inc()
+					w.Header().Set("Retry-After", retryAfterSeconds(shed.RetryAfter))
+					writeError(w, http.StatusTooManyRequests, "%v", shed)
+				case errors.Is(err, context.DeadlineExceeded):
+					s.m.timeouts.Inc()
+					writeError(w, http.StatusGatewayTimeout,
+						"request deadline expired before admission (%s)", c.timeout)
+				default:
+					// Client went away while queued; nobody is reading the
+					// response.
+					s.m.clientGone.Inc()
+				}
+				return
+			}
+			s.m.inflight.Add(int64(weight))
+			tScan := time.Now()
+			res, err = s.scan(ctx, c.req)
+			observed := time.Since(tScan)
+			if err != nil {
+				// Failed or aborted scans are not representative work; keep
+				// them out of the admission cost estimate.
+				observed = 0
+			}
+			s.adm.Release(weight, observed)
+			s.m.inflight.Add(-int64(weight))
+		}
+		if err := c.write(w, res, err, t0); err != nil {
+			s.writeScanError(w, c.what, err, c.timeout)
+		}
+	}
 }
 
 // alignRequest is the /align request body.
@@ -238,24 +333,16 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 
 // maxBodyBytes bounds the JSON body of /align, /align/batch and /search.
 // The largest legal request, a -max-batch batch of long queries, fits
-// far below it; a larger body is refused before it is buffered.
+// far below it; a larger body is refused with 413 before it is buffered.
 const maxBodyBytes = 4 << 20
 
 // decodeBody decodes a JSON request body of at most maxBodyBytes into v.
-// A larger body is answered 413 and a malformed one 400; either way the
-// caller must not write again.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
-	var tooBig *http.MaxBytesError
-	switch {
-	case errors.As(err, &tooBig):
-		writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", maxBodyBytes)
-	case err != nil:
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-	default:
-		return true
+// The error of a larger body wraps *http.MaxBytesError.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v); err != nil {
+		return fmt.Errorf("bad request body: %w", err)
 	}
-	return false
+	return nil
 }
 
 // retryAfterSeconds rounds a shed hint up to whole seconds for the
@@ -266,88 +353,6 @@ func retryAfterSeconds(d time.Duration) string {
 		secs = 1
 	}
 	return strconv.Itoa(secs)
-}
-
-// writeAdmitError answers a request the admission queue did not grant:
-// ShedErrors become 429 + Retry-After, a deadline that expired while
-// queued becomes 504, and a vanished client gets nothing.
-func (s *server) writeAdmitError(w http.ResponseWriter, err error, timeout time.Duration) {
-	var shed *sched.ShedError
-	switch {
-	case errors.As(err, &shed):
-		s.m.rejected.Inc()
-		w.Header().Set("Retry-After", retryAfterSeconds(shed.RetryAfter))
-		writeError(w, http.StatusTooManyRequests, "%v", shed)
-	case errors.Is(err, context.DeadlineExceeded):
-		s.m.timeouts.Inc()
-		writeError(w, http.StatusGatewayTimeout,
-			"request deadline expired before admission (%s)", timeout)
-	default:
-		// Client went away while queued; nobody is reading the response.
-		s.m.clientGone.Inc()
-	}
-}
-
-// writeScanResult maps a Scan outcome onto the HTTP surface: clean and
-// degraded results are 200s, the error taxonomy picks the status for the
-// rest (ErrBadQuery/ErrBadOption → 400, deadline → 504, cancel → client
-// gone, anything else → 500).
-func (s *server) writeScanResult(w http.ResponseWriter, q *fabp.Query, res *fabp.ScanResult, err error, timeout time.Duration, t0 time.Time) {
-	var pe *fabp.PartialError
-	switch {
-	case err == nil:
-	case errors.As(err, &pe) && res != nil:
-		// Degraded completion under partial mode: the hits are real, the
-		// uncovered ranges are declared below. A 200, not a 5xx — the
-		// client asked for exactly this contract.
-		s.m.degraded.Inc()
-	default:
-		s.writeScanError(w, "scan", err, timeout)
-		return
-	}
-
-	hits := make([]alignHit, 0, len(res.RecordHits))
-	for _, h := range res.RecordHits {
-		hits = append(hits, alignHit{
-			Record:      h.RecordID,
-			RecordIndex: h.RecordIndex,
-			Offset:      h.Offset,
-			Score:       h.Score,
-		})
-	}
-	resp := alignResponse{
-		Residues:  q.Residues(),
-		Elements:  q.Elements(),
-		Threshold: res.Threshold,
-		MaxScore:  q.MaxScore(),
-		Hits:      hits,
-		Truncated: res.Truncated,
-		Cache:     string(res.Cache),
-		ElapsedMs: float64(time.Since(t0).Nanoseconds()) / 1e6,
-	}
-	if res.Degraded {
-		resp.Degraded = true
-		resp.FailedRanges = make([]failedRange, len(res.FailedRanges))
-		for i, fr := range res.FailedRanges {
-			resp.FailedRanges[i] = failedRange{Lo: fr.Lo, Hi: fr.Hi, Error: fr.Err.Error()}
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// limits resolves a request's deadline and hit cap: a positive request
-// value overrides -timeout and -max-hits, capped by -max-timeout and
-// -max-hits.
-func (s *server) limits(timeoutMs, maxHits int) (time.Duration, int) {
-	timeout := s.cfg.defaultTimeout
-	if timeoutMs > 0 {
-		timeout = time.Duration(timeoutMs) * time.Millisecond
-	}
-	hits := s.cfg.maxHits
-	if maxHits > 0 && maxHits < hits {
-		hits = maxHits
-	}
-	return min(timeout, s.cfg.maxTimeout), hits
 }
 
 // writeScanError answers a failed scan through the error taxonomy:
@@ -369,38 +374,45 @@ func (s *server) writeScanError(w http.ResponseWriter, what string, err error, t
 	}
 }
 
-func (s *server) handleAlign(w http.ResponseWriter, r *http.Request) {
-	s.m.requests.Inc()
-	t0 := time.Now()
-	defer func() { s.m.latency.Observe(time.Since(t0)) }()
+// limits resolves a request's deadline and hit cap: a positive request
+// value overrides -timeout and -max-hits, capped by -max-timeout and
+// -max-hits.
+func (s *server) limits(timeoutMs, maxHits int) (time.Duration, int) {
+	timeout := s.cfg.defaultTimeout
+	if timeoutMs > 0 {
+		timeout = time.Duration(timeoutMs) * time.Millisecond
+	}
+	hits := s.cfg.maxHits
+	if maxHits > 0 && maxHits < hits {
+		hits = maxHits
+	}
+	return min(timeout, s.cfg.maxTimeout), hits
+}
 
+// parseAlign parses POST /align: one query against the resident database.
+func (s *server) parseAlign(w http.ResponseWriter, r *http.Request) (call, error) {
 	var req alignRequest
-	if !decodeBody(w, r, &req) {
-		return
+	if err := decodeBody(w, r, &req); err != nil {
+		return call{}, err
 	}
 	if strings.TrimSpace(req.Query) == "" {
-		writeError(w, http.StatusBadRequest, "missing query")
-		return
+		return call{}, errors.New("missing query")
 	}
 	q, err := fabp.NewQuery(req.Query)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid query: %v", err)
-		return
+		return call{}, fmt.Errorf("invalid query: %v", err)
 	}
 	kernel := fabp.KernelAuto
 	if req.Kernel != "" {
-		kernel, err = fabp.ParseKernel(req.Kernel)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
+		if kernel, err = fabp.ParseKernel(req.Kernel); err != nil {
+			return call{}, err
 		}
 	}
 	rp := s.cfg.retryPolicy
 	if req.RetryBudget != nil {
 		budget := *req.RetryBudget
 		if budget < 0 {
-			writeError(w, http.StatusBadRequest, "negative retry_budget %d", budget)
-			return
+			return call{}, fmt.Errorf("negative retry_budget %d", budget)
 		}
 		if budget > serverMaxRetryBudget {
 			budget = serverMaxRetryBudget
@@ -422,38 +434,55 @@ func (s *server) handleAlign(w http.ResponseWriter, r *http.Request) {
 	case req.ThresholdFrac != nil:
 		sreq.ThresholdFrac = *req.ThresholdFrac
 	}
+	return call{req: sreq, timeout: timeout, what: "scan",
+		write: func(w http.ResponseWriter, res *fabp.ScanResult, err error, t0 time.Time) error {
+			var pe *fabp.PartialError
+			switch {
+			case err == nil:
+			case errors.As(err, &pe) && res != nil:
+				// Degraded completion under partial mode: the hits are real,
+				// the uncovered ranges are declared below. A 200, not a 5xx —
+				// the client asked for exactly this contract.
+				s.m.degraded.Inc()
+			default:
+				return err
+			}
+			resp := alignResponse{
+				Residues:  q.Residues(),
+				Elements:  q.Elements(),
+				Threshold: res.Threshold,
+				MaxScore:  q.MaxScore(),
+				Hits:      alignHits(res.RecordHits),
+				Truncated: res.Truncated,
+				Cache:     string(res.Cache),
+				ElapsedMs: float64(time.Since(t0).Nanoseconds()) / 1e6,
+			}
+			if res.Degraded {
+				resp.Degraded = true
+				resp.FailedRanges = make([]failedRange, len(res.FailedRanges))
+				for i, fr := range res.FailedRanges {
+					resp.FailedRanges[i] = failedRange{Lo: fr.Lo, Hi: fr.Hi, Error: fr.Err.Error()}
+				}
+			}
+			writeJSON(w, http.StatusOK, resp)
+			return nil
+		},
+	}, nil
+}
 
-	// Cache fast path: a resident result answers immediately, without an
-	// admission slot — repeats cost a map lookup, not queue position.
-	if res, ok := s.lookup(sreq); ok {
-		s.m.cacheHits.Inc()
-		s.writeScanResult(w, q, res, nil, timeout, t0)
-		return
+// alignHits converts record hits to their wire form (never nil, so an
+// empty list encodes as []).
+func alignHits(hits []fabp.RecordHit) []alignHit {
+	out := make([]alignHit, len(hits))
+	for i, h := range hits {
+		out[i] = alignHit{
+			Record:      h.RecordID,
+			RecordIndex: h.RecordIndex,
+			Offset:      h.Offset,
+			Score:       h.Score,
+		}
 	}
-
-	// The request context roots the scan: a client disconnect cancels it,
-	// the per-request deadline bounds it, and a server drain (see main)
-	// lets it finish before the listener closes. The same deadline drives
-	// admission: infeasible requests are shed as 429, not queued into a
-	// guaranteed 504.
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-	if err := s.adm.Admit(ctx, 1); err != nil {
-		s.writeAdmitError(w, err, timeout)
-		return
-	}
-	s.m.inflight.Add(1)
-	tScan := time.Now()
-	res, err := s.scan(ctx, sreq)
-	observed := time.Since(tScan)
-	if err != nil {
-		// Failed or aborted scans are not representative work; keep them
-		// out of the admission cost estimate.
-		observed = 0
-	}
-	s.adm.Release(1, observed)
-	s.m.inflight.Add(-1)
-	s.writeScanResult(w, q, res, err, timeout, t0)
+	return out
 }
 
 // searchRequest is the /search request body: a TBLASTN-style protein
@@ -479,7 +508,8 @@ type searchRequest struct {
 	TimeoutMs int `json:"timeout_ms,omitempty"`
 }
 
-// searchHSP is one HSP in the /search response.
+// searchHSP is one HSP in the /search response: fabp.HSP field for
+// field, so a conversion renders it.
 type searchHSP struct {
 	Frame    string  `json:"frame"`
 	QStart   int     `json:"q_start"`
@@ -510,28 +540,21 @@ type searchResponse struct {
 	Stats     *searchStats `json:"stats,omitempty"`
 }
 
-// handleSearch serves POST /search: a protein query against all (or the
-// forward) translated frames of the resident database, riding the same
-// spine as /align — cache fast path before admission, one weighted slot
-// while scanning, the per-request deadline shared between queue and scan.
-func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	s.m.requests.Inc()
-	s.m.searchRequests.Inc()
-	t0 := time.Now()
-	defer func() { s.m.latency.Observe(time.Since(t0)) }()
-
+// parseSearch parses POST /search: a protein query against all (or the
+// forward) translated frames of the resident database. Thread count is
+// not part of the protein cache key, so any earlier identical search
+// serves this one from the cache.
+func (s *server) parseSearch(w http.ResponseWriter, r *http.Request) (call, error) {
 	var req searchRequest
-	if !decodeBody(w, r, &req) {
-		return
+	if err := decodeBody(w, r, &req); err != nil {
+		return call{}, err
 	}
 	if strings.TrimSpace(req.Query) == "" {
-		writeError(w, http.StatusBadRequest, "missing query")
-		return
+		return call{}, errors.New("missing query")
 	}
 	q, err := fabp.NewQuery(req.Query)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid query: %v", err)
-		return
+		return call{}, fmt.Errorf("invalid query: %v", err)
 	}
 	opts := fabp.ProteinSearchOptions{
 		Threads:   runtime.GOMAXPROCS(0),
@@ -555,71 +578,33 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		MaxHits:       maxHits,
 		ProteinSearch: &opts,
 	}
-
-	// Cache fast path: a resident result answers without an admission
-	// slot. Thread count is not part of the protein cache key, so any
-	// earlier identical search serves this one.
-	if res, ok := s.lookup(sreq); ok {
-		s.m.cacheHits.Inc()
-		s.writeSearchResult(w, q, res, nil, timeout, t0)
-		return
-	}
-
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-	if err := s.adm.Admit(ctx, 1); err != nil {
-		s.writeAdmitError(w, err, timeout)
-		return
-	}
-	s.m.inflight.Add(1)
-	tScan := time.Now()
-	res, err := s.scan(ctx, sreq)
-	observed := time.Since(tScan)
-	if err != nil {
-		observed = 0
-	}
-	s.adm.Release(1, observed)
-	s.m.inflight.Add(-1)
-	s.writeSearchResult(w, q, res, err, timeout, t0)
-}
-
-// writeSearchResult maps a protein-search outcome onto the HTTP surface
-// with the same error taxonomy as /align (deadline → 504, cancel →
-// client gone, bad input → 400, the rest → 500).
-func (s *server) writeSearchResult(w http.ResponseWriter, q *fabp.Query, res *fabp.ScanResult, err error, timeout time.Duration, t0 time.Time) {
-	if err != nil {
-		s.writeScanError(w, "search", err, timeout)
-		return
-	}
-
-	hsps := make([]searchHSP, len(res.HSPs))
-	for i, h := range res.HSPs {
-		hsps[i] = searchHSP{
-			Frame:  h.Frame,
-			QStart: h.QStart, QEnd: h.QEnd,
-			SStart: h.SStart, SEnd: h.SEnd,
-			NucPos:   h.NucPos,
-			Score:    h.Score,
-			BitScore: h.BitScore,
-			EValue:   h.EValue,
-		}
-	}
-	resp := searchResponse{
-		Residues:  q.Residues(),
-		HSPs:      hsps,
-		Truncated: res.Truncated,
-		Cache:     string(res.Cache),
-		ElapsedMs: float64(time.Since(t0).Nanoseconds()) / 1e6,
-	}
-	if st := res.ProteinStats; st != nil {
-		resp.Stats = &searchStats{
-			IndexEntries: st.IndexEntries,
-			WordLookups:  st.WordLookups,
-			WordHits:     st.WordHits,
-			Extensions:   st.Extensions,
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
+	return call{req: sreq, timeout: timeout, what: "search",
+		write: func(w http.ResponseWriter, res *fabp.ScanResult, err error, t0 time.Time) error {
+			if err != nil {
+				return err
+			}
+			resp := searchResponse{
+				Residues:  q.Residues(),
+				HSPs:      make([]searchHSP, len(res.HSPs)),
+				Truncated: res.Truncated,
+				Cache:     string(res.Cache),
+				ElapsedMs: float64(time.Since(t0).Nanoseconds()) / 1e6,
+			}
+			for i, h := range res.HSPs {
+				resp.HSPs[i] = searchHSP(h)
+			}
+			if st := res.ProteinStats; st != nil {
+				resp.Stats = &searchStats{
+					IndexEntries: st.IndexEntries,
+					WordLookups:  st.WordLookups,
+					WordHits:     st.WordHits,
+					Extensions:   st.Extensions,
+				}
+			}
+			writeJSON(w, http.StatusOK, resp)
+			return nil
+		},
+	}, nil
 }
 
 // batchAlignRequest is the /align/batch request body: one fused scan of
@@ -640,40 +625,34 @@ type batchAlignRequest struct {
 	TimeoutMs int `json:"timeout_ms,omitempty"`
 }
 
-// parseBatch parses the proteins and threshold fraction of a batch or
-// stream request and counts its queries on serve.batch.queries. On the
-// first problem it answers 400 itself and reports false: an empty or
-// over-wide batch, a blank or invalid protein, or a fraction outside
-// (0, 1] — an explicit 0 is a client error here, not the 0.8 default.
-func (s *server) parseBatch(w http.ResponseWriter, proteins []string, frac float64) ([]*fabp.Query, bool) {
+// parseQueries parses the proteins and threshold fraction of a batch or
+// stream request and counts its queries on serve.batch.queries. It
+// refuses an empty or over-wide batch, a blank or invalid protein, and a
+// fraction outside (0, 1] — an explicit 0 is a client error here, not
+// the 0.8 default.
+func (s *server) parseQueries(proteins []string, frac float64) ([]*fabp.Query, error) {
 	if len(proteins) == 0 {
-		writeError(w, http.StatusBadRequest, "empty batch: at least one query is required")
-		return nil, false
+		return nil, errors.New("empty batch: at least one query is required")
 	}
 	if len(proteins) > s.cfg.maxBatch {
-		writeError(w, http.StatusBadRequest,
-			"batch of %d queries exceeds the server's limit of %d", len(proteins), s.cfg.maxBatch)
-		return nil, false
+		return nil, fmt.Errorf("batch of %d queries exceeds the server's limit of %d", len(proteins), s.cfg.maxBatch)
 	}
 	queries := make([]*fabp.Query, len(proteins))
 	for i, qs := range proteins {
 		if strings.TrimSpace(qs) == "" {
-			writeError(w, http.StatusBadRequest, "query %d is empty", i)
-			return nil, false
+			return nil, fmt.Errorf("query %d is empty", i)
 		}
 		q, err := fabp.NewQuery(qs)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "invalid query %d: %v", i, err)
-			return nil, false
+			return nil, fmt.Errorf("invalid query %d: %v", i, err)
 		}
 		queries[i] = q
 	}
 	if frac <= 0 || frac > 1 || frac != frac {
-		writeError(w, http.StatusBadRequest, "threshold_frac %v outside (0,1]", frac)
-		return nil, false
+		return nil, fmt.Errorf("threshold_frac %v outside (0,1]", frac)
 	}
 	s.m.batchQueries.Add(uint64(len(queries)))
-	return queries, true
+	return queries, nil
 }
 
 // batchQueryResult is one query's slice of the /align/batch response.
@@ -692,87 +671,53 @@ type batchAlignResponse struct {
 	ElapsedMs float64            `json:"elapsed_ms"`
 }
 
-// handleAlignBatch serves POST /align/batch: the whole batch scans the
+// parseAlignBatch parses POST /align/batch: the whole batch scans the
 // resident database in one fused pass (each reference tile read once for
-// every query). The body is parsed before admission so the request's
-// weight is known up front: a K-query batch asks the admission queue for
-// K units atomically — the admission currency is scan work, not request
-// count, so a batch can't slip K queries' worth of load past a limit
-// tuned for single scans. Batches that don't fit are shed with 429 (or
-// queued whole when -max-queue allows); fused results stay uncached —
-// the batch, not the query, is the unit of work here.
-func (s *server) handleAlignBatch(w http.ResponseWriter, r *http.Request) {
-	s.m.requests.Inc()
-	s.m.batchRequests.Inc()
-	t0 := time.Now()
-	defer func() { s.m.latency.Observe(time.Since(t0)) }()
-
+// every query) at weight K. Fused results stay uncached — the batch, not
+// the query, is the unit of work here.
+func (s *server) parseAlignBatch(w http.ResponseWriter, r *http.Request) (call, error) {
 	var req batchAlignRequest
-	if !decodeBody(w, r, &req) {
-		return
+	if err := decodeBody(w, r, &req); err != nil {
+		return call{}, err
 	}
 	frac := 0.8
 	if req.ThresholdFrac != nil {
 		frac = *req.ThresholdFrac
 	}
-	queries, ok := s.parseBatch(w, req.Queries, frac)
-	if !ok {
-		return
+	queries, err := s.parseQueries(req.Queries, frac)
+	if err != nil {
+		return call{}, err
 	}
-
 	timeout, maxHits := s.limits(req.TimeoutMs, req.MaxHits)
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-
-	// All-or-nothing weighted admission: the queue clamps an over-wide
-	// batch to full capacity ("everything") and grants atomically.
-	weight := len(queries)
-	if err := s.adm.Admit(ctx, weight); err != nil {
-		s.writeAdmitError(w, err, timeout)
-		return
-	}
-	s.m.inflight.Add(int64(weight))
-	tScan := time.Now()
-	res, err := s.scan(ctx, fabp.ScanRequest{
+	sreq := fabp.ScanRequest{
 		Queries:       queries,
 		Database:      s.cfg.db,
 		ThresholdFrac: frac,
 		RetryPolicy:   s.cfg.retryPolicy,
-	})
-	observed := time.Since(tScan)
-	if err != nil {
-		observed = 0
 	}
-	s.adm.Release(weight, observed)
-	s.m.inflight.Add(-int64(weight))
-	if err != nil {
-		s.writeScanError(w, "batch scan", err, timeout)
-		return
-	}
-
-	resp := batchAlignResponse{Queries: make([]batchQueryResult, len(queries))}
-	for i, qh := range res.PerQuery {
-		hits := qh.RecordHits
-		qr := &resp.Queries[i]
-		qr.Residues = queries[i].Residues()
-		qr.Elements = queries[i].Elements()
-		qr.MaxScore = queries[i].MaxScore()
-		if len(hits) > maxHits {
-			hits = hits[:maxHits]
-			qr.Truncated = true
-		}
-		qr.Hits = make([]alignHit, len(hits))
-		for j, h := range hits {
-			qr.Hits[j] = alignHit{
-				Record:      h.RecordID,
-				RecordIndex: h.RecordIndex,
-				Offset:      h.Offset,
-				Score:       h.Score,
+	return call{req: sreq, timeout: timeout, what: "batch scan",
+		write: func(w http.ResponseWriter, res *fabp.ScanResult, err error, t0 time.Time) error {
+			if err != nil {
+				return err
 			}
-		}
-	}
-	resp.ElapsedMs = float64(time.Since(t0).Nanoseconds()) / 1e6
-	writeJSON(w, http.StatusOK, resp)
+			resp := batchAlignResponse{Queries: make([]batchQueryResult, len(queries))}
+			for i, qh := range res.PerQuery {
+				hits := qh.RecordHits
+				qr := &resp.Queries[i]
+				qr.Residues = queries[i].Residues()
+				qr.Elements = queries[i].Elements()
+				qr.MaxScore = queries[i].MaxScore()
+				if len(hits) > maxHits {
+					hits = hits[:maxHits]
+					qr.Truncated = true
+				}
+				qr.Hits = alignHits(hits)
+			}
+			resp.ElapsedMs = float64(time.Since(t0).Nanoseconds()) / 1e6
+			writeJSON(w, http.StatusOK, resp)
+			return nil
+		},
+	}, nil
 }
 
 // streamHit is one NDJSON hit line of the /align/stream response: the
@@ -787,6 +732,7 @@ type streamHit struct {
 // streamTrailer is the final NDJSON line of the /align/stream response.
 // Done is false when the scan ended early; Error then says why, and every
 // hit line already written remains valid (they cover the stream prefix).
+// ElapsedMs counts from the request's arrival, queue wait included.
 type streamTrailer struct {
 	Done      bool    `json:"done"`
 	Hits      int     `json:"hits"`
@@ -795,7 +741,7 @@ type streamTrailer struct {
 	Error     string  `json:"error,omitempty"`
 }
 
-// handleAlignStream serves POST /align/stream: the request body is a raw
+// parseAlignStream parses POST /align/stream: the request body is a raw
 // nucleotide stream (letters, whitespace tolerated, unbounded length) and
 // the query parameters name K proteins; the server packs each chunk of the
 // body into bit-planes once and the fused batch kernel scores all K
@@ -804,57 +750,42 @@ type streamTrailer struct {
 // followed by one trailer line. Like /align/batch, the request weighs K
 // admission units; unlike it, hits carry stream positions, not record
 // attributions — the reference is the client's stream, not the resident
-// database. Errors after the first hit line surface in the trailer (the
-// status line is already committed); earlier errors use the normal JSON
-// error surface.
-func (s *server) handleAlignStream(w http.ResponseWriter, r *http.Request) {
-	s.m.requests.Inc()
-	s.m.streamRequests.Inc()
-
+// database. Errors before the first hit line take the JSON error taxonomy
+// (a bad byte is 400, a failed shard 500); later ones surface in the
+// trailer, since the status line is already committed.
+func (s *server) parseAlignStream(w http.ResponseWriter, r *http.Request) (call, error) {
 	params := r.URL.Query()
 	frac := 0.8
 	if v := params.Get("threshold_frac"); v != "" {
 		f, err := strconv.ParseFloat(v, 64)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad threshold_frac: %v", err)
-			return
+			return call{}, fmt.Errorf("bad threshold_frac: %v", err)
 		}
 		frac = f
 	}
-	queries, ok := s.parseBatch(w, params["query"], frac)
-	if !ok {
-		return
+	queries, err := s.parseQueries(params["query"], frac)
+	if err != nil {
+		return call{}, err
 	}
 	var reqMaxHits, reqTimeoutMs int
 	if v := params.Get("max_hits"); v != "" {
 		mh, err := strconv.Atoi(v)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad max_hits: %v", err)
-			return
+			return call{}, fmt.Errorf("bad max_hits: %v", err)
 		}
 		reqMaxHits = mh
 	}
 	if v := params.Get("timeout_ms"); v != "" {
 		ms, err := strconv.Atoi(v)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad timeout_ms: %v", err)
-			return
+			return call{}, fmt.Errorf("bad timeout_ms: %v", err)
 		}
 		reqTimeoutMs = ms
 	}
 	timeout, maxHits := s.limits(reqTimeoutMs, reqMaxHits)
 
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-	weight := len(queries)
-	if err := s.adm.Admit(ctx, weight); err != nil {
-		s.writeAdmitError(w, err, timeout)
-		return
-	}
-	s.m.inflight.Add(int64(weight))
-	t0 := time.Now()
-	defer func() { s.m.latency.Observe(time.Since(t0)) }()
-
+	// Each hit is one NDJSON line, at most maxHits per query; the first
+	// line commits the 200.
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 	counts := make([]int, len(queries))
@@ -867,68 +798,52 @@ func (s *server) handleAlignStream(w http.ResponseWriter, r *http.Request) {
 		counts[qi]++
 		total++
 		if !wrote {
-			// First hit commits the streaming response.
 			w.Header().Set("Content-Type", "application/x-ndjson")
 			wrote = true
 		}
-		if eerr := enc.Encode(streamHit{Query: qi, Pos: h.Pos, Score: h.Score}); eerr != nil {
-			return eerr
+		if err := enc.Encode(streamHit{Query: qi, Pos: h.Pos, Score: h.Score}); err != nil {
+			return err
 		}
 		if flusher != nil {
 			flusher.Flush()
 		}
 		return nil
 	}
-	_, err := s.scan(ctx, fabp.ScanRequest{
+	sreq := fabp.ScanRequest{
 		Queries:       queries,
 		Stream:        r.Body,
 		Emit:          emit,
 		ThresholdFrac: frac,
 		RetryPolicy:   s.cfg.retryPolicy,
-	})
-	observed := time.Since(t0)
-	if err != nil {
-		observed = 0
 	}
-	s.adm.Release(weight, observed)
-	s.m.inflight.Add(-int64(weight))
-
-	if err != nil && !wrote {
-		// Nothing streamed yet: the full JSON error surface is still open.
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			s.m.timeouts.Inc()
-			writeError(w, http.StatusGatewayTimeout, "stream scan exceeded its %s deadline", timeout)
-		case errors.Is(err, context.Canceled):
-			s.m.clientGone.Inc()
-		default:
-			// Stream scans fail on what the client sent — a bad byte in the
-			// stream, a bad fraction — so the error is the client's to fix.
-			s.m.failed.Inc()
-			writeError(w, http.StatusBadRequest, "stream scan failed: %v", err)
-		}
-		return
-	}
-	trailer := streamTrailer{
-		Done:      err == nil,
-		Hits:      total,
-		Truncated: truncated,
-		ElapsedMs: float64(time.Since(t0).Nanoseconds()) / 1e6,
-	}
-	if err != nil {
-		if errors.Is(err, context.Canceled) {
-			s.m.clientGone.Inc()
-			return // nobody is reading; skip the trailer
-		}
-		if errors.Is(err, context.DeadlineExceeded) {
-			s.m.timeouts.Inc()
-		} else {
-			s.m.failed.Inc()
-		}
-		trailer.Error = err.Error()
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	_ = enc.Encode(trailer)
+	return call{req: sreq, timeout: timeout, what: "stream scan",
+		write: func(w http.ResponseWriter, _ *fabp.ScanResult, err error, t0 time.Time) error {
+			if err != nil && !wrote {
+				return err // nothing streamed yet: the JSON error surface is open
+			}
+			trailer := streamTrailer{
+				Done:      err == nil,
+				Hits:      total,
+				Truncated: truncated,
+				ElapsedMs: float64(time.Since(t0).Nanoseconds()) / 1e6,
+			}
+			if err != nil {
+				if errors.Is(err, context.Canceled) {
+					s.m.clientGone.Inc()
+					return nil // nobody is reading; skip the trailer
+				}
+				if errors.Is(err, context.DeadlineExceeded) {
+					s.m.timeouts.Inc()
+				} else {
+					s.m.failed.Inc()
+				}
+				trailer.Error = err.Error()
+			}
+			w.Header().Set("Content-Type", "application/x-ndjson")
+			_ = enc.Encode(trailer)
+			return nil
+		},
+	}, nil
 }
 
 // healthzResponse is the /healthz body: liveness plus the shape of the

@@ -1454,3 +1454,103 @@ func TestServeBodyLimit(t *testing.T) {
 		}
 	}
 }
+
+// TestServeRouteLifecycle: every scan route rides one lifecycle, so the
+// same request outcomes answer alike on all four. A 400 and a 429 shed
+// each add exactly one serve.requests and one serve.latency observation
+// (the clock starts on arrival), an expired deadline answers 504, and on
+// the nucleotide routes a shard failure past retries answers 500 and
+// counts on serve.failed.
+func TestServeRouteLifecycle(t *testing.T) {
+	s, protein := testServer(t, serverConfig{maxInflight: 1, maxBatch: 4})
+	ts := httptest.NewServer(s.handler())
+	defer ts.Close()
+	ref, _ := fabp.SyntheticReference(9, 30_000, 3, 30)
+	realScan := s.scan
+
+	// Each route's good and bad requests; {t} is the request's timeout_ms.
+	routes := []struct {
+		path             string
+		good, bad        string // JSON body, or the query string of /align/stream
+		nucleotideTarget bool
+	}{
+		{"/align", `{"query":"` + protein + `","timeout_ms":{t}}`, `{"query":""}`, true},
+		{"/align/batch", `{"queries":["` + protein + `"],"timeout_ms":{t}}`, `{"queries":[]}`, true},
+		{"/align/stream", "query=" + protein + "&timeout_ms={t}", "query=", true},
+		{"/search", `{"query":"` + protein + `","timeout_ms":{t}}`, `{"query":"MK123"}`, false},
+	}
+	for _, rt := range routes {
+		post := func(req string, timeoutMs int) (*http.Response, string) {
+			t.Helper()
+			req = strings.ReplaceAll(req, "{t}", fmt.Sprint(timeoutMs))
+			url, body := ts.URL+rt.path, req
+			if rt.path == "/align/stream" {
+				url, body = url+"?"+req, ref.String()
+			}
+			resp, err := http.Post(url, "application/octet-stream", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var buf bytes.Buffer
+			if _, err := buf.ReadFrom(resp.Body); err != nil {
+				t.Fatal(err)
+			}
+			return resp, buf.String()
+		}
+		// observed asserts one request's answer and its single
+		// serve.requests and serve.latency tick.
+		observed := func(arm string, want int, send func() (*http.Response, string)) *http.Response {
+			t.Helper()
+			reqs, lat := s.m.requests.Load(), s.m.latency.Count()
+			resp, body := send()
+			if resp.StatusCode != want {
+				t.Errorf("%s %s: status %d (%s), want %d", rt.path, arm, resp.StatusCode, body, want)
+			}
+			if got := s.m.requests.Load() - reqs; got != 1 {
+				t.Errorf("%s %s: serve.requests +%d, want +1", rt.path, arm, got)
+			}
+			if got := s.m.latency.Count() - lat; got != 1 {
+				t.Errorf("%s %s: serve.latency +%d observations, want +1", rt.path, arm, got)
+			}
+			return resp
+		}
+
+		observed("bad request", http.StatusBadRequest, func() (*http.Response, string) { return post(rt.bad, 0) })
+
+		// Hold the only slot: with no queue the request sheds at once.
+		if err := s.adm.Admit(context.Background(), 1); err != nil {
+			t.Fatal(err)
+		}
+		resp := observed("shed", http.StatusTooManyRequests, func() (*http.Response, string) { return post(rt.good, 0) })
+		if resp.Header.Get("Retry-After") == "" {
+			t.Errorf("%s shed: 429 without Retry-After", rt.path)
+		}
+		s.adm.Release(1, 0)
+
+		s.scan = func(ctx context.Context, req fabp.ScanRequest) (*fabp.ScanResult, error) {
+			<-ctx.Done()
+			return nil, ctx.Err()
+		}
+		observed("expired deadline", http.StatusGatewayTimeout, func() (*http.Response, string) { return post(rt.good, 20) })
+		s.scan = realScan
+
+		if !rt.nucleotideTarget {
+			continue
+		}
+		failed := s.m.failed.Load()
+		faultinject.Enable(3, faultinject.Plan{faultinject.SiteShardDispatch: {Every: 1, Fail: true}})
+		observed("shard failure", http.StatusInternalServerError, func() (*http.Response, string) { return post(rt.good, 0) })
+		fired := faultinject.Fired(faultinject.SiteShardDispatch)
+		faultinject.Disable()
+		if fired == 0 {
+			t.Errorf("%s: no dispatch faults fired; the 500 arm is vacuous", rt.path)
+		}
+		if s.m.failed.Load() != failed+1 {
+			t.Errorf("%s shard failure: serve.failed +%d, want +1", rt.path, s.m.failed.Load()-failed)
+		}
+	}
+	if s.adm.Held() != 0 {
+		t.Errorf("%d admission units still held after every route answered", s.adm.Held())
+	}
+}

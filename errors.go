@@ -8,19 +8,23 @@ import (
 // The facade's error taxonomy. Every error the public API returns is
 // reachable through errors.Is / errors.As against one of four heads:
 //
-//	ErrBadQuery          the query text or ScanRequest.Query is unusable
+//	ErrBadQuery          the query text or ScanRequest.Query is unusable,
+//	                     or a Stream byte is not a nucleotide letter
 //	ErrBadOption         an option, ScanRequest field, or combination is invalid
 //	*PartialError        a scan completed degraded (errors.As; hits are valid)
 //	*db.CorruptError     a database file is structurally damaged
 //	                     (errors.Is(err, ErrCorruptDatabase))
 //
 // Context errors (context.Canceled, context.DeadlineExceeded) pass
-// through untagged. The sentinels wrap, they do not replace: tagged
-// errors keep their original messages, so string output is unchanged.
-// See DESIGN.md §13 for the full contract.
+// through untagged, as do the caller's own errors: an Emit callback's
+// error and a Stream reader's read error. The sentinels wrap, they do
+// not replace: tagged errors keep their original messages, so string
+// output is unchanged. See DESIGN.md §13 for the full contract.
 var (
 	// ErrBadQuery matches errors caused by unusable query input: an
-	// unparsable or empty protein string, a nil ScanRequest.Query.
+	// unparsable or empty protein string, a nil ScanRequest.Query, or a
+	// byte of a ScanRequest.Stream that is not a nucleotide letter (its
+	// message names the letter's stream position).
 	ErrBadQuery = errors.New("fabp: bad query")
 	// ErrBadOption matches errors caused by invalid configuration: a
 	// NewAligner option out of range, an invalid ScanRequest field, or a

@@ -120,7 +120,7 @@ func scanChunks(ctx context.Context, r io.Reader, m, mFinal int, pool *sched.Poo
 			tm.packWords.Add(uint64(bld.Words() - w0))
 		}
 		if perr != nil {
-			return fmt.Errorf("fabp: position %d: %w", base+bld.Len(), perr)
+			return badQuery(fmt.Errorf("fabp: position %d: %w", base+bld.Len(), perr))
 		}
 		if bld.Len() >= chunkLetters {
 			if err := flush(false); err != nil {

@@ -306,7 +306,8 @@ func TestAlignStreamSteadyStateZeroChunkAllocs(t *testing.T) {
 // positioned error: the global letter count before the byte, and the
 // byte itself. It covers a bad byte in the first read's second span, at
 // the end of a read, in a read after chunk carries, and a second bad byte
-// in a later span, which must not win over the first.
+// in a later span, which must not win over the first. The error matches
+// ErrBadQuery: the bad byte is the caller's input.
 func TestAlignStreamInvalidLetterPosition(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	ref, genes := SyntheticReference(47, 3<<20, 2, 40)
@@ -350,12 +351,12 @@ func TestAlignStreamInvalidLetterPosition(t *testing.T) {
 		}
 		want := fmt.Sprintf("fabp: position %d: bio: invalid nucleotide letter %q", letters, tc.badBytes[0])
 		err := a.AlignStream(bytes.NewReader(src), func(Hit) error { return nil })
-		if err == nil || err.Error() != want {
-			t.Errorf("%s: AlignStream error %v, want %q", tc.name, err, want)
+		if err == nil || err.Error() != want || !errors.Is(err, ErrBadQuery) {
+			t.Errorf("%s: AlignStream error %v, want %q matching ErrBadQuery", tc.name, err, want)
 		}
 		err = AlignBatchStream([]*Query{q0, q1}, bytes.NewReader(src), 0.9, func(int, Hit) error { return nil })
-		if err == nil || err.Error() != want {
-			t.Errorf("%s: AlignBatchStream error %v, want %q", tc.name, err, want)
+		if err == nil || err.Error() != want || !errors.Is(err, ErrBadQuery) {
+			t.Errorf("%s: AlignBatchStream error %v, want %q matching ErrBadQuery", tc.name, err, want)
 		}
 	}
 }
