@@ -206,7 +206,8 @@ func BenchmarkKernelCrossover(b *testing.B) {
 			}
 			b.Run(fmt.Sprintf("%s/cold/%dnt", k, size), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					a.Align(&Reference{seq: ref.seq})
+					cold, _ := DatabaseFromReference("cold", ref)
+					a.Align(cold.AsReference())
 				}
 			})
 			b.Run(fmt.Sprintf("%s/warm/%dnt", k, size), func(b *testing.B) {

@@ -56,11 +56,11 @@ func main() {
 	}
 
 	// One shared database so the packed planes are built once and every
-	// query after the first reads the planes it holds. -db loads a packed file
+	// query after the first reads the planes it holds — its scans, and Best
+	// and TBLASTN through its AsReference view. -db loads a packed file
 	// (a v2 file's persisted planes make this a zero-packing warm start);
 	// -ref indexes a FASTA reference in-process.
 	var dbase *fabp.Database
-	var ref *fabp.Reference
 	if *dbPath != "" {
 		dbFile, err := os.Open(*dbPath)
 		if err != nil {
@@ -71,7 +71,6 @@ func main() {
 		if err != nil {
 			log.Fatalf("loading database: %v", err)
 		}
-		ref = dbase.AsReference()
 		fmt.Printf("database: %d records, %d nt\n", dbase.NumRecords(), dbase.Len())
 	} else {
 		refFile, err := os.Open(*refPath)
@@ -79,7 +78,7 @@ func main() {
 			log.Fatal(err)
 		}
 		defer refFile.Close()
-		ref, _, err = fabp.ReadReferenceFasta(refFile)
+		ref, _, err := fabp.ReadReferenceFasta(refFile)
 		if err != nil {
 			log.Fatalf("reading reference: %v", err)
 		}
@@ -95,7 +94,7 @@ func main() {
 		log.Fatalf("reading queries: %v", err)
 	}
 	for _, qr := range queries {
-		alignOne(qr.id, qr.prot, ref, dbase, opts)
+		alignOne(qr.id, qr.prot, dbase, opts)
 	}
 	if *metrics {
 		dumpMetrics()
@@ -156,7 +155,8 @@ func readProteinFasta(path string) ([]protRecord, error) {
 	return out, nil
 }
 
-func alignOne(id, prot string, ref *fabp.Reference, dbase *fabp.Database, opts alignOpts) {
+func alignOne(id, prot string, dbase *fabp.Database, opts alignOpts) {
+	ref := dbase.AsReference()
 	q, err := fabp.NewQuery(prot)
 	if err != nil {
 		log.Printf("query %s: %v", id, err)
@@ -234,6 +234,6 @@ func runDemo(opts alignOpts) {
 			log.Fatal(err)
 		}
 		fmt.Printf("\n=== planted gene %d at nucleotide %d (indel during divergence: %v)\n", i, g.Pos, hadIndel)
-		alignOne(fmt.Sprintf("demo-%d", i), mut, ref, dbase, opts)
+		alignOne(fmt.Sprintf("demo-%d", i), mut, dbase, opts)
 	}
 }

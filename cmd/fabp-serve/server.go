@@ -423,15 +423,15 @@ func (s *server) parseAlign(w http.ResponseWriter, r *http.Request) (call, error
 	sreq := fabp.ScanRequest{
 		Query:       q,
 		Database:    s.cfg.db,
+		Threshold:   req.Threshold,
 		Kernel:      kernel,
 		MaxHits:     maxHits,
 		RetryPolicy: rp,
 		Partial:     req.Partial,
 	}
-	switch {
-	case req.Threshold != nil:
-		sreq.Threshold = req.Threshold
-	case req.ThresholdFrac != nil:
+	// Both threshold fields pass through: setting both is the library's
+	// ErrBadOption, a 400.
+	if req.ThresholdFrac != nil {
 		sreq.ThresholdFrac = *req.ThresholdFrac
 	}
 	return call{req: sreq, timeout: timeout, what: "scan",

@@ -1471,13 +1471,17 @@ func TestServeRouteLifecycle(t *testing.T) {
 	// Each route's good and bad requests; {t} is the request's timeout_ms.
 	routes := []struct {
 		path             string
-		good, bad        string // JSON body, or the query string of /align/stream
+		good             string   // JSON body, or the query string of /align/stream
+		bad              []string // each a 400
 		nucleotideTarget bool
 	}{
-		{"/align", `{"query":"` + protein + `","timeout_ms":{t}}`, `{"query":""}`, true},
-		{"/align/batch", `{"queries":["` + protein + `"],"timeout_ms":{t}}`, `{"queries":[]}`, true},
-		{"/align/stream", "query=" + protein + "&timeout_ms={t}", "query=", true},
-		{"/search", `{"query":"` + protein + `","timeout_ms":{t}}`, `{"query":"MK123"}`, false},
+		{"/align", `{"query":"` + protein + `","timeout_ms":{t}}`, []string{
+			`{"query":""}`,
+			`{"query":"` + protein + `","threshold":10,"threshold_frac":0.8}`,
+		}, true},
+		{"/align/batch", `{"queries":["` + protein + `"],"timeout_ms":{t}}`, []string{`{"queries":[]}`}, true},
+		{"/align/stream", "query=" + protein + "&timeout_ms={t}", []string{"query="}, true},
+		{"/search", `{"query":"` + protein + `","timeout_ms":{t}}`, []string{`{"query":"MK123"}`}, false},
 	}
 	for _, rt := range routes {
 		post := func(req string, timeoutMs int) (*http.Response, string) {
@@ -1516,7 +1520,9 @@ func TestServeRouteLifecycle(t *testing.T) {
 			return resp
 		}
 
-		observed("bad request", http.StatusBadRequest, func() (*http.Response, string) { return post(rt.bad, 0) })
+		for _, bad := range rt.bad {
+			observed("bad request "+bad, http.StatusBadRequest, func() (*http.Response, string) { return post(bad, 0) })
+		}
 
 		// Hold the only slot: with no queue the request sheds at once.
 		if err := s.adm.Admit(context.Background(), 1); err != nil {

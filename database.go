@@ -2,6 +2,7 @@ package fabp
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"log"
 	"sync"
@@ -61,13 +62,14 @@ func BuildDatabase(r io.Reader) (*Database, error) {
 }
 
 // DatabaseFromReference wraps a single reference sequence as a one-record
-// database.
+// database. The database shares the reference's 2-bit payload (nothing is
+// unpacked or copied) and holds planes of its own; Database.AsReference is
+// the view that shares those too.
 func DatabaseFromReference(id string, ref *Reference) (*Database, error) {
-	d, err := db.FromSeq(id, ref.seq)
-	if err != nil {
-		return nil, err
+	if ref.Len() == 0 {
+		return nil, fmt.Errorf("db: empty sequence")
 	}
-	return &Database{d: d}, nil
+	return &Database{d: db.FromPacked(id, ref.d.Packed())}, nil
 }
 
 // SaveDatabase serializes the database in the current (v2) file format:
@@ -193,24 +195,25 @@ type RecordHit struct {
 	Score int
 }
 
-// planes returns the database's bit-planes: persisted by a v2 load, or
-// packed once by the first scan, and held for the object's lifetime — the
-// software analogue of the card-DRAM-resident database of the paper's
-// protocol, which every query, batch and session call then reads. It is
-// the eviction fault site: a firing bitpar.cache.evict rule drops the
-// planes first, so this scan repacks.
-func (d *Database) planes() *bitpar.Planes {
+// planesOf returns the bit-planes of a scan target — a Database or the
+// database a Reference views: persisted by a v2 load, or packed once by
+// the first scan, and held for the database's lifetime — the software
+// analogue of the card-DRAM-resident database of the paper's protocol,
+// which every query, batch and session call then reads. It is the
+// eviction fault site: a firing bitpar.cache.evict rule drops the planes
+// first, so this scan repacks.
+func planesOf(d *db.Database) *bitpar.Planes {
 	if faultinject.Check(context.Background(), faultinject.SiteCacheEvict, 0) != nil {
-		d.d.DropPlanes()
+		d.DropPlanes()
 	}
-	return d.d.EnsurePlanes()
+	return d.EnsurePlanes()
 }
 
 // WarmPlanes makes the database's bit-planes resident now — the deliberate
 // warm-up servers run at startup so the first query never pays packing
 // latency. After a v2 LoadDatabase this is free (the persisted planes are
 // already there); otherwise it packs once.
-func (d *Database) WarmPlanes() { d.planes() }
+func (d *Database) WarmPlanes() { planesOf(d.d) }
 
 // PlanesResident reports whether the database holds its planes now
 // (persisted by the load, or packed by a scan or WarmPlanes).
@@ -223,9 +226,10 @@ func (d *Database) EvictPlanes() { d.d.DropPlanes() }
 
 // AsReference exposes the database's concatenated sequence as a Reference
 // for the single-reference APIs (AlignContext, AlignBatch) — hits carry
-// global positions, without record attribution.
+// global positions, without record attribution. The Reference is a view:
+// it copies nothing, and its scans read (and warm) this database's planes.
 func (d *Database) AsReference() *Reference {
-	return &Reference{seq: d.d.Seq()}
+	return &Reference{d: d.d}
 }
 
 // AlignDatabase scans the whole database and attributes hits to records,
@@ -285,7 +289,7 @@ func (a *Aligner) AlignDatabaseStreamContext(ctx context.Context, d *Database, e
 	// The executor supplies the shard function and its resilience; the
 	// ordered merge keeps only a bounded window of shard results.
 	x := a.executor()
-	shards := x.load(d.planes())
+	shards := x.load(planesOf(d.d))
 	x.shards = shards
 	a.tm.shardsPlanned.Add(uint64(len(shards)))
 	m := a.query.Elements()
@@ -442,10 +446,10 @@ func batchScan(ctx context.Context, req ScanRequest) (*ScanResult, error) {
 // returning per-query hit lists. Thresholds are the given fraction, in
 // (0, 1], of each query's own maximum score (rounded, not truncated).
 // Every query is validated before any scanning starts. The reference packs
-// into bit-planes once — the Reference holds them across calls — and the
-// fused batch kernel reads each reference tile once for the whole batch,
-// bit-exact with a serial per-query scan. It is AlignBatchContext under
-// context.Background().
+// into bit-planes once — the database it views holds them across calls —
+// and the fused batch kernel reads each reference tile once for the whole
+// batch, bit-exact with a serial per-query scan. It is AlignBatchContext
+// under context.Background().
 func AlignBatch(queries []*Query, ref *Reference, thresholdFrac float64) ([][]Hit, error) {
 	return AlignBatchContext(context.Background(), queries, ref, thresholdFrac)
 }

@@ -38,6 +38,7 @@ import (
 	"fabp/internal/bio"
 	"fabp/internal/bitpar"
 	"fabp/internal/core"
+	"fabp/internal/db"
 	"fabp/internal/experiments"
 	"fabp/internal/isa"
 	"fabp/internal/sched"
@@ -130,46 +131,16 @@ func (q *Query) NullMeanScore() float64 {
 }
 
 // Reference is a nucleotide database sequence (DNA or RNA; T and U are
-// equivalent).
+// equivalent). It is a view of a database: the 2-bit payload, content
+// digest and bit-planes its scans read are the database's, and its scans
+// return position hits instead of record-attributed ones.
 type Reference struct {
-	seq bio.NucSeq
-	// digest memoizes the SHA-256 of the sequence, computed on first use
-	// by the scan-result cache (see scan.go). Large references pay the
-	// hash once per Reference object, and only when caching is on.
-	digestOnce sync.Once
-	digest     [sha256.Size]byte
-	// pp memoizes the bit-planes the reference's scans read, packed by the
-	// first scan; they live and die with the Reference.
-	planesOnce sync.Once
-	pp         *bitpar.Planes
+	d *db.Database
 }
 
-// planes returns the reference's bit-planes, packing them on first use
-// (concurrent first scans pack once).
-func (r *Reference) planes() *bitpar.Planes {
-	r.planesOnce.Do(func() { r.pp = bitpar.PackReference(r.seq) })
-	return r.pp
-}
-
-// contentDigest returns the reference's SHA-256 content digest,
-// computing and memoizing it on first call.
-func (r *Reference) contentDigest() [sha256.Size]byte {
-	r.digestOnce.Do(func() {
-		h := sha256.New()
-		var buf [64 << 10]byte
-		for off := 0; off < len(r.seq); off += len(buf) {
-			n := len(r.seq) - off
-			if n > len(buf) {
-				n = len(buf)
-			}
-			for i := 0; i < n; i++ {
-				buf[i] = byte(r.seq[off+i])
-			}
-			h.Write(buf[:n])
-		}
-		copy(r.digest[:], h.Sum(nil))
-	})
-	return r.digest
+// newReference wraps letters as a one-record database.
+func newReference(seq bio.NucSeq) *Reference {
+	return &Reference{d: db.FromPacked("", bio.Pack(seq))}
 }
 
 // NewReference parses a nucleotide string.
@@ -178,7 +149,7 @@ func NewReference(seq string) (*Reference, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Reference{seq: s}, nil
+	return newReference(s), nil
 }
 
 // NewReferenceIUPAC parses a nucleotide string that may contain IUPAC
@@ -191,7 +162,7 @@ func NewReferenceIUPAC(seq string) (*Reference, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	return &Reference{seq: s}, ambiguous, nil
+	return newReference(s), ambiguous, nil
 }
 
 // ReadReferenceFasta concatenates every record of a FASTA stream into one
@@ -216,15 +187,15 @@ func ReadReferenceFasta(r io.Reader) (*Reference, []int, error) {
 		}
 		seq = append(seq, s...)
 	}
-	return &Reference{seq: seq}, offsets, nil
+	return newReference(seq), offsets, nil
 }
 
 // Len returns the reference length in nucleotides.
-func (r *Reference) Len() int { return len(r.seq) }
+func (r *Reference) Len() int { return r.d.Len() }
 
 // String renders the reference as RNA letters (use with care on large
 // references).
-func (r *Reference) String() string { return r.seq.String() }
+func (r *Reference) String() string { return r.d.Seq().String() }
 
 // Kernel selects an alignment implementation. All kernels are bit-exact
 // with each other and with the generated netlist; they differ only in
@@ -525,7 +496,7 @@ func (a *Aligner) EValueOf(score, refLen int) float64 {
 // threshold (ok=false when the reference is shorter than the query). It
 // dispatches through the same kernel rule as Align — the scalar engine
 // only under WithKernelType(KernelScalar), the bit-parallel best-hit scan
-// over the reference's memoized planes otherwise — and is instrumented
+// over the reference's planes otherwise — and is instrumented
 // like every other scan (align.queries.started, align.latency, kernel
 // counters).
 func (a *Aligner) Best(ref *Reference) (Hit, bool) {
@@ -534,10 +505,10 @@ func (a *Aligner) Best(ref *Reference) (Hit, bool) {
 	defer func() { observeSince(a.tm.alignLatency, t0) }()
 	a.tm.kernelChosen(a.useBitpar())
 	if a.useBitpar() {
-		h, ok := a.kernel.BestHitPlanes(ref.planes())
+		h, ok := a.kernel.BestHitPlanes(planesOf(ref.d))
 		return Hit{Pos: h.Pos, Score: h.Score}, ok
 	}
-	h, ok := a.engine().BestHit(ref.seq)
+	h, ok := a.engine().BestHit(ref.d.Seq())
 	return Hit{Pos: h.Pos, Score: h.Score}, ok
 }
 
@@ -549,7 +520,9 @@ func (a *Aligner) ScoreAt(ref *Reference, pos int) (int, error) {
 	}
 	a.tm.queries.Inc()
 	t0 := time.Now()
-	score := a.engine().Score(ref.seq, pos)
+	// The window and the two letters of comparison context before it.
+	from := max(pos-2, 0)
+	score := a.engine().Score(ref.d.Packed().Slice(from, pos+a.query.Elements()), pos-from)
 	observeSince(a.tm.alignLatency, t0)
 	return score, nil
 }

@@ -75,11 +75,12 @@ func checkAlignConformance(t *testing.T, protein, refStr string, thr int) {
 	if err != nil {
 		t.Skip(err)
 	}
+	letters, _ := bio.ParseNucSeq(refStr) // NewReference accepted it
 	eng, err := core.NewEngine(q.program, thr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := coreHits(eng.Align(ref.seq))
+	want := coreHits(eng.Align(letters))
 
 	scalar := mustConformAligner(t, q, WithKernelType(KernelScalar), WithThreshold(thr))
 	assertHitsEqual(t, "scalar Align", want, scalar.Align(ref))
@@ -105,7 +106,7 @@ func checkAlignConformance(t *testing.T, protein, refStr string, thr int) {
 		}
 		assertHitsEqual(t, "Scan/"+a.Kernel().String(), want, res.Hits)
 	}
-	wb, wantOK := eng.BestHit(ref.seq)
+	wb, wantOK := eng.BestHit(letters)
 	wantBest := Hit(wb)
 	for _, a := range []*Aligner{scalar, auto} {
 		if best, ok := a.Best(ref); best != wantBest || ok != wantOK {
@@ -130,6 +131,16 @@ func checkAlignConformance(t *testing.T, protein, refStr string, thr int) {
 		t.Fatal(err)
 	}
 	assertHitsEqual(t, "AlignDatabaseBatch", want, recordHitsAsHits(dbBatch[0]))
+
+	// A Reference and the Database it came from: the view scans the
+	// database's own payload and planes, both kernels, Best included.
+	view := dbase.AsReference()
+	for _, a := range []*Aligner{scalar, auto} {
+		assertHitsEqual(t, "AsReference Align/"+a.Kernel().String(), recordHitsAsHits(a.AlignDatabase(dbase)), a.Align(view))
+		if best, ok := a.Best(view); best != wantBest || ok != wantOK {
+			t.Fatalf("AsReference %s Best = %+v, %v; engine %+v, %v", a.Kernel(), best, ok, wantBest, wantOK)
+		}
+	}
 	sess, err := NewSession(dbase)
 	if err != nil {
 		t.Fatal(err)
@@ -221,6 +232,7 @@ func checkBatchConformance(t *testing.T, proteins []string, refStr string, frac 
 	if err != nil {
 		t.Skip(err)
 	}
+	letters, _ := bio.ParseNucSeq(refStr) // NewReference accepted it
 	plan, err := ScanRequest{Queries: queries, Reference: ref, ThresholdFrac: frac}.plan()
 	if err != nil {
 		t.Fatal(err)
@@ -241,7 +253,7 @@ func checkBatchConformance(t *testing.T, proteins []string, refStr string, frac 
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[i] = coreHits(eng.Align(ref.seq))
+		want[i] = coreHits(eng.Align(letters))
 	}
 
 	assertBatch := func(label string, got [][]Hit) {
@@ -265,7 +277,7 @@ func checkBatchConformance(t *testing.T, proteins []string, refStr string, frac 
 	shardLens := []int{0, 64, 128, (maxElems + 63) &^ 63, (maxElems + 127) &^ 63}
 	for _, shardLen := range shardLens {
 		x := (&executor{bk: bk, shardLen: shardLen, pool: sched.Shared(), tm: &defaultAlignerTM}).ready(RetryPolicy{})
-		raw, _, err := x.run(context.Background(), ref.planes(), nil)
+		raw, _, err := x.run(context.Background(), planesOf(ref.d), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

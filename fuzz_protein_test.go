@@ -15,7 +15,7 @@ import (
 func checkProteinConformance(t *testing.T, q *Query, ref *Reference, minScore int, twoHit bool) {
 	t.Helper()
 	for _, frames := range []int{1, 3, 6} {
-		oracle, oStats, err := tblastn.Search(q.protein, ref.seq, tblastn.Options{
+		oracle, oStats, err := tblastn.Search(q.protein, ref.d.Seq(), tblastn.Options{
 			Threads: 1, Frames: frames, MinScore: minScore, TwoHit: twoHit,
 		})
 		if err != nil {

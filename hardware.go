@@ -252,7 +252,7 @@ func GenerateTestbench(mod, tb io.Writer, cfg VerilogConfig, refNucleotides int,
 	}
 	rec := rtl.NewTraceRecorder(runner.Netlist())
 	runner.AttachRecorder(rec)
-	runner.Align(ref.seq)
+	runner.Align(ref.d.Seq())
 	if err := rtl.EmitVerilog(mod, runner.Netlist()); err != nil {
 		return err
 	}
@@ -336,7 +336,7 @@ func GenerateWaveform(w io.Writer, cfg VerilogConfig, refNucleotides int, seed i
 	if err != nil {
 		return nil, err
 	}
-	raw := runner.Align(ref.seq)
+	raw := runner.Align(ref.d.Seq())
 	if err := vcd.Err(); err != nil {
 		return nil, err
 	}

@@ -127,14 +127,17 @@ type PackedNucSeq struct {
 // NucsPerWord is the number of 2-bit nucleotides in one 64-bit word.
 const NucsPerWord = 32
 
-// Pack converts an unpacked sequence into packed DRAM layout.
+// Pack converts an unpacked sequence into packed DRAM layout, one 64-bit
+// word at a time.
 func Pack(s NucSeq) *PackedNucSeq {
-	p := &PackedNucSeq{
-		words: make([]uint64, (len(s)+NucsPerWord-1)/NucsPerWord),
-		n:     len(s),
-	}
-	for i, nt := range s {
-		p.words[i/NucsPerWord] |= uint64(nt&3) << (2 * uint(i%NucsPerWord))
+	p := NewPackedNucSeq(len(s))
+	for w := range p.words {
+		var x uint64
+		chunk := s[w*NucsPerWord : min((w+1)*NucsPerWord, len(s))]
+		for j := len(chunk) - 1; j >= 0; j-- {
+			x = x<<2 | uint64(chunk[j]&3)
+		}
+		p.words[w] = x
 	}
 	return p
 }
@@ -166,9 +169,7 @@ func (p *PackedNucSeq) Words() []uint64 { return p.words }
 // Unpack expands the packed sequence back to a NucSeq.
 func (p *PackedNucSeq) Unpack() NucSeq {
 	s := make(NucSeq, p.n)
-	for i := range s {
-		s[i] = p.At(i)
-	}
+	p.unpackInto(s, 0)
 	return s
 }
 
@@ -185,10 +186,22 @@ func (p *PackedNucSeq) Slice(from, to int) NucSeq {
 		return nil
 	}
 	s := make(NucSeq, to-from)
-	for i := range s {
-		s[i] = p.At(from + i)
-	}
+	p.unpackInto(s, from)
 	return s
+}
+
+// unpackInto fills dst with the elements starting at from, one 64-bit
+// word at a time.
+func (p *PackedNucSeq) unpackInto(dst NucSeq, from int) {
+	for len(dst) > 0 {
+		x := p.words[from/NucsPerWord] >> (2 * uint(from%NucsPerWord))
+		k := min(NucsPerWord-from%NucsPerWord, len(dst))
+		for j := range dst[:k] {
+			dst[j] = Nucleotide(x & 3)
+			x >>= 2
+		}
+		dst, from = dst[k:], from+k
+	}
 }
 
 // Bytes serializes the packed words little-endian, the byte stream an AXI

@@ -114,6 +114,55 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPackRoundTripLengths: Pack, Unpack and Slice work a 64-bit word at
+// a time, so every length 0..100 (partial last words included) and a
+// 512 Ki nt sequence must round-trip, and windows straddling word edges
+// must equal the same window of the letters.
+func TestPackRoundTripLengths(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	lengths := []int{512 << 10, 512<<10 - 7}
+	for n := 0; n <= 100; n++ {
+		lengths = append(lengths, n)
+	}
+	for _, n := range lengths {
+		s := RandomNucSeq(rng, n)
+		p := Pack(s)
+		for i, w := range p.Words() {
+			if n%NucsPerWord != 0 && i == len(p.Words())-1 && w>>(2*uint(n%NucsPerWord)) != 0 {
+				t.Fatalf("n=%d: bits past the last element are set in word %d: %#x", n, i, w)
+			}
+		}
+		if got := p.Unpack(); !reflect.DeepEqual(got, s) {
+			t.Fatalf("n=%d: Unpack differs from the packed letters", n)
+		}
+		for _, r := range [][2]int{{0, n}, {1, n - 1}, {31, 33}, {32, 64}, {n / 3, n/3 + 45}, {n - 1, n}} {
+			lo, hi := max(r[0], 0), min(r[1], n)
+			if lo >= hi {
+				continue
+			}
+			if got := p.Slice(lo, hi); !reflect.DeepEqual(got, s[lo:hi]) {
+				t.Fatalf("n=%d: Slice(%d, %d) differs from the letters", n, lo, hi)
+			}
+		}
+	}
+}
+
+func BenchmarkPack(b *testing.B) {
+	s := RandomNucSeq(rand.New(rand.NewSource(1)), 512<<10)
+	b.SetBytes(int64(len(s)))
+	for i := 0; i < b.N; i++ {
+		Pack(s)
+	}
+}
+
+func BenchmarkUnpack(b *testing.B) {
+	p := Pack(RandomNucSeq(rand.New(rand.NewSource(1)), 512<<10))
+	b.SetBytes(int64(p.Len()))
+	for i := 0; i < b.N; i++ {
+		p.Unpack()
+	}
+}
+
 func TestPackedAtSetSlice(t *testing.T) {
 	p := NewPackedNucSeq(100)
 	if p.Len() != 100 {

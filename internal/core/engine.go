@@ -147,11 +147,6 @@ func (e *Engine) alignRange(ctxs []uint8, lo, hi int) []Hit {
 	return hits
 }
 
-// AlignPacked unpacks a DRAM-layout reference and aligns it.
-func (e *Engine) AlignPacked(ref *bio.PackedNucSeq) []Hit {
-	return e.Align(ref.Unpack())
-}
-
 // BestHit returns the highest-scoring position (ties broken by lower
 // position) regardless of threshold, or ok=false for an empty scan range.
 func (e *Engine) BestHit(ref bio.NucSeq) (Hit, bool) {

@@ -10,8 +10,10 @@ import (
 	"fabp/internal/isa"
 )
 
-// TestAlignStreamEqualsAlign: beat-chunked scoring must reproduce the flat
-// scan exactly, for beats smaller and larger than the query.
+// TestAlignStreamEqualsAlign: scoring the reference beat by beat the way
+// the hardware does — each beat contributes the window starts that end
+// inside it, over the shared context array — must reproduce the flat scan
+// exactly, for beats smaller and larger than the query.
 func TestAlignStreamEqualsAlign(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, beat := range []int{4, 16, 256, 1000} {
@@ -20,127 +22,130 @@ func TestAlignStreamEqualsAlign(t *testing.T) {
 			prog := isa.MustEncodeProtein(p)
 			e, _ := NewEngine(prog, len(prog)/2)
 			ref := bio.RandomNucSeq(rng, 50+rng.Intn(500))
-			flat := e.Align(ref)
-			streamed, stats := e.AlignStream(ref, StreamConfig{Beat: beat})
-			if !reflect.DeepEqual(flat, streamed) {
-				t.Fatalf("beat %d trial %d: %v != %v", beat, trial, flat, streamed)
+			ctxs := AppendContexts(nil, ref)
+			var beats []Hit
+			for b := 0; b*beat < len(ref); b++ {
+				lo := b*beat - len(prog) + 1
+				beats = append(beats, e.AlignContexts(ctxs, lo, lo+beat)...)
 			}
-			wantBeats := (len(ref) + beat - 1) / beat
-			if stats.Beats != wantBeats {
-				t.Fatalf("beats %d, want %d", stats.Beats, wantBeats)
+			if flat := e.Align(ref); !reflect.DeepEqual(flat, beats) {
+				t.Fatalf("beat %d trial %d: %v != %v", beat, trial, flat, beats)
 			}
 		}
 	}
 }
 
+// TestAlignStreamCycleAccounting: the cycle-accurate netlist streaming a
+// reference takes exactly the cycles of the analytic AXI stream model the
+// resource estimator uses (axi.SimulateStream plus the pipeline drain),
+// at full rate, segmented and under DRAM stalls, and stalls change timing
+// only, never hits.
 func TestAlignStreamCycleAccounting(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
-	p := bio.RandomProtSeq(rng, 4)
-	e, _ := NewEngine(isa.MustEncodeProtein(p), 6)
-	ref := bio.RandomNucSeq(rng, 10_000)
+	prog := isa.MustEncodeProtein(bio.RandomProtSeq(rng, 4))
+	ref := bio.RandomNucSeq(rng, 400)
+	const beat = 8
+	beats := (len(ref) + beat - 1) / beat
+	e, _ := NewEngine(prog, 6)
+	want := e.Align(ref)
 
-	_, ideal := e.AlignStream(ref, StreamConfig{Beat: 256, Iterations: 1, Stall: axi.NoStall{}})
-	if ideal.Cycles != ideal.Beats+PipelineDepth {
-		t.Errorf("ideal cycles %d, want %d", ideal.Cycles, ideal.Beats+PipelineDepth)
+	full, err := NewNetlistRunner(NetlistConfig{QueryElems: len(prog), Beat: beat, Threshold: 6}, prog)
+	if err != nil {
+		t.Fatal(err)
 	}
-	_, seg := e.AlignStream(ref, StreamConfig{Beat: 256, Iterations: 4, Stall: axi.NoStall{}})
-	if seg.Cycles != 4*seg.Beats+PipelineDepth {
-		t.Errorf("segmented cycles %d, want %d", seg.Cycles, 4*seg.Beats+PipelineDepth)
+	if got := full.Align(ref); !reflect.DeepEqual(got, want) {
+		t.Fatalf("full rate: %v != %v", got, want)
 	}
-	if seg.ComputeCycles != 3*seg.Beats {
-		t.Errorf("compute-bound cycles %d", seg.ComputeCycles)
+	if ideal := axi.SimulateStream(beats, axi.NoStall{}, 1); full.Cycles() != ideal.TotalCycles+PipelineDepth {
+		t.Errorf("ideal cycles %d, want %d", full.Cycles(), ideal.TotalCycles+PipelineDepth)
 	}
-	// Stalls must not change hits.
-	h1, _ := e.AlignStream(ref, StreamConfig{Beat: 256, Stall: axi.NewRandomStall(0.3, 2, 5)})
-	h2, _ := e.AlignStream(ref, StreamConfig{Beat: 256, Stall: axi.NoStall{}})
-	if !reflect.DeepEqual(h1, h2) {
-		t.Error("stall model changed results")
+
+	seg, err := NewNetlistRunner(NetlistConfig{QueryElems: len(prog), Beat: beat, Threshold: 6, Iterations: 4}, prog)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Short reference: no hits, stats still sane.
-	hits, stats := e.AlignStream(bio.NucSeq{bio.A}, StreamConfig{Beat: 8})
-	if hits != nil || stats.Beats != 1 {
-		t.Errorf("short ref: %v %+v", hits, stats)
+	if got := seg.Align(ref); !reflect.DeepEqual(got, want) {
+		t.Fatalf("segmented: %v != %v", got, want)
 	}
-	// Defaults: zero config fields.
-	_, stats = e.AlignStream(ref, StreamConfig{})
-	if stats.Beats != (len(ref)+255)/256 {
-		t.Error("default beat should be 256")
+	model := axi.SimulateStream(beats, axi.NoStall{}, 4)
+	if seg.Cycles() != model.TotalCycles+seg.ports.Latency {
+		t.Errorf("segmented cycles %d, want %d", seg.Cycles(), model.TotalCycles+seg.ports.Latency)
+	}
+	if model.ComputeBoundCycles != 3*beats {
+		t.Errorf("compute-bound cycles %d, want %d", model.ComputeBoundCycles, 3*beats)
+	}
+
+	// Stalls: the same seeded pattern drives the netlist and the model.
+	pattern := axi.NewRandomStall(0.3, 2, 5)
+	stalls := make([]int, beats)
+	for b := range stalls {
+		stalls[b] = pattern.StallsBefore(b)
+	}
+	if got := full.AlignWithStalls(ref, stalls); !reflect.DeepEqual(got, want) {
+		t.Fatal("stall model changed results")
+	}
+	stalled := axi.SimulateStream(beats, axi.NewRandomStall(0.3, 2, 5), 1)
+	if stalled.StallCycles == 0 {
+		t.Fatal("stall pattern inserted no stalls")
+	}
+	if full.Cycles() != stalled.TotalCycles+PipelineDepth {
+		t.Errorf("stalled cycles %d, want %d", full.Cycles(), stalled.TotalCycles+PipelineDepth)
+	}
+
+	// Short reference: no hits from either model.
+	if hits := e.Align(bio.NucSeq{bio.A}); hits != nil {
+		t.Errorf("short ref: %v", hits)
 	}
 }
 
+// TestBatchMatchesIndividualEngines: a batch of queries scanning one
+// shared context array — the paper's one-pass, many-query workload —
+// gives each query exactly the hits of its own engine's flat scan.
 func TestBatchMatchesIndividualEngines(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	ref := bio.RandomNucSeq(rng, 200_000)
-	var progs []isa.Program
-	var thresholds []int
+	ctxs := AppendContexts(nil, ref)
 	for i := 0; i < 6; i++ {
-		p := bio.RandomProtSeq(rng, 3+rng.Intn(12))
-		prog := isa.MustEncodeProtein(p)
-		progs = append(progs, prog)
-		thresholds = append(thresholds, len(prog)*2/3)
-	}
-	batch, err := NewBatch(progs, thresholds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := batch.Align(ref)
-	for i := range progs {
-		e, _ := NewEngine(progs[i], thresholds[i])
-		want := e.Align(ref)
-		if len(want) == 0 && len(got[i]) == 0 {
+		prog := isa.MustEncodeProtein(bio.RandomProtSeq(rng, 3+rng.Intn(12)))
+		e, err := NewEngine(prog, len(prog)*2/3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := e.AlignContexts(ctxs, 0, len(ref)), e.Align(ref)
+		if len(want) == 0 && len(got) == 0 {
 			continue
 		}
-		if !reflect.DeepEqual(got[i], want) {
-			t.Fatalf("query %d: batch %d hits, individual %d", i, len(got[i]), len(want))
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("query %d: shared contexts %d hits, individual %d", i, len(got), len(want))
 		}
 	}
 }
 
-func TestBatchValidation(t *testing.T) {
-	if _, err := NewBatch(nil, nil); err == nil {
-		t.Error("empty batch must fail")
-	}
-	prog := isa.MustEncodeProtein(bio.ProtSeq{bio.Met})
-	if _, err := NewBatch([]isa.Program{prog}, []int{1, 2}); err == nil {
-		t.Error("length mismatch must fail")
-	}
-	if _, err := NewBatch([]isa.Program{prog}, []int{99}); err == nil {
-		t.Error("bad threshold must fail")
-	}
-	b, err := NewBatchUniform([]isa.Program{prog}, 0.8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Len() != 1 {
-		t.Error("Len")
-	}
-}
-
+// TestBatchBestHits: per query of a batch, the engine's best hit lands on
+// its perfectly planted gene, and a too-short reference has none.
 func TestBatchBestHits(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	ref, genes := bio.SyntheticReference(rng, 30_000, 2, 30)
-	var progs []isa.Program
 	for _, g := range genes {
 		p := g.Protein
-		for i := range p {
-			if p[i] == bio.Ser {
-				p[i] = bio.Gly
+		for j := range p {
+			if p[j] == bio.Ser {
+				p[j] = bio.Gly
 			}
 		}
 		// Re-plant with Ser removed so the best hit is perfect.
 		copy(ref[g.Pos:], bio.EncodeGene(rng, p))
-		progs = append(progs, isa.MustEncodeProtein(p))
 	}
-	batch, _ := NewBatchUniform(progs, 0.9)
-	best := batch.BestHits(ref)
 	for i, g := range genes {
-		if best[i].Pos != g.Pos {
-			t.Errorf("query %d best at %d, want %d", i, best[i].Pos, g.Pos)
+		e, err := NewEngine(isa.MustEncodeProtein(g.Protein), 0)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// Too-short reference marks -1.
-	tiny := batch.BestHits(bio.NucSeq{bio.A})
-	if tiny[0].Pos != -1 {
-		t.Error("short ref must yield -1")
+		if best, ok := e.BestHit(ref); !ok || best.Pos != g.Pos {
+			t.Errorf("query %d best at %+v/%v, want %d", i, best, ok, g.Pos)
+		}
+		if _, ok := e.BestHit(bio.NucSeq{bio.A}); ok {
+			t.Errorf("query %d: short ref must yield no best hit", i)
+		}
 	}
 }

@@ -32,9 +32,10 @@ type Record struct {
 type Database struct {
 	records []Record
 	packed  *bio.PackedNucSeq
-	// digest identifies the packed content (see Digest); computed at
-	// construction so it can key caches without re-hashing.
-	digest Digest
+	// digest identifies the packed content (see Digest), hashed on first
+	// use, so a database that never keys a cache is never hashed.
+	digestOnce sync.Once
+	digest     Digest
 
 	// planesMu guards the memoized bit-planes: either deserialized from a
 	// v2 file's plane section (planesPersisted) or packed once by
@@ -48,11 +49,7 @@ type Database struct {
 
 // newDatabase wires up a database over validated records and payload.
 func newDatabase(records []Record, packed *bio.PackedNucSeq) *Database {
-	return &Database{
-		records: records,
-		packed:  packed,
-		digest:  computeDigest(packed.Len(), packed.Words()),
-	}
+	return &Database{records: records, packed: packed}
 }
 
 // Build concatenates nucleotide FASTA records into a database.
@@ -84,10 +81,14 @@ func FromSeq(id string, seq bio.NucSeq) (*Database, error) {
 	if len(seq) == 0 {
 		return nil, fmt.Errorf("db: empty sequence")
 	}
-	return newDatabase(
-		[]Record{{ID: id, Start: 0, Length: len(seq)}},
-		bio.Pack(seq),
-	), nil
+	return FromPacked(id, bio.Pack(seq)), nil
+}
+
+// FromPacked builds a single-record database over a packed payload, which
+// it shares rather than copies: the payload is read-only from here on. The
+// record may be empty. The new database has its own digest and planes.
+func FromPacked(id string, packed *bio.PackedNucSeq) *Database {
+	return newDatabase([]Record{{ID: id, Length: packed.Len()}}, packed)
 }
 
 // Len returns the total element count.
@@ -107,10 +108,13 @@ func (d *Database) Seq() bio.NucSeq { return d.packed.Unpack() }
 func (d *Database) Packed() *bio.PackedNucSeq { return d.packed }
 
 // Digest returns the SHA-256 content digest of the packed payload (length
-// plus words). Two databases with identical concatenated sequences share
-// a digest regardless of how they were built or loaded — it is the
-// identity the scan-result cache keys on.
-func (d *Database) Digest() Digest { return d.digest }
+// plus words), hashing it on the first call. Two databases with identical
+// concatenated sequences share a digest regardless of how they were built
+// or loaded — it is the identity the scan-result cache keys on.
+func (d *Database) Digest() Digest {
+	d.digestOnce.Do(func() { d.digest = computeDigest(d.packed.Len(), d.packed.Words()) })
+	return d.digest
+}
 
 // EnsurePlanes returns the database's packed bit-planes: the planes
 // deserialized from a v2 file when present, otherwise packed straight from

@@ -59,16 +59,19 @@ type Digest [sha256.Size]byte
 func (d Digest) String() string { return hex.EncodeToString(d[:]) }
 
 // computeDigest hashes the packed payload: the element count followed by
-// the packed words, all little-endian.
+// the packed words, all little-endian, fed to the hash in 4 KiB blocks.
 func computeDigest(total int, words []uint64) Digest {
 	h := sha256.New()
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(total))
-	h.Write(b[:])
+	var buf [4 << 10]byte
+	b := binary.LittleEndian.AppendUint64(buf[:0], uint64(total))
 	for _, w := range words {
-		binary.LittleEndian.PutUint64(b[:], w)
-		h.Write(b[:])
+		if len(b) == len(buf) {
+			h.Write(b)
+			b = buf[:0]
+		}
+		b = binary.LittleEndian.AppendUint64(b, w)
 	}
+	h.Write(b)
 	var d Digest
 	h.Sum(d[:0])
 	return d
@@ -204,7 +207,7 @@ func (d *Database) writeV2(w io.Writer, planes *bitpar.Planes) (int64, error) {
 	if err := write(uint64(d.packed.Len())); err != nil {
 		return n, err
 	}
-	if err := write(d.digest); err != nil {
+	if err := write(d.Digest()); err != nil {
 		return n, err
 	}
 	flags := uint8(0)
@@ -463,7 +466,7 @@ func readV1(br *bufio.Reader) (*Database, FileInfo, error) {
 	d := newDatabase(records, packed)
 	info := FileInfo{
 		Version: 1, Records: int(count), TotalNt: int(total),
-		Digest: d.digest, IndexBytes: indexBytes, PayloadBytes: sr.n,
+		Digest: d.Digest(), IndexBytes: indexBytes, PayloadBytes: sr.n,
 	}
 	return d, info, nil
 }
@@ -530,9 +533,10 @@ func readV2(br *bufio.Reader) (*Database, FileInfo, error) {
 	packed := bio.NewPackedNucSeq(int(total))
 	copy(packed.Words(), words)
 	d := newDatabase(records, packed)
+	d.digestOnce.Do(func() { d.digest = computed }) // verified above; never hashed twice
 	info := FileInfo{
 		Version: 2, Records: int(count), TotalNt: int(total),
-		Digest: d.digest, IndexBytes: indexBytes, PayloadBytes: payloadBytes,
+		Digest: computed, IndexBytes: indexBytes, PayloadBytes: payloadBytes,
 	}
 
 	// Plane section: best-effort. Any failure leaves the database loaded

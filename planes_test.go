@@ -201,3 +201,40 @@ func TestWarmPlanesAllocs(t *testing.T) {
 		t.Fatalf("WarmPlanes on %d nt allocated %d KiB, want ≤ %d KiB", d.Len(), alloc>>10, bound>>10)
 	}
 }
+
+// TestAsReferenceSharesPlanes: a Reference is a view of a Database, so on
+// a warmed 4 Mi nt Database, AsReference followed by Align and Best packs
+// nothing and copies nothing — no unpacked sequence (4 096 KiB) and no
+// second plane set (1 024 KiB), which a Reference holding letters of its
+// own cost.
+func TestAsReferenceSharesPlanes(t *testing.T) {
+	base, genes := SyntheticReference(51, 4<<20, 1, 30)
+	d, err := DatabaseFromReference("big", base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := NewQuery(genes[0].Protein[:12])
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := mustConformAligner(t, q, WithThresholdFraction(0.9))
+	d.WarmPlanes()
+	packs := bitpar.PackCount()
+	var hits []Hit
+	var best Hit
+	alloc := allocDuring(func() {
+		ref := d.AsReference()
+		hits = a.Align(ref)
+		best, _ = a.Best(ref)
+	})
+	if n := bitpar.PackCount() - packs; n != 0 {
+		t.Errorf("AsReference + Align + Best on a warm Database packed %d times, want 0", n)
+	}
+	if !slices.Contains(hits, Hit{Pos: genes[0].Pos, Score: q.MaxScore()}) || best.Pos != genes[0].Pos {
+		t.Fatalf("Align found %d hits and Best %+v, want the planted gene at %d", len(hits), best, genes[0].Pos)
+	}
+	if alloc >= 64<<10 {
+		t.Fatalf("AsReference + Align + Best on %d nt allocated %d KiB, want < 64 KiB", d.Len(), alloc>>10)
+	}
+	t.Logf("AsReference + Align + Best on %d nt allocated %d KiB", d.Len(), alloc>>10)
+}

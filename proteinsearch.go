@@ -3,7 +3,6 @@ package fabp
 import (
 	"context"
 
-	"fabp/internal/bio"
 	"fabp/internal/tblastn"
 )
 
@@ -111,9 +110,9 @@ func proteinKeyOf(o *tblastn.Options) proteinKey {
 }
 
 // executeProteinSearch is the plan's cold path: run the pipeline over
-// the target's nucleotide sequence and shape the result.
+// the target's unpacked nucleotide sequence and shape the result.
 func (p *scanPlan) executeProteinSearch(ctx context.Context) (*ScanResult, error) {
-	hsps, st, err := tblastn.SearchContext(ctx, p.req.Query.protein, p.targetSeq(), *p.protein)
+	hsps, st, err := tblastn.SearchContext(ctx, p.req.Query.protein, p.target().Seq(), *p.protein)
 	if err != nil {
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
@@ -132,14 +131,6 @@ func (p *scanPlan) executeProteinSearch(ctx context.Context) (*ScanResult, error
 			HSPs:         st.HSPs,
 		},
 	}, nil
-}
-
-// targetSeq returns the plan target's nucleotide sequence.
-func (p *scanPlan) targetSeq() bio.NucSeq {
-	if p.req.Database != nil {
-		return p.req.Database.d.Seq()
-	}
-	return p.req.Reference.seq
 }
 
 // hspsFromInternal converts pipeline HSPs to the facade shape.

@@ -34,7 +34,7 @@ func proteinFixture(t *testing.T, seed int64, refLen int) (*Query, *Reference) {
 func TestSearchProteinMatchesSerialOracle(t *testing.T) {
 	q, ref := proteinFixture(t, 31, 60_000)
 	for _, twoHit := range []bool{false, true} {
-		oracle, oStats, err := tblastn.Search(q.protein, ref.seq, tblastn.Options{Threads: 1, TwoHit: twoHit})
+		oracle, oStats, err := tblastn.Search(q.protein, ref.d.Seq(), tblastn.Options{Threads: 1, TwoHit: twoHit})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -207,17 +207,18 @@ func clip[T any](s []T, n int, truncated *bool) []T {
 
 // targetKind tags the cache key with the result shape: a database scan
 // (attributed RecordHits) and a reference scan (position Hits) of
-// identical content are different results.
+// identical content are different results. Both targets key on their
+// database's digest.
 type targetKind uint8
 
 const (
 	targetDatabase  targetKind = 1
 	targetReference targetKind = 2
-	// Protein searches get their own kinds: the digests are computed
-	// over different byte domains (database format vs raw sequence), so
-	// the kind keeps them from ever aliasing a nucleotide scan.
-	targetProteinDatabase  targetKind = 3
-	targetProteinReference targetKind = 4
+	// targetProtein is a protein search of either target: its HSPs are a
+	// function of the sequence alone, so a Reference and a Database of
+	// identical content share them, and the kind keeps them from ever
+	// aliasing a nucleotide scan.
+	targetProtein targetKind = 3
 )
 
 // scanKey is the content-addressed cache key. Two requests with equal
@@ -475,26 +476,27 @@ func (p *scanPlan) planProtein() (*scanPlan, error) {
 // builder of scan cache keys. Only one-query Reference and Database plans
 // reach it (see bypass).
 func (p *scanPlan) key() scanKey {
-	k := scanKey{query: p.queries[0].digest}
+	k := scanKey{query: p.queries[0].digest, target: p.target().Digest(), kind: targetDatabase}
+	if p.req.Reference != nil {
+		k.kind = targetReference
+	}
 	if p.protein != nil {
-		k.protein = proteinKeyOf(p.protein)
+		k.kind, k.protein = targetProtein, proteinKeyOf(p.protein)
 	} else {
 		k.threshold = p.thresholds[0]
 		k.kernel = resolveKernel(p.req.Kernel)
 		k.shardLen = canonShardLen(p.req.ShardLen)
 	}
-	if p.req.Database != nil {
-		k.target = [sha256.Size]byte(p.req.Database.d.Digest())
-		k.kind = targetDatabase
-	} else {
-		k.target = p.req.Reference.contentDigest()
-		k.kind = targetReference
-	}
-	if p.protein != nil {
-		// Each protein kind sits two above its nucleotide kind.
-		k.kind += targetProteinDatabase - targetDatabase
-	}
 	return k
+}
+
+// target returns the database an in-memory plan scans: the Database, or
+// the one the Reference views.
+func (p *scanPlan) target() *db.Database {
+	if p.req.Reference != nil {
+		return p.req.Reference.d
+	}
+	return p.req.Database.d
 }
 
 // bypass reports whether this plan must scan uncached: on request, in
@@ -564,14 +566,11 @@ func (p *scanPlan) cold(ctx context.Context) (*ScanResult, error) {
 // scan runs the plan over its in-memory target on x and shapes the answer:
 // top-level hits for a Query plan, PerQuery for a Queries plan.
 func (p *scanPlan) scan(ctx context.Context, x *executor) (*ScanResult, error) {
-	var hits [][]bitpar.Hit
-	var recs [][]db.RecordHit
-	var err error
-	if d := p.req.Database; d != nil {
-		hits, recs, err = x.run(ctx, d.planes(), d.d)
-	} else {
-		hits, recs, err = x.run(ctx, p.req.Reference.planes(), nil)
+	var attribute *db.Database // a Reference's hits stay positions
+	if p.req.Database != nil {
+		attribute = p.req.Database.d
 	}
+	hits, recs, err := x.run(ctx, planesOf(p.target()), attribute)
 	pe, degraded := err.(*PartialError)
 	if err != nil && !degraded {
 		return nil, err

@@ -8,7 +8,6 @@ import (
 
 	"fabp/internal/bitpar"
 	"fabp/internal/core"
-	"fabp/internal/isa"
 )
 
 // buildShardDB builds a multi-record database of the given total size with
@@ -166,7 +165,8 @@ func TestAlignStreamHonorsKernel(t *testing.T) {
 }
 
 // TestAlignBatchShardedGolden: the sharded fused batch must be bit-exact
-// with the serial core.Batch golden model and with per-query aligners.
+// with the serial golden model (one scalar core.Engine per query) and with
+// per-query aligners.
 func TestAlignBatchShardedGolden(t *testing.T) {
 	ref, genes := SyntheticReference(555, 80_000, 6, 45)
 	var queries []*Query
@@ -181,15 +181,19 @@ func TestAlignBatchShardedGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	progs := make([]isa.Program, len(queries))
+	letters := ref.d.Seq()
+	serial := make([][]core.Hit, len(queries))
 	for i, q := range queries {
-		progs[i] = q.program
+		thr, err := core.ThresholdFromFraction(0.8, q.MaxScore())
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := core.NewEngine(q.program, thr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		serial[i] = eng.Align(letters)
 	}
-	golden, err := core.NewBatchUniform(progs, 0.8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial := golden.Align(ref.seq)
 	if len(sharded) != len(serial) {
 		t.Fatalf("query count %d vs %d", len(sharded), len(serial))
 	}

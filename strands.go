@@ -4,7 +4,6 @@ import (
 	"context"
 	"sort"
 
-	"fabp/internal/bio"
 	"fabp/internal/bitpar"
 )
 
@@ -48,9 +47,9 @@ func (a *Aligner) AlignBothStrands(ref *Reference) []StrandHit {
 	x.partial = true
 	var out []StrandHit
 	for _, strand := range []Strand{StrandForward, StrandReverse} {
-		pp := ref.planes()
+		pp := planesOf(ref.d)
 		if strand == StrandReverse {
-			pp = bitpar.PackReference(bio.NucSeq(ref.seq).ReverseComplement())
+			pp = bitpar.PackReference(ref.d.Seq().ReverseComplement())
 		}
 		hits, _, _ := x.run(context.Background(), pp, nil)
 		for _, qh := range hits { // the one query's hits
@@ -58,7 +57,7 @@ func (a *Aligner) AlignBothStrands(ref *Reference) []StrandHit {
 				if strand == StrandReverse {
 					// Window [h.Pos, h.Pos+m) on the reverse complement maps
 					// to forward positions [len-h.Pos-m, len-h.Pos).
-					h.Pos = len(ref.seq) - h.Pos - m
+					h.Pos = ref.Len() - h.Pos - m
 				}
 				out = append(out, StrandHit{Pos: h.Pos, Score: h.Score, Strand: strand})
 			}

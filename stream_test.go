@@ -502,7 +502,7 @@ func TestAlignStreamScalarMatchesAlign(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 2.5 Mi letters force two boundaries of the default 1 Mi-letter chunk.
-	ref := &Reference{seq: bio.RandomNucSeq(rng, 2_500_000)}
+	ref := newReference(bio.RandomNucSeq(rng, 2_500_000))
 	got, err := streamAll(a, strings.NewReader(ref.String()))
 	if err != nil {
 		t.Fatal(err)
@@ -523,7 +523,7 @@ func TestAlignStreamScalarPlantedAtBoundary(t *testing.T) {
 	for _, pos := range positions {
 		copy(seq[pos:], gene)
 	}
-	ref := &Reference{seq: seq}
+	ref := newReference(seq)
 	q, err := NewQuery(p.String())
 	if err != nil {
 		t.Fatal(err)
@@ -575,7 +575,7 @@ func TestAlignStreamScalarWhitespaceAndCase(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertHitsEqual(t, kernel.String()+" whitespace/case", a.Align(&Reference{seq: seq}), got)
+		assertHitsEqual(t, kernel.String()+" whitespace/case", a.Align(newReference(seq)), got)
 	}
 }
 

@@ -28,7 +28,7 @@ func SyntheticReference(seed int64, length, numGenes, geneLen int) (*Reference, 
 	for i, g := range genes {
 		out[i] = PlantedGene{Protein: g.Protein.String(), Pos: g.Pos}
 	}
-	return &Reference{seq: seq}, out
+	return newReference(seq), out
 }
 
 // MutateProtein derives a diverged copy of a protein under the paper's
@@ -72,7 +72,7 @@ type ORF struct {
 // minResidues coding residues in all six frames of the reference — the
 // candidate coding regions a FabP deployment screens queries against.
 func FindORFs(ref *Reference, minResidues int) []ORF {
-	raw := bio.FindORFs(ref.seq, minResidues)
+	raw := bio.FindORFs(ref.d.Seq(), minResidues)
 	out := make([]ORF, len(raw))
 	for i, o := range raw {
 		out[i] = ORF{

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"fabp/internal/bio"
 	"fabp/internal/swalign"
 )
 
@@ -45,7 +44,7 @@ func (a *Aligner) AlignVerified(ref *Reference, opts VerifyOptions) ([]VerifiedH
 	if opts.ContextResidues == 0 {
 		opts.ContextResidues = 10
 	}
-	scanned, _, err := a.executor().run(context.Background(), ref.planes(), nil)
+	scanned, _, err := a.executor().run(context.Background(), planesOf(ref.d), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -69,8 +68,7 @@ func (a *Aligner) AlignVerified(ref *Reference, opts VerifyOptions) ([]VerifiedH
 		if hi > ref.Len() {
 			hi = ref.Len()
 		}
-		window := ref.seq[lo:hi]
-		subject := window.Translate(0)
+		subject := ref.d.Packed().Slice(lo, hi).Translate(0)
 		if len(subject) == 0 {
 			continue
 		}
@@ -102,5 +100,5 @@ func (a *Aligner) TranslateWindow(ref *Reference, pos int) (string, error) {
 	if pos < 0 || pos+a.query.Elements() > ref.Len() {
 		return "", fmt.Errorf("fabp: window out of range")
 	}
-	return bio.NucSeq(ref.seq[pos : pos+a.query.Elements()]).Translate(0).String(), nil
+	return ref.d.Packed().Slice(pos, pos+a.query.Elements()).Translate(0).String(), nil
 }
