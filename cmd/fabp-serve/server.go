@@ -257,8 +257,8 @@ type alignRequest struct {
 	// Query is the protein in one-letter codes (required).
 	Query string `json:"query"`
 	// ThresholdFrac is the hit threshold as a fraction of the maximum
-	// score (default 0.8). Threshold is an absolute score instead;
-	// setting both is a client error.
+	// score, in (0, 1] (default 0.8). Threshold is an absolute score
+	// instead; setting both is a client error.
 	ThresholdFrac *float64 `json:"threshold_frac,omitempty"`
 	Threshold     *int     `json:"threshold,omitempty"`
 	// Kernel names the alignment implementation: auto (default), scalar
@@ -432,6 +432,9 @@ func (s *server) parseAlign(w http.ResponseWriter, r *http.Request) (call, error
 	// Both threshold fields pass through: setting both is the library's
 	// ErrBadOption, a 400.
 	if req.ThresholdFrac != nil {
+		if err := checkFrac(*req.ThresholdFrac); err != nil {
+			return call{}, err
+		}
 		sreq.ThresholdFrac = *req.ThresholdFrac
 	}
 	return call{req: sreq, timeout: timeout, what: "scan",
@@ -648,11 +651,21 @@ func (s *server) parseQueries(proteins []string, frac float64) ([]*fabp.Query, e
 		}
 		queries[i] = q
 	}
-	if frac <= 0 || frac > 1 || frac != frac {
-		return nil, fmt.Errorf("threshold_frac %v outside (0,1]", frac)
+	if err := checkFrac(frac); err != nil {
+		return nil, err
 	}
 	s.m.batchQueries.Add(uint64(len(queries)))
 	return queries, nil
+}
+
+// checkFrac refuses a threshold fraction outside (0, 1], NaN included.
+// The library reads a zero fraction as its 0.8 default, so an explicit
+// 0 must be refused here or it would silently mean 0.8.
+func checkFrac(frac float64) error {
+	if frac <= 0 || frac > 1 || frac != frac {
+		return fmt.Errorf("threshold_frac %v outside (0,1]", frac)
+	}
+	return nil
 }
 
 // batchQueryResult is one query's slice of the /align/batch response.

@@ -1478,9 +1478,20 @@ func TestServeRouteLifecycle(t *testing.T) {
 		{"/align", `{"query":"` + protein + `","timeout_ms":{t}}`, []string{
 			`{"query":""}`,
 			`{"query":"` + protein + `","threshold":10,"threshold_frac":0.8}`,
+			`{"query":"` + protein + `","threshold_frac":0}`,
+			`{"query":"` + protein + `","threshold":10,"threshold_frac":0}`,
+			`{"query":"` + protein + `","threshold_frac":-0.5}`,
+			`{"query":"` + protein + `","threshold_frac":1.5}`,
 		}, true},
-		{"/align/batch", `{"queries":["` + protein + `"],"timeout_ms":{t}}`, []string{`{"queries":[]}`}, true},
-		{"/align/stream", "query=" + protein + "&timeout_ms={t}", []string{"query="}, true},
+		{"/align/batch", `{"queries":["` + protein + `"],"timeout_ms":{t}}`, []string{
+			`{"queries":[]}`,
+			`{"queries":["` + protein + `"],"threshold_frac":0}`,
+		}, true},
+		{"/align/stream", "query=" + protein + "&timeout_ms={t}", []string{
+			"query=",
+			"query=" + protein + "&threshold_frac=0",
+			"query=" + protein + "&threshold_frac=NaN",
+		}, true},
 		{"/search", `{"query":"` + protein + `","timeout_ms":{t}}`, []string{`{"query":"MK123"}`}, false},
 	}
 	for _, rt := range routes {

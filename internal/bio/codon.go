@@ -49,9 +49,16 @@ const geneticCode = "KNKN" + "TTTT" + "RSRS" + "IIMI" + // AAx ACx AGx AUx
 	"*Y*Y" + "SSSS" + "*CWC" + "LFLF" //   UAx UCx UGx UUx
 
 // codonToAA and aaToCodons are derived from geneticCode at init.
+// fieldAA and fieldRevAA translate a codon straight from the 2-bit
+// payload: they are indexed by the 6-bit field its three bases occupy
+// (lowest-address base in the low bits, see PackedNucSeq). fieldAA reads
+// the field forward; fieldRevAA reads it as a reverse-complement codon,
+// whose index is the field's bits complemented (n^3 per base).
 var (
-	codonToAA [NumCodons]AminoAcid
-	aaToCodon [NumResidues][]Codon
+	codonToAA  [NumCodons]AminoAcid
+	aaToCodon  [NumResidues][]Codon
+	fieldAA    [NumCodons]AminoAcid
+	fieldRevAA [NumCodons]AminoAcid
 )
 
 func init() {
@@ -65,6 +72,10 @@ func init() {
 		}
 		codonToAA[i] = aa
 		aaToCodon[aa] = append(aaToCodon[aa], CodonFromIndex(i))
+	}
+	for f := 0; f < NumCodons; f++ {
+		fieldAA[f] = codonToAA[(f&3)<<4|f&12|f>>4]
+		fieldRevAA[f] = codonToAA[f^63]
 	}
 }
 

@@ -204,6 +204,53 @@ func (p *PackedNucSeq) unpackInto(dst NucSeq, from int) {
 	}
 }
 
+// TranslateFrame translates reading frame offset (0..2) of the sequence,
+// or of its reverse complement when reverse is set, straight from the
+// packed words through a 64-entry codon table. It equals
+// Unpack().Translate(offset) forward and
+// Unpack().ReverseComplement().Translate(offset) in reverse, without
+// either copy.
+func (p *PackedNucSeq) TranslateFrame(offset int, reverse bool) ProtSeq {
+	if offset < 0 || offset > 2 || p.n < offset+3 {
+		return nil
+	}
+	out := make(ProtSeq, (p.n-offset)/3)
+	// Each read of the payload yields up to codonsPerRead consecutive
+	// codons, lowest-address codon in the low bits. Forward, codon i
+	// starts offset+3i bases in; reverse, its lowest-address base sits
+	// n-3-offset-3i bases in, so a read serves codons in falling order.
+	const codonsPerRead = 10
+	for i := 0; i < len(out); i += codonsPerRead {
+		dst := out[i:min(i+codonsPerRead, len(out))]
+		if !reverse {
+			x := p.bits(offset + 3*i)
+			for k := range dst {
+				dst[k] = fieldAA[x&63]
+				x >>= 6
+			}
+			continue
+		}
+		x := p.bits(p.n - offset - 3*(i+len(dst)))
+		for k := len(dst) - 1; k >= 0; k-- {
+			dst[k] = fieldRevAA[x&63]
+			x >>= 6
+		}
+	}
+	return out
+}
+
+// bits returns the 64 payload bits starting at element i, element i in
+// the low bits; bits past the last word read as zero (as does a shift
+// by 64, when i starts a word).
+func (p *PackedNucSeq) bits(i int) uint64 {
+	w, sh := i/NucsPerWord, 2*uint(i%NucsPerWord)
+	x := p.words[w] >> sh
+	if w+1 < len(p.words) {
+		x |= p.words[w+1] << (64 - sh)
+	}
+	return x
+}
+
 // Bytes serializes the packed words little-endian, the byte stream an AXI
 // master would fetch from DRAM.
 func (p *PackedNucSeq) Bytes() []byte {

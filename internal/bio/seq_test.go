@@ -213,3 +213,39 @@ func TestPackedBytes(t *testing.T) {
 		t.Errorf("Bytes = %v", b)
 	}
 }
+
+// TestPackedTranslateFrame checks the payload translator against
+// Codon.Translate for all six frames, over every length 0…200 and at
+// every 32-nt payload-word edge of a 2 Ki nt sequence, where a codon's
+// bases straddle two words.
+func TestPackedTranslateFrame(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	var lengths []int
+	for n := 0; n <= 200; n++ {
+		lengths = append(lengths, n)
+	}
+	for edge := 224; edge <= 2048; edge += NucsPerWord {
+		lengths = append(lengths, edge-2, edge-1, edge, edge+1, edge+2)
+	}
+	for _, n := range lengths {
+		s := RandomNucSeq(rng, n)
+		p := Pack(s)
+		for _, reverse := range []bool{false, true} {
+			for off := 0; off < 3; off++ {
+				var want ProtSeq
+				for k := off; k+3 <= n; k += 3 {
+					c := Codon{s[k], s[k+1], s[k+2]}
+					if reverse {
+						// The reverse strand's codon k reads forward bases
+						// n-1-k, n-2-k, n-3-k, complemented.
+						c = Codon{s[n-1-k].Complement(), s[n-2-k].Complement(), s[n-3-k].Complement()}
+					}
+					want = append(want, c.Translate())
+				}
+				if got := p.TranslateFrame(off, reverse); !reflect.DeepEqual(got, want) {
+					t.Fatalf("length %d offset %d reverse %v: got %v, want %v", n, off, reverse, got, want)
+				}
+			}
+		}
+	}
+}

@@ -8,6 +8,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"fabp/internal/bio"
 )
@@ -119,8 +120,11 @@ func relativeEntropy(lambda float64, score func(a, b bio.AminoAcid) int, freq fu
 // Robinson background frequencies. Lambda and H are computed from first
 // principles (the published NCBI values are λ≈0.3176, H≈0.40); K uses the
 // published constant 0.134 (its series expansion is out of scope and it
-// only shifts E-values by a constant factor).
-func UngappedBLOSUM62() KarlinParams {
+// only shifts E-values by a constant factor). The parameters are solved
+// once per process: every protein search ranks its HSPs with them.
+func UngappedBLOSUM62() KarlinParams { return ungappedBLOSUM62() }
+
+var ungappedBLOSUM62 = sync.OnceValue(func() KarlinParams {
 	lambda, err := SolveLambda(bio.Blosum62, RobinsonFrequency)
 	if err != nil {
 		// BLOSUM62 is a valid scoring system; this cannot happen.
@@ -131,7 +135,7 @@ func UngappedBLOSUM62() KarlinParams {
 		K:      0.134,
 		H:      relativeEntropy(lambda, bio.Blosum62, RobinsonFrequency),
 	}
-}
+})
 
 // Gapped11x1 returns NCBI's published parameters for BLOSUM62 with
 // open=11/extend=1 affine gaps (gapped lambda cannot be derived

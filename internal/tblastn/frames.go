@@ -56,34 +56,30 @@ func (tf *TranslatedFrame) NucStart(i int) int {
 	return tf.refLen - 1 - (off + 3*i + 2)
 }
 
-// Translate6 produces all six reading frames of the reference.
-func Translate6(ref bio.NucSeq) []TranslatedFrame {
-	rc := ref.ReverseComplement()
-	frames := make([]TranslatedFrame, 0, NumFrames)
-	for f := Frame(0); f < NumFrames; f++ {
-		src := ref
-		if f.IsReverse() {
-			src = rc
-		}
-		frames = append(frames, TranslatedFrame{
-			Frame:  f,
-			Prot:   src.Translate(f.Offset()),
-			refLen: len(ref),
-		})
+// translateFrame reads frame f of the reference straight from its 2-bit
+// payload (bio.PackedNucSeq.TranslateFrame): no unpacked or
+// reverse-complemented copy of the reference is made.
+func translateFrame(ref *bio.PackedNucSeq, f Frame) TranslatedFrame {
+	return TranslatedFrame{
+		Frame:  f,
+		Prot:   ref.TranslateFrame(f.Offset(), f.IsReverse()),
+		refLen: ref.Len(),
+	}
+}
+
+// translateFrames returns the first n frames of the reference.
+func translateFrames(ref bio.NucSeq, n int) []TranslatedFrame {
+	packed := bio.Pack(ref)
+	frames := make([]TranslatedFrame, n)
+	for f := range frames {
+		frames[f] = translateFrame(packed, Frame(f))
 	}
 	return frames
 }
 
+// Translate6 produces all six reading frames of the reference.
+func Translate6(ref bio.NucSeq) []TranslatedFrame { return translateFrames(ref, NumFrames) }
+
 // Translate3 produces only the forward frames — the configuration matching
 // FabP, which searches the given strand.
-func Translate3(ref bio.NucSeq) []TranslatedFrame {
-	frames := make([]TranslatedFrame, 0, 3)
-	for f := Frame(0); f < 3; f++ {
-		frames = append(frames, TranslatedFrame{
-			Frame:  f,
-			Prot:   ref.Translate(f.Offset()),
-			refLen: len(ref),
-		})
-	}
-	return frames
-}
+func Translate3(ref bio.NucSeq) []TranslatedFrame { return translateFrames(ref, 3) }

@@ -3,6 +3,7 @@ package tblastn
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -47,10 +48,10 @@ type Options struct {
 	// MinScore discards HSPs scoring lower (raw BLOSUM score cutoff).
 	// Zero selects the BLAST default (35); MinScoreAll keeps every HSP.
 	MinScore int
-	// Threads is the worker count (the paper measures 1 and 12). The HSP
-	// set and Stats are invariant under Threads: shards record word hits
-	// in subject order and a serial replay merge runs the exact seeding
-	// state machine, so parallel output is byte-identical to serial.
+	// Threads is the worker count (the paper measures 1 and 12). Each
+	// reading frame is one job, so at most Frames workers run. The HSP
+	// set and Stats are invariant under Threads: the frames share no
+	// seeding state and merge in frame order.
 	Threads int
 	// Frames limits the search to the first N frames (3 = forward only,
 	// matching FabP's single-strand scan; 6 = full TBLASTN).
@@ -159,9 +160,7 @@ type HSP struct {
 
 // Stats profiles one search, exposing the pipeline costs the paper
 // discusses (hash build, lookups, extensions). All fields are invariant
-// under Options.Threads; speculative extension work done by shards and
-// discarded at merge is reported only on the tblastn.extensions.speculative
-// telemetry counter.
+// under Options.Threads.
 type Stats struct {
 	IndexEntries int
 	WordLookups  int
@@ -175,10 +174,17 @@ func Search(q bio.ProtSeq, ref bio.NucSeq, opts Options) ([]HSP, Stats, error) {
 	return SearchContext(context.Background(), q, ref, opts)
 }
 
-// SearchContext is Search with cancellation: the scan observes ctx at
-// shard dispatch, shard merge, and periodically inside serial frame
-// scans, returning ctx.Err() once it fires.
+// SearchContext is Search with cancellation: each frame job observes ctx
+// every ctxCheckStride subject positions and the containment cull every
+// ctxCheckStride HSPs; the search returns ctx.Err() once it fires.
 func SearchContext(ctx context.Context, q bio.ProtSeq, ref bio.NucSeq, opts Options) ([]HSP, Stats, error) {
+	return SearchPackedContext(ctx, q, bio.Pack(ref), opts)
+}
+
+// SearchPackedContext is SearchContext over a reference in its 2-bit
+// payload form: each frame job translates its frame straight from the
+// packed words, so the reference is never unpacked.
+func SearchPackedContext(ctx context.Context, q bio.ProtSeq, ref *bio.PackedNucSeq, opts Options) ([]HSP, Stats, error) {
 	o, err := opts.Resolve()
 	if err != nil {
 		return nil, Stats{}, err
@@ -202,73 +208,210 @@ func SearchWithIndexContext(ctx context.Context, idx *Index, ref bio.NucSeq, opt
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	return searchWithIndex(ctx, idx, ref, &o)
+	return searchWithIndex(ctx, idx, bio.Pack(ref), &o)
 }
 
-// searchWithIndex runs the pipeline on resolved options.
-func searchWithIndex(ctx context.Context, idx *Index, ref bio.NucSeq, o *Options) ([]HSP, Stats, error) {
+// maxFrameLen bounds a frame's residue count: the diagonal rings store
+// subject positions as int32.
+const maxFrameLen = math.MaxInt32 - 1
+
+// searchWithIndex runs the pipeline on resolved options: one job per
+// reading frame on a pool of min(Threads, Frames) workers, merged in
+// frame order.
+func searchWithIndex(ctx context.Context, idx *Index, ref *bio.PackedNucSeq, o *Options) ([]HSP, Stats, error) {
 	tm.searches.Inc()
 	start := time.Now()
 	defer func() { tm.scanLatency.Observe(time.Since(start)) }()
 
-	if err := ctx.Err(); err != nil {
-		tm.canceled.Inc()
-		return nil, Stats{}, err
+	if ref.Len()/3 > maxFrameLen {
+		return nil, Stats{}, fmt.Errorf("tblastn: reference of %d nt exceeds %d residues per frame", ref.Len(), maxFrameLen)
 	}
-
-	var frames []TranslatedFrame
-	if o.Frames <= 3 {
-		frames = Translate3(ref)[:o.Frames]
-	} else {
-		frames = Translate6(ref)[:o.Frames]
-	}
-
-	stats := Stats{IndexEntries: idx.Entries()}
-	var all []HSP
-	var err error
-	if o.Threads == 1 {
-		all, err = scanSerial(ctx, idx, frames, o, &stats)
-	} else {
-		all, err = scanSharded(ctx, idx, frames, o, &stats)
-	}
+	hsps, stats, err := scanFrames(ctx, idx, ref, o)
 	if err != nil {
 		tm.canceled.Inc()
 		return nil, Stats{}, err
 	}
-
-	// Karlin-Altschul statistics over the translated search space (every
-	// frame's residues), then the optional E-value filter and gapped
-	// refinement pass.
-	params := kastats.UngappedBLOSUM62()
-	dbResidues := 0
-	for i := range frames {
-		dbResidues += len(frames[i].Prot)
-	}
-	kept := all[:0]
-	for _, h := range all {
-		h.BitScore = params.BitScore(h.Score)
-		h.EValue = params.EValue(h.Score, len(idx.Query), dbResidues)
-		if o.MaxEValue > 0 && h.EValue > o.MaxEValue {
-			continue
-		}
-		if o.GappedRefine {
-			h.GappedScore = refineGapped(idx.Query, &frames[int(h.Frame)], h, o.RefineMargin)
-		}
-		kept = append(kept, h)
-	}
-	all = kept
-
-	sort.Slice(all, func(i, j int) bool { return lessHSP(&all[i], &all[j]) })
-	if !o.KeepContained {
-		all = cullContained(all)
-	}
-	stats.HSPs = len(all)
-
+	stats.HSPs = len(hsps)
 	tm.wordLookups.Add(uint64(stats.WordLookups))
 	tm.wordHits.Add(uint64(stats.WordHits))
 	tm.extensions.Add(uint64(stats.Extensions))
 	tm.hsps.Add(uint64(stats.HSPs))
-	return all, stats, nil
+	return hsps, stats, nil
+}
+
+// frameScan is one frame job's output. tf keeps the translation only
+// when gapped refinement will read it again: otherwise the frame is
+// garbage as soon as its job ends.
+type frameScan struct {
+	tf       TranslatedFrame
+	residues int
+	hsps     []HSP
+	st       Stats
+	err      error
+}
+
+// scanFrames runs the frame jobs and ranks their concatenated HSPs. The
+// frames are independent — each has its own diagonals and its own state
+// machine — so the result equals a serial frame-by-frame scan whatever
+// the worker count.
+func scanFrames(ctx context.Context, idx *Index, ref *bio.PackedNucSeq, o *Options) ([]HSP, Stats, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, Stats{}, err
+	}
+	jobs := make([]frameScan, o.Frames)
+	if err := sched.NewPool(min(o.Threads, o.Frames)).EachCtx(ctx, len(jobs), func(f int) {
+		jobs[f] = scanFrame(ctx, idx, ref, Frame(f), o)
+	}); err != nil {
+		return nil, Stats{}, err
+	}
+	stats := Stats{IndexEntries: idx.Entries()}
+	frames := make([]TranslatedFrame, len(jobs))
+	residues := 0
+	var all []HSP
+	for f := range jobs {
+		fs := &jobs[f]
+		if fs.err != nil {
+			return nil, Stats{}, fs.err
+		}
+		if err := faultinject.Check(ctx, faultinject.SiteShardMerge, uint64(f)); err != nil {
+			return nil, Stats{}, err
+		}
+		stats.WordLookups += fs.st.WordLookups
+		stats.WordHits += fs.st.WordHits
+		stats.Extensions += fs.st.Extensions
+		frames[f] = fs.tf
+		residues += fs.residues
+		all = append(all, fs.hsps...)
+	}
+	all, err := rank(ctx, idx.Query, frames, residues, all, o)
+	return all, stats, err
+}
+
+// ctxCheckStride is how many subject positions a frame job covers
+// between context checks.
+const ctxCheckStride = 4096
+
+// scanFrame is one frame job: translate frame f from the payload, then
+// seed and extend along it in subject order.
+func scanFrame(ctx context.Context, idx *Index, ref *bio.PackedNucSeq, f Frame, o *Options) frameScan {
+	fs := frameScan{tf: translateFrame(ref, f)}
+	q, s := idx.Query, fs.tf.Prot
+	dr := newDiagRings(len(q), len(s), o)
+	for j := 0; j+WordSize <= len(s); j++ {
+		if j%ctxCheckStride == 0 {
+			if fs.err = ctx.Err(); fs.err != nil {
+				return fs
+			}
+		}
+		fs.st.WordLookups++
+		for _, qi := range idx.Lookup(s[j], s[j+1], s[j+2]) {
+			fs.st.WordHits++
+			i := int(qi)
+			if !dr.step(i, j) {
+				continue
+			}
+			fs.st.Extensions++
+			h, ok := extend(q, s, i, j, o.XDrop)
+			if ok && h.Score >= o.MinScore {
+				h.Frame = f
+				h.NucPos = fs.tf.NucStart(h.SStart)
+				fs.hsps = append(fs.hsps, h)
+				dr.accept(j-i, h.SEnd)
+			}
+		}
+	}
+	fs.residues = len(s)
+	if !o.GappedRefine {
+		fs.tf.Prot = nil
+	}
+	return fs
+}
+
+// diagRings is a frame's seeding state machine: two-hit pairing and
+// extension suppression per diagonal d = j-i, in two rings indexed by
+// d&mask. Hits arrive in non-decreasing j, and diagonal d is live only
+// while j ∈ [d, d+len(q)), so with at least len(q)+HitWindow+1 slots a
+// slot's previous diagonal is over before the next one using it starts:
+// its stale lastHit lies more than HitWindow behind (the pair restarts,
+// as for an empty slot) and its stale extended end lies at or before j
+// (it suppresses nothing). The rings never need more slots than the
+// frame has diagonals.
+type diagRings struct {
+	twoHit    bool
+	hitWindow int
+	mask      int
+	// lastHit holds j+1 of the diagonal's unpaired word hit (0: none);
+	// extended the subject end of the last HSP accepted there (0: none).
+	lastHit  []int32
+	extended []int32
+}
+
+func newDiagRings(qLen, sLen int, o *Options) diagRings {
+	slots := sLen + qLen
+	if o.HitWindow < sLen {
+		slots = min(slots, qLen+o.HitWindow+1)
+	}
+	size := 1
+	for size < slots {
+		size <<= 1
+	}
+	dr := diagRings{twoHit: o.TwoHit, hitWindow: o.HitWindow, mask: size - 1, extended: make([]int32, size)}
+	if o.TwoHit {
+		dr.lastHit = make([]int32, size)
+	}
+	return dr
+}
+
+// step feeds the word hit (query position i, subject position j) into
+// the machine and reports whether it triggers an extension.
+func (dr *diagRings) step(i, j int) bool {
+	slot := (j - i) & dr.mask
+	if j < int(dr.extended[slot]) {
+		return false // already inside an HSP on this diagonal
+	}
+	if !dr.twoHit {
+		return true
+	}
+	prev := int(dr.lastHit[slot]) - 1
+	switch {
+	case prev < 0 || j-prev > dr.hitWindow:
+		dr.lastHit[slot] = int32(j + 1) // first hit, or stale: restart the pair
+	case j-prev < WordSize:
+		// Overlapping the remembered hit: keep the earlier one.
+	default:
+		dr.lastHit[slot] = 0
+		return true
+	}
+	return false
+}
+
+// accept records an accepted HSP's extent so later hits inside it are
+// suppressed.
+func (dr *diagRings) accept(diag, sEnd int) { dr.extended[diag&dr.mask] = int32(sEnd) }
+
+// rank gives the frames' HSPs their Karlin-Altschul statistics over the
+// translated search space of dbResidues residues, applies the optional
+// E-value filter and gapped refinement (which reads frames), sorts
+// best-first and culls contained HSPs.
+func rank(ctx context.Context, q bio.ProtSeq, frames []TranslatedFrame, dbResidues int, all []HSP, o *Options) ([]HSP, error) {
+	params := kastats.UngappedBLOSUM62()
+	kept := all[:0]
+	for _, h := range all {
+		h.BitScore = params.BitScore(h.Score)
+		h.EValue = params.EValue(h.Score, len(q), dbResidues)
+		if o.MaxEValue > 0 && h.EValue > o.MaxEValue {
+			continue
+		}
+		if o.GappedRefine {
+			h.GappedScore = refineGapped(q, &frames[int(h.Frame)], h, o.RefineMargin)
+		}
+		kept = append(kept, h)
+	}
+	sort.Slice(kept, func(i, j int) bool { return lessHSP(&kept[i], &kept[j]) })
+	if o.KeepContained {
+		return kept, nil
+	}
+	return cullContained(ctx, kept)
 }
 
 // lessHSP is the result ordering: score-descending, then ascending on
@@ -294,296 +437,53 @@ func lessHSP(a, b *HSP) bool {
 	return a.SEnd < b.SEnd
 }
 
-// diagState is the per-frame seeding state machine: two-hit pairing and
-// extension suppression per diagonal. The serial scan and the sharded
-// replay merge both drive this exact type, which is what makes the
-// parallel path byte-identical to the serial one.
-type diagState struct {
-	twoHit    bool
-	hitWindow int
-	// lastHit[diag] is the subject position of the most recent unpaired
-	// word hit on the diagonal; extended[diag] the subject end of the
-	// last HSP accepted there.
-	lastHit  map[int]int
-	extended map[int]int
-}
-
-func newDiagState(o *Options) diagState {
-	return diagState{
-		twoHit:    o.TwoHit,
-		hitWindow: o.HitWindow,
-		lastHit:   map[int]int{},
-		extended:  map[int]int{},
-	}
-}
-
-// step feeds the word hit (query position i, subject position j) into
-// the machine and reports whether it triggers an extension. Hits must
-// arrive in non-decreasing subject order.
-func (ds *diagState) step(i, j int) bool {
-	diag := j - i
-	if end, done := ds.extended[diag]; done && j < end {
-		return false // already inside an HSP on this diagonal
-	}
-	if !ds.twoHit {
-		return true
-	}
-	prev, ok := ds.lastHit[diag]
-	switch {
-	case !ok || j-prev > ds.hitWindow:
-		ds.lastHit[diag] = j // first hit, or stale: restart the pair
-	case j-prev < WordSize:
-		// Overlapping the remembered hit: keep the earlier one.
-	default:
-		delete(ds.lastHit, diag)
-		return true
-	}
-	return false
-}
-
-// accept records an accepted HSP's extent so later hits inside it are
-// suppressed.
-func (ds *diagState) accept(diag, sEnd int) { ds.extended[diag] = sEnd }
-
-// ctxCheckStride is how many subject positions a serial scan covers
-// between context checks.
-const ctxCheckStride = 4096
-
-// scanSerial is the canonical single-pass scan: the oracle every
-// parallel execution reproduces exactly.
-func scanSerial(ctx context.Context, idx *Index, frames []TranslatedFrame, o *Options, st *Stats) ([]HSP, error) {
-	var all []HSP
-	q := idx.Query
-	for fi := range frames {
-		tf := &frames[fi]
-		s := tf.Prot
-		ds := newDiagState(o)
-		for j := 0; j+WordSize <= len(s); j++ {
-			if j%ctxCheckStride == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-			st.WordLookups++
-			for _, qi := range idx.Lookup(s[j], s[j+1], s[j+2]) {
-				st.WordHits++
-				i := int(qi)
-				if !ds.step(i, j) {
-					continue
-				}
-				st.Extensions++
-				h, ok := extend(q, s, i, j, o.XDrop)
-				if ok && h.Score >= o.MinScore {
-					h.Frame = tf.Frame
-					h.NucPos = tf.NucStart(h.SStart)
-					all = append(all, h)
-					ds.accept(j-i, h.SEnd)
-				}
-			}
-		}
-	}
-	return all, nil
-}
-
-// seedHit is one recorded word hit (subject position j, query position i).
-type seedHit struct{ j, i int32 }
-
-// extKey addresses a speculative extension by its seed.
-type extKey struct{ i, j int32 }
-
-type extResult struct {
-	h  HSP
-	ok bool
-}
-
-// shardScan is one shard's output: every word hit over its subject range
-// in visit order, plus the extensions its locally-warmed state machine
-// predicted would trigger.
-type shardScan struct {
-	hits []seedHit
-	ext  map[extKey]extResult
-	st   Stats
-}
-
-// minShardStarts floors the shard size so tiny shards don't drown the
-// scan in scheduling overhead (PlanRange additionally rounds to 64).
-const minShardStarts = 512
-
-// searchShardLen picks the subject-range tile size: roughly four shards
-// per worker over the whole translated space, floored at minShardStarts.
-func searchShardLen(totalStarts, threads int) int {
-	n := totalStarts / (threads * 4)
-	if n < minShardStarts {
-		n = minShardStarts
-	}
-	return n
-}
-
-// scanSharded fans frame scans out over a sched pool and then replays
-// the recorded word hits serially. Shards cannot run the seeding state
-// machine exactly — two-hit pairs and HSP suppression cross shard
-// boundaries — so each shard records every hit in subject order and
-// *speculates* on extensions using a state machine warmed with a
-// HitWindow look-back. The merge replays all hits, in serial order,
-// through a fresh machine per frame: where the shard guessed right the
-// precomputed extension is reused; where it guessed wrong the extension
-// runs inline. extend() is a pure function of its seed, so speculation
-// can never change the result — the merge output is byte-identical to
-// scanSerial by construction.
-func scanSharded(ctx context.Context, idx *Index, frames []TranslatedFrame, o *Options, st *Stats) ([]HSP, error) {
-	type shardJob struct {
-		frame  int
-		lo, hi int // subject word-start range
-	}
-	totalStarts := 0
-	for fi := range frames {
-		if n := len(frames[fi].Prot) - WordSize + 1; n > 0 {
-			totalStarts += n
-		}
-	}
-	var jobs []shardJob
-	shardLen := searchShardLen(totalStarts, o.Threads)
-	for fi := range frames {
-		n := len(frames[fi].Prot) - WordSize + 1
-		for _, sh := range sched.PlanRange(0, n, shardLen) {
-			jobs = append(jobs, shardJob{frame: fi, lo: sh.Lo, hi: sh.Hi})
-		}
-	}
-
-	results := make([]*shardScan, len(jobs))
-	pool := sched.NewPool(o.Threads)
-	if err := pool.EachCtx(ctx, len(jobs), func(k int) {
-		if ctx.Err() != nil {
-			return // shed: the merge spots the missing shard below
-		}
-		j := jobs[k]
-		results[k] = speculateShard(idx, &frames[j.frame], j.lo, j.hi, o)
-	}); err != nil {
-		return nil, err
-	}
-
-	speculated := uint64(0)
-	for _, sc := range results {
-		if sc == nil {
-			// A shard was shed after the dispatch loop had already
-			// drained: surface the cancellation EachCtx missed.
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			return nil, context.Canceled
-		}
-		speculated += uint64(len(sc.ext))
-	}
-	tm.speculative.Add(speculated)
-
-	// Serial replay merge, frame by frame, shard by shard in subject
-	// order — the exact hit sequence scanSerial sees.
-	var all []HSP
-	q := idx.Query
-	cursor := 0
-	for fi := range frames {
-		tf := &frames[fi]
-		s := tf.Prot
-		ds := newDiagState(o)
-		for ; cursor < len(jobs) && jobs[cursor].frame == fi; cursor++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			if err := faultinject.Check(ctx, faultinject.SiteShardMerge, uint64(cursor)); err != nil {
-				return nil, err
-			}
-			sc := results[cursor]
-			st.WordLookups += sc.st.WordLookups
-			st.WordHits += sc.st.WordHits
-			for _, sh := range sc.hits {
-				i, j := int(sh.i), int(sh.j)
-				if !ds.step(i, j) {
-					continue
-				}
-				st.Extensions++
-				r, found := sc.ext[extKey{i: sh.i, j: sh.j}]
-				if !found {
-					r.h, r.ok = extend(q, s, i, j, o.XDrop)
-				}
-				if r.ok && r.h.Score >= o.MinScore {
-					h := r.h
-					h.Frame = tf.Frame
-					h.NucPos = tf.NucStart(h.SStart)
-					all = append(all, h)
-					ds.accept(j-i, h.SEnd)
-				}
-			}
-		}
-	}
-	return all, nil
-}
-
-// speculateShard scans subject word starts [lo, hi) of one frame,
-// recording every word hit in visit order and precomputing the X-drop
-// extension for each seed its boundary-warmed local state machine
-// predicts will trigger. The two-hit warm-up replays [lo-HitWindow, lo)
-// so pairs straddling the shard boundary trigger here as they do
-// serially; cross-boundary HSP suppression stays approximate, and the
-// replay merge corrects any misprediction either way.
-func speculateShard(idx *Index, tf *TranslatedFrame, lo, hi int, o *Options) *shardScan {
-	sc := &shardScan{ext: map[extKey]extResult{}}
-	q, s := idx.Query, tf.Prot
-	ds := newDiagState(o)
-	if o.TwoHit {
-		warm := lo - o.HitWindow
-		if warm < 0 {
-			warm = 0
-		}
-		for j := warm; j < lo; j++ {
-			for _, qi := range idx.Lookup(s[j], s[j+1], s[j+2]) {
-				ds.step(int(qi), j)
-			}
-		}
-	}
-	for j := lo; j < hi; j++ {
-		sc.st.WordLookups++
-		for _, qi := range idx.Lookup(s[j], s[j+1], s[j+2]) {
-			sc.st.WordHits++
-			i := int(qi)
-			sc.hits = append(sc.hits, seedHit{j: int32(j), i: int32(i)})
-			if !ds.step(i, j) {
-				continue
-			}
-			var r extResult
-			r.h, r.ok = extend(q, s, i, j, o.XDrop)
-			sc.ext[extKey{i: int32(i), j: int32(j)}] = r
-			if r.ok && r.h.Score >= o.MinScore {
-				ds.accept(j-i, r.h.SEnd)
-			}
-		}
-	}
-	return sc
-}
-
 // cullContained removes HSPs whose query and subject ranges both lie
 // inside a higher-scoring HSP of the same frame (input sorted best-first).
-func cullContained(hsps []HSP) []HSP {
+// A container k of h has h.SEnd-span < k.SStart <= h.SStart, span being
+// the widest subject extent present, so each HSP is compared only with
+// the kept HSPs of its frame whose SStart falls in its own bucket of
+// width span or the one below. The cull observes ctx every
+// ctxCheckStride HSPs.
+func cullContained(ctx context.Context, hsps []HSP) ([]HSP, error) {
+	span := 1
+	for x := range hsps {
+		span = max(span, hsps[x].SEnd-hsps[x].SStart)
+	}
+	type bucket struct {
+		frame Frame
+		b     int
+	}
+	buckets := map[bucket][]int32{} // indices into kept
 	kept := hsps[:0]
-	for _, h := range hsps {
-		contained := false
-		for _, k := range kept {
-			if k.Frame == h.Frame &&
-				k.QStart <= h.QStart && h.QEnd <= k.QEnd &&
-				k.SStart <= h.SStart && h.SEnd <= k.SEnd {
-				contained = true
-				break
+	contained := func(ids []int32, h *HSP) bool {
+		for _, id := range ids {
+			k := &kept[id]
+			if k.QStart <= h.QStart && h.QEnd <= k.QEnd && k.SStart <= h.SStart && h.SEnd <= k.SEnd {
+				return true
 			}
 		}
-		if !contained {
-			kept = append(kept, h)
-		}
+		return false
 	}
-	return kept
+	for x := range hsps {
+		if x%ctxCheckStride == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
+		h := &hsps[x]
+		b := bucket{h.Frame, h.SStart / span}
+		if contained(buckets[b], h) || contained(buckets[bucket{h.Frame, b.b - 1}], h) {
+			continue
+		}
+		buckets[b] = append(buckets[b], int32(len(kept)))
+		kept = append(kept, *h)
+	}
+	return kept, nil
 }
 
 // extend performs ungapped X-drop extension around the seed word at query
 // position i / subject position j. It is a pure function of (q, s, i, j,
-// xdrop) — the speculation in scanSharded depends on this.
+// xdrop).
 func extend(q, s bio.ProtSeq, i, j, xdrop int) (HSP, bool) {
 	// Seed score.
 	score := 0

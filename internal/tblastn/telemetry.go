@@ -15,13 +15,10 @@ type searchMetrics struct {
 	searches *telemetry.Counter
 	canceled *telemetry.Counter
 	// wordLookups/wordHits/extensions/hsps mirror Stats, accumulated
-	// across searches. extensions counts the canonical (thread-invariant)
-	// extension work; speculative counts extensions shards precomputed,
-	// whether or not the merge used them.
+	// across searches.
 	wordLookups *telemetry.Counter
 	wordHits    *telemetry.Counter
 	extensions  *telemetry.Counter
-	speculative *telemetry.Counter
 	hsps        *telemetry.Counter
 	// indexBuild/scanLatency time BuildIndex and the scan phase.
 	indexBuild  *telemetry.Histogram
@@ -35,7 +32,6 @@ func newSearchMetrics(reg *telemetry.Registry) searchMetrics {
 		wordLookups: reg.Counter("tblastn.word.lookups"),
 		wordHits:    reg.Counter("tblastn.word.hits"),
 		extensions:  reg.Counter("tblastn.extensions"),
-		speculative: reg.Counter("tblastn.extensions.speculative"),
 		hsps:        reg.Counter("tblastn.hsps"),
 		indexBuild:  reg.Histogram("tblastn.index.build.latency"),
 		scanLatency: reg.Histogram("tblastn.scan.latency"),

@@ -9,9 +9,10 @@ import (
 // This file wires the protein-search workload (TBLASTN: a protein query
 // against the six translated frames of a nucleotide target) through the
 // unified Scan spine. Protein searches get the same production surface
-// as nucleotide scans — context cancellation, sched-pool sharding, the
-// content-addressed result cache, serve-layer admission — instead of
-// the serial sidecar internal/tblastn used to be. See DESIGN.md §15.
+// as nucleotide scans — context cancellation, one parallel job per
+// reading frame, the content-addressed result cache, serve-layer
+// admission — instead of the serial sidecar internal/tblastn used to
+// be. See DESIGN.md §15.
 
 // Sentinel option values for ProteinSearchOptions, re-exported from
 // internal/tblastn. The zero value of each field selects the BLAST
@@ -110,9 +111,9 @@ func proteinKeyOf(o *tblastn.Options) proteinKey {
 }
 
 // executeProteinSearch is the plan's cold path: run the pipeline over
-// the target's unpacked nucleotide sequence and shape the result.
+// the target's 2-bit payload and shape the result.
 func (p *scanPlan) executeProteinSearch(ctx context.Context) (*ScanResult, error) {
-	hsps, st, err := tblastn.SearchContext(ctx, p.req.Query.protein, p.target().Seq(), *p.protein)
+	hsps, st, err := tblastn.SearchPackedContext(ctx, p.req.Query.protein, p.target().Packed(), *p.protein)
 	if err != nil {
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
@@ -160,8 +161,8 @@ func SearchProtein(query *Query, ref *Reference, opts ProteinSearchOptions) ([]H
 	return SearchProteinContext(context.Background(), query, ref, opts)
 }
 
-// SearchProteinContext is SearchProtein with cancellation: the scan
-// observes ctx at shard dispatch and merge and returns ctx.Err() once
+// SearchProteinContext is SearchProtein with cancellation: every frame
+// job observes ctx as it scans, and the search returns ctx.Err() once
 // it fires.
 func SearchProteinContext(ctx context.Context, query *Query, ref *Reference, opts ProteinSearchOptions) ([]HSP, error) {
 	res, err := Scan(ctx, ScanRequest{Query: query, Reference: ref, ProteinSearch: &opts})
