@@ -7,55 +7,6 @@ import (
 	"fabp/internal/swalign"
 )
 
-// TBLASTNOptions tunes the heuristic baseline search.
-type TBLASTNOptions struct {
-	// Threads is the worker count (default 1).
-	Threads int
-	// ForwardOnly restricts the search to the three forward frames,
-	// matching FabP's single-strand scan; default searches all six.
-	ForwardOnly bool
-	// MinScore is the raw BLOSUM62 HSP cutoff (default 35).
-	MinScore int
-	// TwoHit enables BLAST's two-hit seeding (default one-hit).
-	TwoHit bool
-}
-
-// HSP is a high-scoring segment pair from a protein search.
-type HSP struct {
-	// Frame renders BLAST-style: "+1".."+3", "-1".."-3".
-	Frame string
-	// QStart/QEnd delimit the query residues (half-open).
-	QStart, QEnd int
-	// SStart/SEnd delimit the subject positions within the translated
-	// frame (half-open).
-	SStart, SEnd int
-	// NucPos is the forward-strand nucleotide offset of the subject
-	// segment.
-	NucPos int
-	// Score is the raw BLOSUM62 segment score.
-	Score int
-	// BitScore and EValue are Karlin-Altschul statistics over the
-	// translated search space.
-	BitScore float64
-	EValue   float64
-}
-
-// SearchTBLASTN runs the TBLASTN-style search: 6-frame translation,
-// BLOSUM62 neighborhood seeding and X-drop extension. HSPs come back
-// best-first. It is the legacy spelling of SearchProtein and routes
-// through the same Scan spine (cancellation, sharding, result cache).
-func SearchTBLASTN(query *Query, ref *Reference, opts TBLASTNOptions) ([]HSP, error) {
-	o := ProteinSearchOptions{
-		Threads:  opts.Threads,
-		MinScore: opts.MinScore,
-		TwoHit:   opts.TwoHit,
-	}
-	if opts.ForwardOnly {
-		o.Frames = 3
-	}
-	return SearchProtein(query, ref, o)
-}
-
 // SWResult is a Smith-Waterman local alignment.
 type SWResult struct {
 	// Score is the optimal local alignment score (BLOSUM62, affine gaps).

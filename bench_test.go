@@ -9,6 +9,7 @@ package fabp
 // so `go test -bench` output doubles as the reproduction log.
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"runtime"
@@ -234,7 +235,7 @@ func BenchmarkBatchAlign(b *testing.B) {
 	refSeq := ref
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := AlignBatch(queries, refSeq, 0.9); err != nil {
+		if _, err := Scan(context.Background(), ScanRequest{Queries: queries, Reference: refSeq, ThresholdFrac: 0.9}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -270,11 +271,11 @@ func BenchmarkMultiQueryScan(b *testing.B) {
 	})
 	b.Run("sharded", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			hits, err := AlignBatch(queries, ref, 0.9)
+			res, err := Scan(context.Background(), ScanRequest{Queries: queries, Reference: ref, ThresholdFrac: 0.9})
 			if err != nil {
 				b.Fatal(err)
 			}
-			if len(hits) != len(queries) {
+			if len(res.PerQuery) != len(queries) {
 				b.Fatal("batch shape")
 			}
 		}

@@ -44,7 +44,7 @@ func waitGoroutineBaseline(t *testing.T, before int) {
 func assertPoolIdle(t *testing.T) {
 	t.Helper()
 	snap := DefaultMetrics().Snapshot()
-	for _, g := range []string{"pool.tasks.queued", "pool.tasks.running", "pool.merge.backlog"} {
+	for _, g := range []string{"pool.tasks.queued", "pool.tasks.running"} {
 		if v := snap.Gauges[g]; v != 0 {
 			t.Fatalf("%s = %d after chaos run, want 0", g, v)
 		}
@@ -53,10 +53,11 @@ func assertPoolIdle(t *testing.T) {
 
 // TestChaosConformanceSeededFaultInjection runs the differential oracle
 // under seeded fault injection with retries enabled: 100 scans across
-// every scan path — gather, stream, cancelable reference scan, fused
-// batch — each with per-shard fault probability 0.1 (plus merge stalls
-// and eviction storms on the database planes), then AlignStream over multi-shard
-// chunks, and every one must be byte-identical to its fault-free oracle.
+// every scan path — cancelable reference scan, the aligner's and a
+// request's database gather, fused batch — each with per-shard fault
+// probability 0.1 (plus merge stalls and eviction storms on the database
+// planes), then AlignStream over multi-shard chunks, and every one must
+// be byte-identical to its fault-free oracle.
 // Afterwards goroutines and pool slots are back at baseline.
 func TestChaosConformanceSeededFaultInjection(t *testing.T) {
 	before := runtime.NumGoroutine()
@@ -82,7 +83,7 @@ func TestChaosConformanceSeededFaultInjection(t *testing.T) {
 	oracle := mustConformAligner(t, q, WithThresholdFraction(0.7), WithShardLen(2048))
 	wantHits := oracle.Align(ref)
 	wantRec := oracle.AlignDatabase(dbase)
-	wantBatch, err := AlignBatch(queries, ref, 0.7)
+	wantRes, err := Scan(context.Background(), ScanRequest{Queries: queries, Reference: ref, ThresholdFrac: 0.7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,15 +124,15 @@ func TestChaosConformanceSeededFaultInjection(t *testing.T) {
 		assertRecordHitsEqual(t, "chaos AlignDatabase", wantRec, rec)
 		scans++
 
-		// Path 3: ordered stream merge.
-		var streamed []RecordHit
-		if err := a.AlignDatabaseStream(dbase, func(h RecordHit) error {
-			streamed = append(streamed, h)
-			return nil
-		}); err != nil {
-			t.Fatalf("round %d AlignDatabaseStream: %v", round, err)
+		// Path 3: a request's database gather, its executor built from
+		// the ScanRequest rather than the aligner.
+		dbRes, err := Scan(context.Background(), ScanRequest{
+			Query: q, Database: dbase, ThresholdFrac: 0.7, ShardLen: 2048, RetryPolicy: chaosRetryPolicy,
+		})
+		if err != nil {
+			t.Fatalf("round %d Scan{Database}: %v", round, err)
 		}
-		assertRecordHitsEqual(t, "chaos AlignDatabaseStream", wantRec, streamed)
+		assertRecordHitsEqual(t, "chaos Scan{Database}", wantRec, dbRes.RecordHits)
 		scans++
 
 		// Path 4: fused batch under the request's policy.
@@ -139,10 +140,10 @@ func TestChaosConformanceSeededFaultInjection(t *testing.T) {
 			Queries: queries, Reference: ref, ThresholdFrac: 0.7, RetryPolicy: chaosRetryPolicy,
 		})
 		if err != nil {
-			t.Fatalf("round %d AlignBatch: %v", round, err)
+			t.Fatalf("round %d Scan{Queries}: %v", round, err)
 		}
-		for qi := range wantBatch {
-			assertHitsEqual(t, "chaos AlignBatch", wantBatch[qi], res.PerQuery[qi].Hits)
+		for qi, want := range wantRes.PerQuery {
+			assertHitsEqual(t, "chaos Scan{Queries}", want.Hits, res.PerQuery[qi].Hits)
 		}
 		scans++
 	}
@@ -400,58 +401,6 @@ func TestAlignBothStrandsUnderFaults(t *testing.T) {
 	}
 }
 
-// TestPartialResultsStreamCoverage is the stream-path arm of the partial
-// contract: AlignDatabaseStreamContext under sticky faults emits every
-// surviving shard's hits in order and returns the same exact-coverage
-// *PartialError.
-func TestPartialResultsStreamCoverage(t *testing.T) {
-	ref, genes := SyntheticReference(31, 80_000, 4, 25)
-	dbase, err := DatabaseFromReference("partial-stream", ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Gene 1's shard survives seed 55's sticky selection, so its hit must
-	// stream through the degraded scan.
-	q, err := NewQuery(genes[1].Protein)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const shardLen = 2048
-
-	faultinject.Enable(55, faultinject.Plan{
-		faultinject.SiteShardDispatch: {Prob: 0.3, Sticky: true, Fail: true},
-	})
-	defer faultinject.Disable()
-
-	a := mustConformAligner(t, q, WithThresholdFraction(0.7), WithShardLen(shardLen),
-		WithRetryPolicy(RetryPolicy{MaxRetries: 1, Base: 10 * time.Microsecond}),
-		WithPartialResults())
-	var streamed []RecordHit
-	err = a.AlignDatabaseStreamContext(context.Background(), dbase, func(h RecordHit) error {
-		streamed = append(streamed, h)
-		return nil
-	})
-	var pe *PartialError
-	if !errors.As(err, &pe) {
-		t.Fatalf("stream under sticky faults returned %v, want *PartialError", err)
-	}
-	firedKeys := faultinject.FiredKeys(faultinject.SiteShardDispatch)
-	if len(pe.Failed) != len(firedKeys) {
-		t.Fatalf("stream PartialError lists %d ranges, injections fired on %d shards",
-			len(pe.Failed), len(firedKeys))
-	}
-	shards := sched.Plan(ref.Len()-q.Elements()+1, shardLen)
-	for i, key := range firedKeys {
-		if pe.Failed[i].Lo != shards[key].Lo || pe.Failed[i].Hi != shards[key].Hi {
-			t.Fatalf("stream range %d = [%d,%d), want [%d,%d)",
-				i, pe.Failed[i].Lo, pe.Failed[i].Hi, shards[key].Lo, shards[key].Hi)
-		}
-	}
-	if len(streamed) == 0 {
-		t.Fatal("no hits survived; stream partial test is vacuous")
-	}
-}
-
 // TestChaosNonPartialShardFailureFailsScan: without WithPartialResults an
 // unrecoverable (sticky, budget-exhausting) shard failure fails the whole
 // scan with the shard range named — no silent hit loss.
@@ -557,7 +506,7 @@ func TestChaosEvictPlanesDuringScans(t *testing.T) {
 		mustConformAligner(t, queries[0], WithThresholdFraction(0.7), WithShardLen(8192), WithKernelType(KernelScalar)),
 	}
 	want := aligners[0].AlignDatabase(d)
-	wantBatch, err := AlignDatabaseBatch(d, queries, 0.7)
+	wantBatch, err := AlignDatabaseBatchContext(context.Background(), d, queries, 0.7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -587,7 +536,7 @@ func TestChaosEvictPlanesDuringScans(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 4; i++ {
 				if w == 3 {
-					got, err := AlignDatabaseBatch(d, queries, 0.7)
+					got, err := AlignDatabaseBatchContext(context.Background(), d, queries, 0.7)
 					if err != nil {
 						t.Error(err)
 						return

@@ -11,6 +11,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"syscall"
 	"testing"
@@ -206,11 +207,16 @@ func TestCLIRTL(t *testing.T) {
 
 func TestCLIAlignDemo(t *testing.T) {
 	bin := buildCLI(t, "fabp-align")
-	out := run(t, bin, "-demo", "-auto-threshold", "-top", "2")
+	out := run(t, bin, "-demo", "-auto-threshold", "-top", "2", "-tblastn")
 	for _, want := range []string{"planted gene 0", "E=", "hits"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q in demo output", want)
 		}
+	}
+	// -tblastn runs the protein search beside each scan; the planted
+	// genes give it at least one HSP.
+	if !regexp.MustCompile(`(?m)^  tblastn: [1-9][0-9]* HSPs; top: frame `).MatchString(out) {
+		t.Errorf("no tblastn line with an HSP in demo output:\n%s", out)
 	}
 }
 

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -207,7 +208,7 @@ func alignOne(id, prot string, dbase *fabp.Database, opts alignOpts) {
 		}
 	}
 	if opts.tblastn {
-		hsps, err := fabp.SearchTBLASTN(q, ref, fabp.TBLASTNOptions{Threads: 4})
+		hsps, err := fabp.SearchProtein(context.Background(), q, ref, fabp.ProteinSearchOptions{Threads: 4})
 		if err != nil {
 			log.Printf("tblastn %s: %v", id, err)
 			return

@@ -336,6 +336,30 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 // far below it; a larger body is refused with 413 before it is buffered.
 const maxBodyBytes = 4 << 20
 
+// maxRequestResidues caps the residues a request's queries hold in total:
+// /align and /search carry one query, /align/batch and /align/stream up
+// to -max-batch. Encoding a query and compiling its kernel cost memory and
+// time in proportion to its length (about 220 MiB and half a second for a
+// million residues) before any scan starts, and maxBodyBytes alone admits
+// a query of four million. The cap sits above titin, the longest known
+// protein (34 350 aa).
+const maxRequestResidues = 1 << 16
+
+// checkResidues refuses proteins whose residues exceed maxRequestResidues
+// in total. It counts letters the way the query parser does (whitespace
+// skipped) and runs before any query is encoded.
+func checkResidues(proteins ...string) error {
+	n := 0
+	for _, p := range proteins {
+		n += len(p) - strings.Count(p, " ") - strings.Count(p, "\t") -
+			strings.Count(p, "\n") - strings.Count(p, "\r")
+	}
+	if n > maxRequestResidues {
+		return fmt.Errorf("request holds %d residues, above the server's limit of %d", n, maxRequestResidues)
+	}
+	return nil
+}
+
 // decodeBody decodes a JSON request body of at most maxBodyBytes into v.
 // The error of a larger body wraps *http.MaxBytesError.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
@@ -397,6 +421,9 @@ func (s *server) parseAlign(w http.ResponseWriter, r *http.Request) (call, error
 	}
 	if strings.TrimSpace(req.Query) == "" {
 		return call{}, errors.New("missing query")
+	}
+	if err := checkResidues(req.Query); err != nil {
+		return call{}, err
 	}
 	q, err := fabp.NewQuery(req.Query)
 	if err != nil {
@@ -555,6 +582,9 @@ func (s *server) parseSearch(w http.ResponseWriter, r *http.Request) (call, erro
 	if strings.TrimSpace(req.Query) == "" {
 		return call{}, errors.New("missing query")
 	}
+	if err := checkResidues(req.Query); err != nil {
+		return call{}, err
+	}
 	q, err := fabp.NewQuery(req.Query)
 	if err != nil {
 		return call{}, fmt.Errorf("invalid query: %v", err)
@@ -630,15 +660,18 @@ type batchAlignRequest struct {
 
 // parseQueries parses the proteins and threshold fraction of a batch or
 // stream request and counts its queries on serve.batch.queries. It
-// refuses an empty or over-wide batch, a blank or invalid protein, and a
-// fraction outside (0, 1] — an explicit 0 is a client error here, not
-// the 0.8 default.
+// refuses an empty or over-wide batch, one over maxRequestResidues, a
+// blank or invalid protein, and a fraction outside (0, 1] — an explicit 0
+// is a client error here, not the 0.8 default.
 func (s *server) parseQueries(proteins []string, frac float64) ([]*fabp.Query, error) {
 	if len(proteins) == 0 {
 		return nil, errors.New("empty batch: at least one query is required")
 	}
 	if len(proteins) > s.cfg.maxBatch {
 		return nil, fmt.Errorf("batch of %d queries exceeds the server's limit of %d", len(proteins), s.cfg.maxBatch)
+	}
+	if err := checkResidues(proteins...); err != nil {
+		return nil, err
 	}
 	queries := make([]*fabp.Query, len(proteins))
 	for i, qs := range proteins {

@@ -1072,8 +1072,8 @@ func TestServeQueuedDeadlineShed(t *testing.T) {
 }
 
 // TestAlignStreamEndpoint drives the fused streaming endpoint with a real
-// nucleotide body: every query's NDJSON hits must match AlignBatch over
-// the same letters, and the trailer must account for them.
+// nucleotide body: every query's NDJSON hits must match a Queries scan of
+// the same letters as a Reference, and the trailer must account for them.
 func TestAlignStreamEndpoint(t *testing.T) {
 	s, _ := testServer(t, serverConfig{maxInflight: 4})
 	ts := httptest.NewServer(s.handler())
@@ -1090,9 +1090,13 @@ func TestAlignStreamEndpoint(t *testing.T) {
 		queries[i] = q
 		vals[i] = "query=" + g.Protein
 	}
-	want, err := fabp.AlignBatch(queries, ref, 0.7)
+	res, err := fabp.Scan(context.Background(), fabp.ScanRequest{Queries: queries, Reference: ref, ThresholdFrac: 0.7})
 	if err != nil {
 		t.Fatal(err)
+	}
+	want := make([][]fabp.Hit, len(queries))
+	for qi, qh := range res.PerQuery {
+		want[qi] = qh.Hits
 	}
 
 	url := ts.URL + "/align/stream?" + strings.Join(vals, "&") + "&threshold_frac=0.7"
@@ -1467,6 +1471,10 @@ func TestServeRouteLifecycle(t *testing.T) {
 	defer ts.Close()
 	ref, _ := fabp.SyntheticReference(9, 30_000, 3, 30)
 	realScan := s.scan
+	// Two halves of an over-long protein: each fits maxRequestResidues,
+	// together they do not.
+	long := strings.Repeat("MKWVTFISLL", maxRequestResidues/10+1)
+	half := long[:len(long)/2]
 
 	// Each route's good and bad requests; {t} is the request's timeout_ms.
 	routes := []struct {
@@ -1482,17 +1490,23 @@ func TestServeRouteLifecycle(t *testing.T) {
 			`{"query":"` + protein + `","threshold":10,"threshold_frac":0}`,
 			`{"query":"` + protein + `","threshold_frac":-0.5}`,
 			`{"query":"` + protein + `","threshold_frac":1.5}`,
+			`{"query":"` + long + `"}`,
 		}, true},
 		{"/align/batch", `{"queries":["` + protein + `"],"timeout_ms":{t}}`, []string{
 			`{"queries":[]}`,
 			`{"queries":["` + protein + `"],"threshold_frac":0}`,
+			`{"queries":["` + half + `","` + half + `"]}`,
 		}, true},
 		{"/align/stream", "query=" + protein + "&timeout_ms={t}", []string{
 			"query=",
 			"query=" + protein + "&threshold_frac=0",
 			"query=" + protein + "&threshold_frac=NaN",
+			"query=" + half + "&query=" + half,
 		}, true},
-		{"/search", `{"query":"` + protein + `","timeout_ms":{t}}`, []string{`{"query":"MK123"}`}, false},
+		{"/search", `{"query":"` + protein + `","timeout_ms":{t}}`, []string{
+			`{"query":"MK123"}`,
+			`{"query":"` + long + `"}`,
+		}, false},
 	}
 	for _, rt := range routes {
 		post := func(req string, timeoutMs int) (*http.Response, string) {
@@ -1532,7 +1546,11 @@ func TestServeRouteLifecycle(t *testing.T) {
 		}
 
 		for _, bad := range rt.bad {
-			observed("bad request "+bad, http.StatusBadRequest, func() (*http.Response, string) { return post(bad, 0) })
+			arm := "bad request " + bad
+			if len(arm) > 100 {
+				arm = arm[:100] + "…"
+			}
+			observed(arm, http.StatusBadRequest, func() (*http.Response, string) { return post(bad, 0) })
 		}
 
 		// Hold the only slot: with no queue the request sheds at once.

@@ -123,71 +123,6 @@ func TestAlignDatabaseContextCancelMidScan(t *testing.T) {
 	assertRecordHitsEqual(t, golden, again)
 }
 
-// TestAlignDatabaseStreamContextCancelDuringEmit cancels from inside the
-// emit callback — fully deterministic — and checks the abort surfaces as
-// context.Canceled, the emitted hits are a position-ordered prefix, and
-// the database's planes stay consistent for the next (bit-parallel)
-// scan.
-func TestAlignDatabaseStreamContextCancelDuringEmit(t *testing.T) {
-	ref, genes := fabp.SyntheticReference(22, 300_000, 6, 40)
-	dbase, err := fabp.DatabaseFromReference("stream-cancel", ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := fabp.NewQuery(genes[0].Protein)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := fabp.NewMetrics()
-	a, err := fabp.NewAligner(q,
-		fabp.WithTelemetry(m),
-		fabp.WithKernelType(fabp.KernelBitParallel),
-		fabp.WithShardLen(1<<12),
-		fabp.WithParallelism(2),
-		fabp.WithThresholdFraction(0.6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	golden := a.AlignDatabase(dbase)
-	if len(golden) < 2 {
-		t.Fatalf("want at least 2 hits to cancel between, got %d", len(golden))
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var streamed []fabp.RecordHit
-	err = a.AlignDatabaseStreamContext(ctx, dbase, func(h fabp.RecordHit) error {
-		streamed = append(streamed, h)
-		cancel() // abort after the first hit
-		return nil
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("AlignDatabaseStreamContext = %v, want context.Canceled", err)
-	}
-	if len(streamed) == 0 || len(streamed) >= len(golden) {
-		t.Fatalf("streamed %d hits before cancel, want a strict prefix of %d", len(streamed), len(golden))
-	}
-	for i, h := range streamed {
-		if h != golden[i] {
-			t.Fatalf("streamed[%d] = %+v, want prefix of golden (%+v)", i, h, golden[i])
-		}
-	}
-	if got := m.Snapshot().Counters["align.canceled"]; got != 1 {
-		t.Errorf("align.canceled = %d, want 1", got)
-	}
-
-	// Planes consistent after the abort: a full streamed scan over
-	// the same resident planes reproduces the golden hits.
-	var after []fabp.RecordHit
-	if err := a.AlignDatabaseStreamContext(context.Background(), dbase, func(h fabp.RecordHit) error {
-		after = append(after, h)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	assertRecordHitsEqual(t, golden, after)
-}
-
 // slowReader delivers a trickle of valid nucleotides forever — the
 // misbehaving upstream a deadline must cut loose.
 type slowReader struct {
@@ -293,14 +228,11 @@ func TestPreCanceledContexts(t *testing.T) {
 	if _, err := a.AlignDatabaseContext(ctx, dbase); !errors.Is(err, context.Canceled) {
 		t.Errorf("AlignDatabaseContext = %v, want context.Canceled", err)
 	}
-	if err := a.AlignDatabaseStreamContext(ctx, dbase, func(fabp.RecordHit) error { return nil }); !errors.Is(err, context.Canceled) {
-		t.Errorf("AlignDatabaseStreamContext = %v, want context.Canceled", err)
-	}
 	if err := a.AlignStreamContext(ctx, io.LimitReader(&slowReader{}, 100), func(fabp.Hit) error { return nil }); !errors.Is(err, context.Canceled) {
 		t.Errorf("AlignStreamContext = %v, want context.Canceled", err)
 	}
-	if got := m.Snapshot().Counters["align.canceled"]; got != 4 {
-		t.Errorf("align.canceled = %d, want 4", got)
+	if got := m.Snapshot().Counters["align.canceled"]; got != 3 {
+		t.Errorf("align.canceled = %d, want 3", got)
 	}
 
 	// Session variants go through the shared pool and default registry.
@@ -308,11 +240,11 @@ func TestPreCanceledContexts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := sess.RunContext(ctx, q, 0.8); !errors.Is(err, context.Canceled) {
-		t.Errorf("Session.RunContext = %v, want context.Canceled", err)
+	if _, _, err := sess.Run(ctx, q, 0.8); !errors.Is(err, context.Canceled) {
+		t.Errorf("Session.Run = %v, want context.Canceled", err)
 	}
-	if _, _, err := sess.RunBatchContext(ctx, []*fabp.Query{q}, 0.8); !errors.Is(err, context.Canceled) {
-		t.Errorf("Session.RunBatchContext = %v, want context.Canceled", err)
+	if _, _, err := sess.RunBatch(ctx, []*fabp.Query{q}, 0.8); !errors.Is(err, context.Canceled) {
+		t.Errorf("Session.RunBatch = %v, want context.Canceled", err)
 	}
 
 	// A batch in which no query fits the reference (50 aa = 150 elements
@@ -323,8 +255,9 @@ func TestPreCanceledContexts(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := fabp.DefaultMetrics().Snapshot().Counters["align.canceled"]
-	if out, err := fabp.AlignBatchContext(ctx, []*fabp.Query{long}, short, 0.8); !errors.Is(err, context.Canceled) || out != nil {
-		t.Errorf("AlignBatchContext on a too-short reference = %d lists, %v; want nil, context.Canceled", len(out), err)
+	res, err := fabp.Scan(ctx, fabp.ScanRequest{Queries: []*fabp.Query{long}, Reference: short, ThresholdFrac: 0.8})
+	if !errors.Is(err, context.Canceled) || res != nil {
+		t.Errorf("Scan{Queries} of a too-short reference = %v, %v; want nil, context.Canceled", res, err)
 	}
 	if got := fabp.DefaultMetrics().Snapshot().Counters["align.canceled"] - before; got != 1 {
 		t.Errorf("align.canceled delta = %d, want 1", got)
@@ -349,12 +282,12 @@ func TestSessionRunContextLive(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	hits, timing, err := sess.RunContext(ctx, q, 0.8)
+	hits, timing, err := sess.Run(ctx, q, 0.8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(hits) == 0 {
-		t.Error("planted gene not found through RunContext")
+		t.Error("planted gene not found through Run under a live context")
 	}
 	if timing.Total <= 0 {
 		t.Errorf("timing = %+v, want positive total", timing)
@@ -383,7 +316,7 @@ func TestAlignDatabaseBatchContextCancelMidScan(t *testing.T) {
 		}
 		queries = append(queries, q)
 	}
-	golden, err := fabp.AlignDatabaseBatch(dbase, queries, 0.85)
+	golden, err := fabp.AlignDatabaseBatchContext(context.Background(), dbase, queries, 0.85)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +371,7 @@ func TestAlignDatabaseBatchContextCancelMidScan(t *testing.T) {
 
 	// The aborted batch must not have corrupted the database's planes or
 	// pooled kernel scratch: a fresh batch rescans bit-exact.
-	again, err := fabp.AlignDatabaseBatch(dbase, queries, 0.85)
+	again, err := fabp.AlignDatabaseBatchContext(context.Background(), dbase, queries, 0.85)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"io"
 	"log"
 	"sync"
-	"time"
 
 	"fabp/internal/bio"
 	"fabp/internal/bitpar"
@@ -15,7 +14,6 @@ import (
 	"fabp/internal/faultinject"
 	"fabp/internal/fpga"
 	"fabp/internal/host"
-	"fabp/internal/sched"
 )
 
 // Database is an indexed, 2-bit packed reference database — the DRAM image
@@ -225,9 +223,10 @@ func (d *Database) PlanesResident() bool { return d.d.PlanesResident() }
 func (d *Database) EvictPlanes() { d.d.DropPlanes() }
 
 // AsReference exposes the database's concatenated sequence as a Reference
-// for the single-reference APIs (AlignContext, AlignBatch) — hits carry
-// global positions, without record attribution. The Reference is a view:
-// it copies nothing, and its scans read (and warm) this database's planes.
+// for the single-reference APIs (Align, a Scan of a Reference) — hits
+// carry global positions, without record attribution. The Reference is a
+// view: it copies nothing, and its scans read (and warm) this database's
+// planes.
 func (d *Database) AsReference() *Reference {
 	return &Reference{d: d.d}
 }
@@ -260,66 +259,6 @@ func (a *Aligner) AlignDatabaseContext(ctx context.Context, d *Database) ([]Reco
 	return res.RecordHits, err
 }
 
-// AlignDatabaseStream scans the database shard by shard and delivers
-// attributed hits to emit in position order while holding only a bounded
-// number of shard results in memory — the way to scan a database whose hit
-// list would not fit (or should not wait) in one slice. Return an error
-// from emit to stop early.
-func (a *Aligner) AlignDatabaseStream(d *Database, emit func(RecordHit) error) error {
-	return a.AlignDatabaseStreamContext(context.Background(), d, emit)
-}
-
-// AlignDatabaseStreamContext is AlignDatabaseStream under a context.
-// Cancellation checkpoints sit at every stage of the pipeline — shard
-// dispatch, shard execution start, and the ordered merge before each
-// emit — so the call returns ctx.Err() within one shard of the cancel,
-// drains the in-flight shards it launched (no goroutine outlives the
-// call), and records the abort on align.canceled /
-// align.deadline.exceeded. Hits already emitted are valid: they are the
-// complete, position-ordered prefix of the full scan up to the last
-// merged shard.
-func (a *Aligner) AlignDatabaseStreamContext(ctx context.Context, d *Database, emit func(RecordHit) error) error {
-	a.tm.queries.Inc()
-	t0 := time.Now()
-	defer func() { observeSince(a.tm.alignLatency, t0) }()
-	if err := ctx.Err(); err != nil {
-		a.tm.recordCtxErr(err)
-		return err
-	}
-	// The executor supplies the shard function and its resilience; the
-	// ordered merge keeps only a bounded window of shard results.
-	x := a.executor()
-	shards := x.load(planesOf(d.d))
-	x.shards = shards
-	a.tm.shardsPlanned.Add(uint64(len(shards)))
-	m := a.query.Elements()
-	err := sched.StreamOrderedCtx(ctx, a.pool, len(shards), func(i int) ([]db.RecordHit, error) {
-		hits, err := x.attempt(ctx, i)
-		if err != nil {
-			if a.partial && ctx.Err() == nil {
-				x.fc.add(shards[i], err) // no hits; the merge continues
-				return nil, nil
-			}
-			return nil, shardError(shards[i], err)
-		}
-		return d.d.Attribute(bitparToCore(hits[0]), m), nil
-	}, func(h db.RecordHit) error {
-		a.tm.hits.Inc()
-		return emit(toRecordHit(h))
-	})
-	if err != nil {
-		a.tm.recordCtxErr(err)
-		return err
-	}
-	if len(x.fc.failed) > 0 {
-		// Every surviving shard's hits were emitted in order; report the
-		// uncovered ranges the same way the gather does.
-		a.tm.partial.Inc()
-		return x.fc.partialError()
-	}
-	return nil
-}
-
 // Session models the full deployment: an FPGA card holding the database
 // resident in its DRAM, with queries streamed against it. Results are real
 // — each call is a Scan of the resident database — and the timing
@@ -348,17 +287,12 @@ type QueryTiming struct {
 	Encode, QueryTransfer, Kernel, Readback, Total float64
 }
 
-// Run executes one query end-to-end and returns attributed hits plus the
-// timing decomposition. It is RunContext under context.Background().
-func (s *Session) Run(q *Query, thresholdFrac float64) ([]RecordHit, QueryTiming, error) {
-	return s.RunContext(context.Background(), q, thresholdFrac)
-}
-
-// RunContext is Run under a context: the resident-database scan honors
+// Run executes one query end-to-end against the resident database and
+// returns attributed hits plus the timing decomposition. The scan honors
 // cancellation and deadlines at shard boundaries and returns ctx.Err()
 // without waiting for the remaining shards. The fraction must lie in
 // (0, 1].
-func (s *Session) RunContext(ctx context.Context, q *Query, thresholdFrac float64) ([]RecordHit, QueryTiming, error) {
+func (s *Session) Run(ctx context.Context, q *Query, thresholdFrac float64) ([]RecordHit, QueryTiming, error) {
 	if err := checkFraction(thresholdFrac); err != nil {
 		return nil, QueryTiming{}, err
 	}
@@ -374,17 +308,12 @@ func (s *Session) RunContext(ctx context.Context, q *Query, thresholdFrac float6
 }
 
 // RunBatch executes many queries against the resident database in one
-// pass, returning per-query attributed hits and the projected end-to-end
-// batch seconds. It is RunBatchContext under context.Background().
-func (s *Session) RunBatch(queries []*Query, thresholdFrac float64) ([][]RecordHit, float64, error) {
-	return s.RunBatchContext(context.Background(), queries, thresholdFrac)
-}
-
-// RunBatchContext is RunBatch under a context: cancellation is checked
-// between shards of the fused scan, so an aborted batch returns ctx.Err()
-// without scanning the remaining shards. Every query is validated and the
-// batch sized for the card before any scanning starts.
-func (s *Session) RunBatchContext(ctx context.Context, queries []*Query, thresholdFrac float64) ([][]RecordHit, float64, error) {
+// fused pass, returning per-query attributed hits and the projected
+// end-to-end batch seconds. Every query is validated and the batch sized
+// for the card before any scanning starts; cancellation is checked
+// between shards, so an aborted batch returns ctx.Err() without scanning
+// the remaining shards.
+func (s *Session) RunBatch(ctx context.Context, queries []*Query, thresholdFrac float64) ([][]RecordHit, float64, error) {
 	req := ScanRequest{Queries: queries, ThresholdFrac: thresholdFrac}
 	if err := checkBatch(req); err != nil {
 		return nil, 0, err
@@ -424,9 +353,10 @@ func (s *Session) scan(ctx context.Context, req ScanRequest) (*ScanResult, fpga.
 	return res, est, err
 }
 
-// checkBatch applies the contract the batch entrypoints kept from before
-// ScanRequest: an empty batch is its own error, and the fraction must lie
-// in (0, 1] — 0 is out of range, not ScanRequest's 0.8 default.
+// checkBatch applies the contract RunBatch and AlignDatabaseBatchContext
+// kept from before ScanRequest: an empty batch is its own error, and the
+// fraction must lie in (0, 1] — 0 is out of range, not ScanRequest's 0.8
+// default.
 func checkBatch(req ScanRequest) error {
 	if len(req.Queries) == 0 {
 		return badQueryf("fabp: empty batch")
@@ -434,59 +364,19 @@ func checkBatch(req ScanRequest) error {
 	return checkFraction(req.ThresholdFrac)
 }
 
-// batchScan is Scan under the batch entrypoints' contract (checkBatch).
-func batchScan(ctx context.Context, req ScanRequest) (*ScanResult, error) {
+// AlignDatabaseBatchContext scans the whole database once for every query
+// of a batch and attributes each query's hits to records, dropping
+// windows that span record boundaries. The fused scan honors cancellation
+// at shard boundaries (for the whole batch at once) and returns ctx.Err()
+// without scanning the remaining shards. It is Scan of
+// ScanRequest{Queries, Database, ThresholdFrac} under checkBatch's
+// contract.
+func AlignDatabaseBatchContext(ctx context.Context, d *Database, queries []*Query, thresholdFrac float64) ([][]RecordHit, error) {
+	req := ScanRequest{Queries: queries, Database: d, ThresholdFrac: thresholdFrac}
 	if err := checkBatch(req); err != nil {
 		return nil, err
 	}
-	return Scan(ctx, req)
-}
-
-// AlignBatch scans one reference with many queries in a single fused pass,
-// returning per-query hit lists. Thresholds are the given fraction, in
-// (0, 1], of each query's own maximum score (rounded, not truncated).
-// Every query is validated before any scanning starts. The reference packs
-// into bit-planes once — the database it views holds them across calls —
-// and the fused batch kernel reads each reference tile once for the whole
-// batch, bit-exact with a serial per-query scan. It is AlignBatchContext
-// under context.Background().
-func AlignBatch(queries []*Query, ref *Reference, thresholdFrac float64) ([][]Hit, error) {
-	return AlignBatchContext(context.Background(), queries, ref, thresholdFrac)
-}
-
-// AlignBatchContext is AlignBatch under a context: cancellation and
-// deadlines are honored at shard boundaries for the whole batch at once —
-// undispatched shards are shed for every query, shards already executing
-// finish, and the call returns ctx.Err() recorded on align.canceled /
-// align.deadline.exceeded. The reference's planes are untouched by an
-// abort, so a retry scans the same planes. It is Scan of
-// ScanRequest{Queries, Reference, ThresholdFrac}.
-func AlignBatchContext(ctx context.Context, queries []*Query, ref *Reference, thresholdFrac float64) ([][]Hit, error) {
-	res, err := batchScan(ctx, ScanRequest{Queries: queries, Reference: ref, ThresholdFrac: thresholdFrac})
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]Hit, len(res.PerQuery))
-	for i, qh := range res.PerQuery {
-		out[i] = qh.Hits
-	}
-	return out, nil
-}
-
-// AlignDatabaseBatch scans the whole database once for every query of a
-// batch and attributes each query's hits to records, dropping windows that
-// span record boundaries. It is AlignDatabaseBatchContext under
-// context.Background().
-func AlignDatabaseBatch(d *Database, queries []*Query, thresholdFrac float64) ([][]RecordHit, error) {
-	return AlignDatabaseBatchContext(context.Background(), d, queries, thresholdFrac)
-}
-
-// AlignDatabaseBatchContext is AlignDatabaseBatch under a context: the
-// fused scan honors cancellation at shard boundaries (for the whole batch
-// at once) and returns ctx.Err() without scanning the remaining shards.
-// It is Scan of ScanRequest{Queries, Database, ThresholdFrac}.
-func AlignDatabaseBatchContext(ctx context.Context, d *Database, queries []*Query, thresholdFrac float64) ([][]RecordHit, error) {
-	res, err := batchScan(ctx, ScanRequest{Queries: queries, Database: d, ThresholdFrac: thresholdFrac})
+	res, err := Scan(ctx, req)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package fabp
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"errors"
 	"fmt"
@@ -92,7 +93,7 @@ func TestSessionEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	q, _ := NewQuery(genes[0].Protein)
-	hits, timing, err := s.Run(q, 0.9)
+	hits, timing, err := s.Run(context.Background(), q, 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,10 +109,10 @@ func TestSessionEndToEnd(t *testing.T) {
 	if timing.Total <= 0 || timing.Kernel <= 0 || timing.Total < timing.Kernel {
 		t.Errorf("timing implausible: %+v", timing)
 	}
-	if _, _, err := s.Run(q, 0); err == nil {
+	if _, _, err := s.Run(context.Background(), q, 0); err == nil {
 		t.Error("bad threshold fraction must fail")
 	}
-	if _, _, err := s.Run(q, 1.5); err == nil {
+	if _, _, err := s.Run(context.Background(), q, 1.5); err == nil {
 		t.Error("bad threshold fraction must fail")
 	}
 }
@@ -130,7 +131,7 @@ func TestSessionBatch(t *testing.T) {
 		}
 		queries = append(queries, q)
 	}
-	perQuery, totalSec, err := s.RunBatch(queries, 0.9)
+	perQuery, totalSec, err := s.RunBatch(context.Background(), queries, 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,10 +167,10 @@ func TestSessionErrorTaxonomy(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(q *Query, frac float64) func() error {
-		return func() error { _, _, err := s.Run(q, frac); return err }
+		return func() error { _, _, err := s.Run(context.Background(), q, frac); return err }
 	}
 	batch := func(qs []*Query, frac float64) func() error {
-		return func() error { _, _, err := s.RunBatch(qs, frac); return err }
+		return func() error { _, _, err := s.RunBatch(context.Background(), qs, frac); return err }
 	}
 	for _, tc := range []struct {
 		name string
@@ -219,7 +220,7 @@ func TestSessionGoldenTiming(t *testing.T) {
 		return fmt.Sprintf("%x", sha256.Sum256([]byte(fmt.Sprint(hits))))[:16]
 	}
 
-	hits, timing, err := s.Run(queries[1], 0.6)
+	hits, timing, err := s.Run(context.Background(), queries[1], 0.6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +235,7 @@ func TestSessionGoldenTiming(t *testing.T) {
 		t.Errorf("Run timing %#v, want %#v", timing, want)
 	}
 
-	perQuery, total, err := s.RunBatch(queries, 0.6)
+	perQuery, total, err := s.RunBatch(context.Background(), queries, 0.6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,13 +286,13 @@ func TestAlignBatchFacade(t *testing.T) {
 		}
 		queries = append(queries, q)
 	}
-	results, err := AlignBatch(queries, ref, 0.9)
+	res, err := Scan(context.Background(), ScanRequest{Queries: queries, Reference: ref, ThresholdFrac: 0.9})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, g := range genes {
 		found := false
-		for _, h := range results[i] {
+		for _, h := range res.PerQuery[i].Hits {
 			if h.Pos == g.Pos {
 				found = true
 			}
@@ -300,7 +301,7 @@ func TestAlignBatchFacade(t *testing.T) {
 			t.Errorf("batch query %d missed the gene at %d", i, g.Pos)
 		}
 	}
-	if _, err := AlignBatch(nil, ref, 0.9); err == nil {
+	if _, err := Scan(context.Background(), ScanRequest{Queries: []*Query{}, Reference: ref, ThresholdFrac: 0.9}); err == nil {
 		t.Error("empty batch must fail")
 	}
 }

@@ -1,6 +1,7 @@
 package fabp_test
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -85,4 +86,63 @@ func ExampleAligner_AlignStream() {
 	}
 	// Output:
 	// pos 6 score 12
+}
+
+// Scan a database with two queries in one fused pass: each query's hits
+// come back in PerQuery, attributed to the record they fall in.
+func ExampleScan() {
+	db, err := fabp.BuildDatabase(strings.NewReader(
+		">chr1\nCCCCCCAUGAAAUGGGAACCCCCC\n" +
+			">chr2\nGGGGGUUUUCGCGUGGGGGGAUGAAAUGGGAAGG\n"))
+	if err != nil {
+		panic(err)
+	}
+	mkwe, err := fabp.NewQuery("MKWE")
+	if err != nil {
+		panic(err)
+	}
+	fsr, err := fabp.NewQuery("FSR")
+	if err != nil {
+		panic(err)
+	}
+	res, err := fabp.Scan(context.Background(), fabp.ScanRequest{
+		Queries:       []*fabp.Query{mkwe, fsr},
+		Database:      db,
+		ThresholdFrac: 1, // exact matches only
+	})
+	if err != nil {
+		panic(err)
+	}
+	for qi, qh := range res.PerQuery {
+		for _, h := range qh.RecordHits {
+			fmt.Printf("query %d: %s:%d score %d\n", qi, h.RecordID, h.Offset, h.Score)
+		}
+	}
+	// Output:
+	// query 0: chr1:6 score 12
+	// query 0: chr2:20 score 12
+	// query 1: chr2:5 score 9
+}
+
+// Run a TBLASTN-style protein search as a Scan: the HSPs come back
+// best-first, each with its reading frame and nucleotide position.
+func ExampleScan_proteinSearch() {
+	ref, genes := fabp.SyntheticReference(11, 30_000, 3, 50)
+	q, err := fabp.NewQuery(genes[0].Protein)
+	if err != nil {
+		panic(err)
+	}
+	res, err := fabp.Scan(context.Background(), fabp.ScanRequest{
+		Query:         q,
+		Reference:     ref,
+		ProteinSearch: &fabp.ProteinSearchOptions{Frames: 3, TwoHit: true},
+		MaxHits:       1,
+	})
+	if err != nil {
+		panic(err)
+	}
+	top := res.HSPs[0]
+	fmt.Printf("gene at %d; top HSP: frame %s nuc %d score %d\n", genes[0].Pos, top.Frame, top.NucPos, top.Score)
+	// Output:
+	// gene at 3502; top HSP: frame +2 nuc 3502 score 254
 }

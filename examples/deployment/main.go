@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -24,7 +25,9 @@ func main() {
 	orfs := fabp.FindORFs(ref, 60)
 	fmt.Printf("ORFs >= 60 residues in 6 frames: %d\n\n", len(orfs))
 
-	// Card session: database transfers to FPGA DRAM once.
+	// Card session: database transfers to FPGA DRAM once. Its calls take a
+	// context, which a server would derive from each request's deadline.
+	ctx := context.Background()
 	sess, err := fabp.NewSession(db)
 	if err != nil {
 		log.Fatal(err)
@@ -55,7 +58,7 @@ func main() {
 
 	// End-to-end single query with the timing decomposition the paper
 	// measures.
-	hits, timing, err := sess.Run(q0, float64(thr)/float64(q0.MaxScore()))
+	hits, timing, err := sess.Run(ctx, q0, float64(thr)/float64(q0.MaxScore()))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -67,7 +70,7 @@ func main() {
 	fmt.Printf("  total     %8.1f µs\n\n", timing.Total*1e6)
 
 	// Batched queries amortize the resident database.
-	perQuery, totalSec, err := sess.RunBatch(queries, 0.8)
+	perQuery, totalSec, err := sess.RunBatch(ctx, queries, 0.8)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -65,7 +66,7 @@ func main() {
 		}
 
 		start = time.Now()
-		hsps, err := fabp.SearchTBLASTN(query, ref, fabp.TBLASTNOptions{Threads: 4, ForwardOnly: true})
+		hsps, err := fabp.SearchProtein(context.Background(), query, ref, fabp.ProteinSearchOptions{Threads: 4, Frames: 3})
 		tblastnTime += time.Since(start)
 		if err != nil {
 			log.Fatal(err)

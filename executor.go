@@ -176,8 +176,7 @@ func (x *executor) gather(ctx context.Context, shards []sched.Shard, inline bool
 }
 
 // attempt runs shard i of the pass in flight under the policy, on pooled
-// scratch: the resilient shard function of the gather and of
-// AlignDatabaseStreamContext's ordered merge.
+// scratch: the resilient shard function of the gather.
 func (x *executor) attempt(ctx context.Context, i int) ([][]bitpar.Hit, error) {
 	return sched.ProduceResilient(ctx, x.pool, x.res, uint64(i), func(actx context.Context) ([][]bitpar.Hit, error) {
 		return x.scanShard(actx, i, nil)
@@ -272,11 +271,7 @@ func toHits(raw []bitpar.Hit) []Hit {
 func toRecordHits(attributed []db.RecordHit) []RecordHit {
 	out := make([]RecordHit, len(attributed))
 	for i, h := range attributed {
-		out[i] = toRecordHit(h)
+		out[i] = RecordHit{RecordID: h.RecordID, RecordIndex: h.RecordIndex, Offset: h.Offset, Score: h.Score}
 	}
 	return out
-}
-
-func toRecordHit(h db.RecordHit) RecordHit {
-	return RecordHit{RecordID: h.RecordID, RecordIndex: h.RecordIndex, Offset: h.Offset, Score: h.Score}
 }

@@ -306,8 +306,8 @@ func WithThresholdFraction(f float64) AlignerOption {
 	}
 }
 
-// checkFraction is the threshold-fraction contract of the option and the
-// legacy batch and Session entrypoints: f in (0, 1], with no default.
+// checkFraction is the threshold-fraction contract of the option,
+// AlignDatabaseBatchContext and Session: f in (0, 1], with no default.
 func checkFraction(f float64) error {
 	if f <= 0 || f > 1 || f != f {
 		return badOptionf("fabp: threshold fraction %v outside (0,1]", f)

@@ -446,25 +446,6 @@ func TestComparePlatforms(t *testing.T) {
 	}
 }
 
-func TestSearchTBLASTNFacade(t *testing.T) {
-	ref, genes := SyntheticReference(11, 30_000, 3, 50)
-	q, _ := NewQuery(genes[0].Protein)
-	hsps, err := SearchTBLASTN(q, ref, TBLASTNOptions{Threads: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hsps) == 0 {
-		t.Fatal("no HSPs")
-	}
-	top := hsps[0]
-	if top.Frame != "+1" && top.Frame != "+2" && top.Frame != "+3" {
-		t.Errorf("top frame %s", top.Frame)
-	}
-	if top.NucPos < genes[0].Pos-10 || top.NucPos > genes[0].Pos+150 {
-		t.Errorf("top HSP at %d, planted at %d", top.NucPos, genes[0].Pos)
-	}
-}
-
 func TestSmithWatermanFacade(t *testing.T) {
 	r, err := SmithWaterman("MKWVTFISLL", "MKWVTFISLL")
 	if err != nil {

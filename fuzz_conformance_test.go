@@ -121,16 +121,16 @@ func checkAlignConformance(t *testing.T, protein, refStr string, thr int) {
 		t.Fatal(err)
 	}
 	frac := float64(thr) / float64(q.MaxScore())
-	batch, err := AlignBatch([]*Query{q}, ref, frac)
+	batch, err := Scan(cctx, ScanRequest{Queries: []*Query{q}, Reference: ref, ThresholdFrac: frac})
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertHitsEqual(t, "AlignBatch", want, batch[0])
-	dbBatch, err := AlignDatabaseBatch(dbase, []*Query{q}, frac)
+	assertHitsEqual(t, "Scan{Queries}", want, batch.PerQuery[0].Hits)
+	dbBatch, err := AlignDatabaseBatchContext(cctx, dbase, []*Query{q}, frac)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertHitsEqual(t, "AlignDatabaseBatch", want, recordHitsAsHits(dbBatch[0]))
+	assertHitsEqual(t, "AlignDatabaseBatchContext", want, recordHitsAsHits(dbBatch[0]))
 
 	// A Reference and the Database it came from: the view scans the
 	// database's own payload and planes, both kernels, Best included.
@@ -145,12 +145,12 @@ func checkAlignConformance(t *testing.T, protein, refStr string, thr int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, _, err := sess.Run(q, frac)
+	run, _, err := sess.Run(cctx, q, frac)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertHitsEqual(t, "Session.Run", want, recordHitsAsHits(run))
-	runBatch, _, err := sess.RunBatch([]*Query{q}, frac)
+	runBatch, _, err := sess.RunBatch(cctx, []*Query{q}, frac)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,12 +320,13 @@ func checkBatchConformance(t *testing.T, proteins []string, refStr string, frac 
 	for _, chunk := range []int{maxElems + 2, 2*maxElems + 1, len(refStr) + 1} {
 		streamChunkLetters = chunk
 		got := make([][]Hit, len(queries))
-		err := AlignBatchStream(queries, strings.NewReader(refStr), frac, func(qi int, h Hit) error {
-			got[qi] = append(got[qi], h)
-			return nil
-		})
+		_, err := Scan(context.Background(), ScanRequest{Queries: queries, Stream: strings.NewReader(refStr), ThresholdFrac: frac,
+			Emit: func(qi int, h Hit) error {
+				got[qi] = append(got[qi], h)
+				return nil
+			}})
 		if err != nil {
-			t.Fatalf("chunk %d AlignBatchStream: %v", chunk, err)
+			t.Fatalf("chunk %d Scan{Queries, Stream}: %v", chunk, err)
 		}
 		assertBatch(fmt.Sprintf("batch stream chunk=%d", chunk), got)
 	}

@@ -5,6 +5,7 @@ package fabp
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -53,7 +54,7 @@ func TestIntegrationFullPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	perQuery, totalSec, err := sess.RunBatch(queries, 0.75)
+	perQuery, totalSec, err := sess.RunBatch(context.Background(), queries, 0.75)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestIntegrationFullPipeline(t *testing.T) {
 	}
 
 	// 6. TBLASTN agrees on the locus.
-	hsps, err := SearchTBLASTN(queries[0], ref, TBLASTNOptions{ForwardOnly: true})
+	hsps, err := SearchProtein(context.Background(), queries[0], ref, ProteinSearchOptions{Frames: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,7 @@ const (
 	// stall and shard-failure injection point.
 	SiteShardDispatch = "sched.shard.dispatch"
 	// SiteShardMerge fires as each shard's results enter the ordered
-	// merge (sched.GatherCtx / GatherBatchCtx / StreamOrderedCtx).
+	// merge (sched.GatherCtx / GatherBatchCtx).
 	SiteShardMerge = "sched.shard.merge"
 	// SiteStreamRead fires before every chunk read of the bounded-memory
 	// stream scan (scanChunks): the reference-reader I/O error point.

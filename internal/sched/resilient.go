@@ -57,7 +57,7 @@ func (r *Resilience) takeHedge() bool {
 }
 
 // ProduceResilient runs one shard's produce under the call's resilience
-// policy, from inside a pool task (GatherBatchCtx/StreamOrderedCtx produce functions call
+// policy, from inside a pool task (GatherBatchCtx produce functions call
 // it directly). The shard's lifecycle:
 //
 //  1. The sched.shard.dispatch fault hook fires first on every attempt —

@@ -17,7 +17,6 @@ import (
 	"context"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"fabp/internal/faultinject"
@@ -99,9 +98,6 @@ type poolMetrics struct {
 	// wait is submit-to-start latency (time blocked on the semaphore);
 	// run is task execution time.
 	wait, run *telemetry.Histogram
-	// backlog is the ordered-merge depth: StreamOrderedCtx results produced
-	// but not yet emitted.
-	backlog *telemetry.Gauge
 	// canceled counts tasks never dispatched because their run's context
 	// was canceled first — shards shed by cooperative cancellation.
 	canceled *telemetry.Counter
@@ -114,7 +110,6 @@ func newPoolMetrics(reg *telemetry.Registry) poolMetrics {
 		completed: reg.Counter("pool.tasks.completed"),
 		wait:      reg.Histogram("pool.task.wait"),
 		run:       reg.Histogram("pool.task.run"),
-		backlog:   reg.Gauge("pool.merge.backlog"),
 		canceled:  reg.Counter("pool.tasks.canceled"),
 	}
 }
@@ -307,97 +302,4 @@ func GatherBatchCtx[T any](ctx context.Context, p *Pool, n, streams int, produce
 		out[s] = stream
 	}
 	return out, nil
-}
-
-// StreamOrderedCtx runs produce(0..n-1) on the pool and delivers every
-// produced item to emit in index order, holding at most Workers()+1
-// produced-but-unemitted batches in memory — the bounded-memory engine
-// under streaming database scans. The first error from produce or emit
-// stops the run (already-launched producers finish, their output is
-// dropped) and is returned. Cancellation checkpoints sit at every stage
-// boundary: the dispatcher stops launching
-// producers, a producer waiting for a pool slot aborts, a dispatched
-// producer skips its scan, and the ordered merge stops emitting — so the
-// call returns ctx.Err() after at most the shards already executing
-// finish. Producers launched before the cancel are always drained before
-// any later use of the pool can observe their backlog, and no goroutine
-// outlives the shards it was scanning.
-func StreamOrderedCtx[T any](ctx context.Context, p *Pool, n int, produce func(i int) ([]T, error), emit func(T) error) error {
-	if n <= 0 {
-		return ctx.Err()
-	}
-	type result struct {
-		items []T
-		err   error
-	}
-	results := make([]chan result, n)
-	for i := range results {
-		results[i] = make(chan result, 1)
-	}
-	// tickets bounds dispatch: one per produced-but-unconsumed shard.
-	tickets := make(chan struct{}, p.Workers()+1)
-	stop := make(chan struct{})
-	done := ctx.Done()
-	// consumed tracks how many results the ordered merge has taken; on an
-	// early stop the dispatcher drains the rest so the backlog gauge
-	// returns to its pre-call level.
-	var consumed atomic.Int64
-	go func() {
-		launched := 0
-	dispatch:
-		for i := 0; i < n; i++ {
-			select {
-			case tickets <- struct{}{}:
-			case <-stop:
-				break dispatch
-			case <-done:
-				p.m.canceled.Add(uint64(n - i))
-				break dispatch
-			}
-			go func(i int) {
-				var items []T
-				err := p.acquireCtx(ctx)
-				if err == nil {
-					p.runTask("stream", func() {
-						if err = ctx.Err(); err == nil {
-							items, err = produce(i)
-						}
-					})
-					<-p.sem
-				}
-				p.m.backlog.Add(1)
-				results[i] <- result{items, err}
-			}(i)
-			launched++
-		}
-		<-stop // the consumer is done; consumed is final
-		for j := int(consumed.Load()); j < launched; j++ {
-			<-results[j]
-			p.m.backlog.Add(-1)
-		}
-	}()
-	defer close(stop)
-	for i := 0; i < n; i++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		r := <-results[i]
-		consumed.Store(int64(i + 1))
-		p.m.backlog.Add(-1)
-		<-tickets
-		if r.err != nil {
-			return r.err
-		}
-		// The shard-merge fault hook, mirroring GatherCtx's: an injected
-		// failure stops the ordered merge exactly like an emit error.
-		if err := faultinject.Check(ctx, faultinject.SiteShardMerge, uint64(i)); err != nil {
-			return err
-		}
-		for _, item := range r.items {
-			if err := emit(item); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }

@@ -3,10 +3,8 @@ package sched
 import (
 	"context"
 	"errors"
-	"runtime"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"fabp/internal/telemetry"
 )
@@ -98,78 +96,5 @@ func TestGatherBatchCtxCancelSheds(t *testing.T) {
 	}
 	if shed := reg.Snapshot().Counters["pool.tasks.canceled"]; shed == 0 {
 		t.Error("pool.tasks.canceled not recorded")
-	}
-}
-
-// TestStreamOrderedCtxCancel checks the streaming merge: a cancel stops
-// emission with context.Canceled, already-launched producers are drained
-// (backlog gauge returns to zero), and no goroutine outlives the call.
-func TestStreamOrderedCtxCancel(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	p := NewPool(2)
-	p.SetMetrics(reg)
-	before := runtime.NumGoroutine()
-	ctx, cancel := context.WithCancel(context.Background())
-	var emitted int
-	err := StreamOrderedCtx(ctx, p, 500,
-		func(i int) ([]int, error) { return []int{i}, nil },
-		func(v int) error {
-			emitted++
-			if emitted == 3 {
-				cancel()
-			}
-			return nil
-		})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("StreamOrderedCtx = %v, want context.Canceled", err)
-	}
-	// Producers drain asynchronously after the consumer returns; poll the
-	// backlog gauge and goroutine count back to quiescence.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if reg.Snapshot().Gauges["pool.merge.backlog"] == 0 &&
-			runtime.NumGoroutine() <= before+2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("pool did not quiesce: backlog=%d goroutines=%d (was %d)",
-				reg.Snapshot().Gauges["pool.merge.backlog"], runtime.NumGoroutine(), before)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// TestStreamOrderedCtxDeadline checks that an expired deadline surfaces
-// as context.DeadlineExceeded even when producers would happily continue.
-func TestStreamOrderedCtxDeadline(t *testing.T) {
-	p := NewPool(2)
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	err := StreamOrderedCtx(ctx, p, 10_000,
-		func(i int) ([]int, error) {
-			time.Sleep(time.Millisecond)
-			return []int{i}, nil
-		},
-		func(int) error { return nil })
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("StreamOrderedCtx = %v, want context.DeadlineExceeded", err)
-	}
-}
-
-// TestStreamOrderedCtxPreCancelled: a context already done yields its
-// error without launching any producer.
-func TestStreamOrderedCtxPreCancelled(t *testing.T) {
-	p := NewPool(2)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	var produced atomic.Int64
-	err := StreamOrderedCtx(ctx, p, 50,
-		func(i int) ([]int, error) { produced.Add(1); return nil, nil },
-		func(int) error { return nil })
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if produced.Load() != 0 {
-		t.Errorf("%d producers ran under a pre-canceled context", produced.Load())
 	}
 }

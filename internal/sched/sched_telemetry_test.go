@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"errors"
 	"testing"
 	"time"
 
@@ -17,18 +16,15 @@ func TestPoolMetricsReconcile(t *testing.T) {
 
 	const n = 25
 	p.Each(n, func(i int) { time.Sleep(time.Microsecond) })
-	if err := streamOrdered(p, n,
-		func(i int) ([]int, error) { return []int{i}, nil },
-		func(int) error { return nil },
-	); err != nil {
-		t.Fatal(err)
+	if got := gather(p, n, func(i int) []int { return []int{i} }); len(got) != n {
+		t.Fatalf("gathered %d items, want %d", len(got), n)
 	}
 
 	s := reg.Snapshot()
 	if got := s.Counters["pool.tasks.completed"]; got != 2*n {
 		t.Errorf("completed = %d, want %d", got, 2*n)
 	}
-	for _, gauge := range []string{"pool.tasks.queued", "pool.tasks.running", "pool.merge.backlog"} {
+	for _, gauge := range []string{"pool.tasks.queued", "pool.tasks.running"} {
 		if lvl := s.Gauges[gauge]; lvl != 0 {
 			t.Errorf("%s = %d after idle, want 0", gauge, lvl)
 		}
@@ -38,44 +34,6 @@ func TestPoolMetricsReconcile(t *testing.T) {
 	}
 	if s.Histograms["pool.task.wait"].Count == 0 {
 		t.Error("wait histogram recorded nothing")
-	}
-}
-
-// TestStreamOrderedBacklogDrainsOnEarlyStop: an emit error abandons
-// in-flight results; the merge-backlog gauge must still return to zero.
-func TestStreamOrderedBacklogDrainsOnEarlyStop(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	p := NewPool(4)
-	p.SetMetrics(reg)
-
-	boom := errors.New("boom")
-	err := streamOrdered(p, 64,
-		func(i int) ([]int, error) {
-			time.Sleep(time.Duration(i%5) * time.Millisecond)
-			return []int{i}, nil
-		},
-		func(v int) error {
-			if v >= 3 {
-				return boom
-			}
-			return nil
-		})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v", err)
-	}
-	// The dispatcher drains abandoned results asynchronously; poll briefly.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if reg.Snapshot().Gauges["pool.merge.backlog"] == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("backlog stuck at %d", reg.Snapshot().Gauges["pool.merge.backlog"])
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if lvl := reg.Snapshot().Gauges["pool.tasks.queued"]; lvl != 0 {
-		t.Errorf("queued = %d after stop", lvl)
 	}
 }
 

@@ -2,7 +2,6 @@ package sched
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -111,10 +110,6 @@ func gatherBatch[T any](p *Pool, n, streams int, produce func(i int) [][]T) [][]
 	return out
 }
 
-func streamOrdered[T any](p *Pool, n int, produce func(i int) ([]T, error), emit func(T) error) error {
-	return StreamOrderedCtx(context.Background(), p, n, produce, emit)
-}
-
 func TestGatherPreservesIndexOrder(t *testing.T) {
 	p := NewPool(8)
 	got := gather(p, 40, func(i int) []int {
@@ -184,60 +179,6 @@ func TestGatherBatchRaggedAndEmpty(t *testing.T) {
 	// The single-shard fast path pads short returns to len == streams.
 	if got := gatherBatch(p, 1, 3, func(int) [][]int { return [][]int{{7}} }); len(got) != 3 || got[0][0] != 7 {
 		t.Fatalf("single-shard gather: %v", got)
-	}
-}
-
-func TestStreamOrderedDeliversInOrder(t *testing.T) {
-	p := NewPool(4)
-	var got []int
-	err := streamOrdered(p, 30, func(i int) ([]int, error) {
-		return []int{i * 10, i*10 + 1}, nil
-	}, func(v int) error {
-		got = append(got, v)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 60 {
-		t.Fatalf("len %d", len(got))
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i] <= got[i-1] {
-			t.Fatalf("out of order at %d: %v", i, got[i-3:i+1])
-		}
-	}
-}
-
-func TestStreamOrderedStopsOnError(t *testing.T) {
-	p := NewPool(4)
-	produceErr := errors.New("shard exploded")
-	err := streamOrdered(p, 100, func(i int) ([]int, error) {
-		if i == 7 {
-			return nil, produceErr
-		}
-		return []int{i}, nil
-	}, func(int) error { return nil })
-	if !errors.Is(err, produceErr) {
-		t.Errorf("produce error lost: %v", err)
-	}
-
-	emitErr := errors.New("consumer full")
-	var seen int
-	err = streamOrdered(p, 100, func(i int) ([]int, error) {
-		return []int{i}, nil
-	}, func(v int) error {
-		seen++
-		if v == 5 {
-			return emitErr
-		}
-		return nil
-	})
-	if !errors.Is(err, emitErr) {
-		t.Errorf("emit error lost: %v", err)
-	}
-	if seen != 6 {
-		t.Errorf("emitted %d items after early stop, want 6", seen)
 	}
 }
 

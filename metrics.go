@@ -17,7 +17,7 @@ import (
 //
 // Counter names (see README "Observability" for the full catalogue):
 //
-//	align.queries.started    scans begun (Align/AlignStream/AlignDatabase*)
+//	align.queries.started    scans begun (Scan, Align*/AlignStream*/AlignDatabase*, Session)
 //	align.hits.emitted       hits returned or streamed to emit
 //	align.kernel.scalar      scans dispatched to the scalar engine
 //	align.kernel.bitparallel scans dispatched to the bit-parallel kernel
@@ -25,7 +25,7 @@ import (
 //	align.deadline.exceeded  scans aborted by a context deadline
 //	scan.shards.planned      shards the scheduler tiled
 //	scan.shards.run          shards that executed (== planned when quiet)
-//	stream.chunks.processed  chunks (beats) scanned by AlignStream / AlignBatchStream
+//	stream.chunks.processed  chunks (beats) scanned by AlignStream and Stream ScanRequests
 //	stream.carry.restarts    chunk-boundary carries of the streaming scan
 //	stream.planes.packed_words plane words packed by the streaming packer
 //	batch.queries            queries scanned through the fused batch path

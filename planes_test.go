@@ -1,6 +1,7 @@
 package fabp
 
 import (
+	"context"
 	"runtime"
 	"slices"
 	"strings"
@@ -89,7 +90,7 @@ func TestScannedReferenceCollected(t *testing.T) {
 		if len(a.Align(ref)) == 0 {
 			t.Fatal("planted gene not found; the test is vacuous")
 		}
-		if _, err := AlignBatch([]*Query{q, q}, ref, 0.8); err != nil {
+		if _, err := Scan(context.Background(), ScanRequest{Queries: []*Query{q, q}, Reference: ref, ThresholdFrac: 0.8}); err != nil {
 			t.Fatal(err)
 		}
 		runtime.SetFinalizer(ref, func(*Reference) { close(finalized) })

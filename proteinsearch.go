@@ -64,6 +64,26 @@ func (o *ProteinSearchOptions) tblastnOptions() tblastn.Options {
 	}
 }
 
+// HSP is a high-scoring segment pair from a protein search.
+type HSP struct {
+	// Frame renders BLAST-style: "+1".."+3", "-1".."-3".
+	Frame string
+	// QStart/QEnd delimit the query residues (half-open).
+	QStart, QEnd int
+	// SStart/SEnd delimit the subject positions within the translated
+	// frame (half-open).
+	SStart, SEnd int
+	// NucPos is the forward-strand nucleotide offset of the subject
+	// segment.
+	NucPos int
+	// Score is the raw BLOSUM62 segment score.
+	Score int
+	// BitScore and EValue are Karlin-Altschul statistics over the
+	// translated search space.
+	BitScore float64
+	EValue   float64
+}
+
 // ProteinSearchStats profiles one protein search's pipeline costs.
 // All fields are invariant under ProteinSearchOptions.Threads.
 type ProteinSearchStats struct {
@@ -154,17 +174,11 @@ func hspsFromInternal(hsps []tblastn.HSP) []HSP {
 }
 
 // SearchProtein runs a TBLASTN-style protein search against ref through
-// the Scan spine (result cache included, when enabled). It returns the
-// HSPs sorted best-first; use Scan directly for stats, cache provenance,
-// and MaxHits control.
-func SearchProtein(query *Query, ref *Reference, opts ProteinSearchOptions) ([]HSP, error) {
-	return SearchProteinContext(context.Background(), query, ref, opts)
-}
-
-// SearchProteinContext is SearchProtein with cancellation: every frame
-// job observes ctx as it scans, and the search returns ctx.Err() once
-// it fires.
-func SearchProteinContext(ctx context.Context, query *Query, ref *Reference, opts ProteinSearchOptions) ([]HSP, error) {
+// the Scan spine (result cache included, when enabled): every frame job
+// observes ctx as it scans, and the search returns ctx.Err() once it
+// fires. It returns the HSPs sorted best-first; use Scan directly for
+// stats, cache provenance and MaxHits control.
+func SearchProtein(ctx context.Context, query *Query, ref *Reference, opts ProteinSearchOptions) ([]HSP, error) {
 	res, err := Scan(ctx, ScanRequest{Query: query, Reference: ref, ProteinSearch: &opts})
 	if err != nil {
 		return nil, err

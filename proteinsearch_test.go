@@ -164,20 +164,24 @@ func TestScanProteinCache(t *testing.T) {
 	}
 }
 
-// TestSearchTBLASTNDelegates pins the legacy facade onto the spine: same
-// results as SearchProtein with the mapped options.
-func TestSearchTBLASTNDelegates(t *testing.T) {
-	q, ref := proteinFixture(t, 34, 20_000)
-	legacy, err := SearchTBLASTN(q, ref, TBLASTNOptions{Threads: 2, ForwardOnly: true, TwoHit: true})
+// TestSearchProteinFindsPlantedGene: the protein search facade puts its
+// top HSP on a planted gene's forward frame and locus.
+func TestSearchProteinFindsPlantedGene(t *testing.T) {
+	ref, genes := SyntheticReference(11, 30_000, 3, 50)
+	q, _ := NewQuery(genes[0].Protein)
+	hsps, err := SearchProtein(context.Background(), q, ref, ProteinSearchOptions{Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := SearchProtein(q, ref, ProteinSearchOptions{Threads: 2, Frames: 3, TwoHit: true})
-	if err != nil {
-		t.Fatal(err)
+	if len(hsps) == 0 {
+		t.Fatal("no HSPs")
 	}
-	if !reflect.DeepEqual(legacy, direct) {
-		t.Fatalf("legacy facade diverges: %d vs %d HSPs", len(legacy), len(direct))
+	top := hsps[0]
+	if top.Frame != "+1" && top.Frame != "+2" && top.Frame != "+3" {
+		t.Errorf("top frame %s", top.Frame)
+	}
+	if top.NucPos < genes[0].Pos-10 || top.NucPos > genes[0].Pos+150 {
+		t.Errorf("top HSP at %d, planted at %d", top.NucPos, genes[0].Pos)
 	}
 }
 
@@ -190,7 +194,7 @@ func TestSearchProteinCancelMidScan(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := SearchProteinContext(ctx, q, ref, ProteinSearchOptions{
+		_, err := SearchProtein(ctx, q, ref, ProteinSearchOptions{
 			Threads: 8, MinScore: MinScoreAll, NeighborThreshold: NeighborThresholdAll,
 		})
 		done <- err

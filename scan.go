@@ -19,10 +19,10 @@ import (
 )
 
 // This file is the unified scan spine: the one code path every
-// alignment entrypoint — Scan, the Align*/AlignDatabase* wrappers, the
-// batch and batch-stream functions, Aligner.AlignStream* and Session —
-// shares, and the single place the content-addressed scan-result cache
-// hooks in. A request loads K ≥ 1 queries and names one target: a
+// alignment entrypoint — Scan, the Align*/AlignDatabase* wrappers,
+// AlignDatabaseBatchContext, Aligner.AlignStream*, Session and
+// SearchProtein — shares, and the single place the content-addressed
+// scan-result cache hooks in. A request loads K ≥ 1 queries and names one target: a
 // Reference, a Database or a letter Stream. A one-query scan's outcome is
 // a pure function of (query instruction digest, target content digest,
 // threshold, resolved kernel, shard geometry), which is exactly the cache

@@ -1,7 +1,7 @@
 package fabp
 
 import (
-	"errors"
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -83,48 +83,6 @@ func TestShardedAlignDatabaseGolden(t *testing.T) {
 	}
 }
 
-// TestAlignDatabaseStream: the streaming variant must deliver exactly
-// AlignDatabase's hits, in order, and honor early-stop errors.
-func TestAlignDatabaseStream(t *testing.T) {
-	d, genes := buildShardDB(t, 901, 80_000)
-	q, err := NewQuery(genes[0].Protein)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := NewAligner(q, WithThresholdFraction(0.7), WithShardLen(2048))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := a.AlignDatabase(d)
-	var got []RecordHit
-	if err := a.AlignDatabaseStream(d, func(h RecordHit) error {
-		got = append(got, h)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	sameRecordHits(t, "stream", want, got)
-	if len(want) == 0 {
-		t.Fatal("workload produced no hits; test is vacuous")
-	}
-
-	stop := errors.New("enough")
-	n := 0
-	err = a.AlignDatabaseStream(d, func(RecordHit) error {
-		n++
-		if n == 1 {
-			return stop
-		}
-		return nil
-	})
-	if !errors.Is(err, stop) {
-		t.Errorf("early-stop error lost: %v", err)
-	}
-	if n != 1 {
-		t.Errorf("emit called %d times after stop", n)
-	}
-}
-
 // TestAlignStreamHonorsKernel is the regression for the silent-scalar bug:
 // a streamed scan must produce exactly Align's hits under every kernel
 // mode, including across chunk boundaries.
@@ -164,9 +122,9 @@ func TestAlignStreamHonorsKernel(t *testing.T) {
 	}
 }
 
-// TestAlignBatchShardedGolden: the sharded fused batch must be bit-exact
-// with the serial golden model (one scalar core.Engine per query) and with
-// per-query aligners.
+// TestAlignBatchShardedGolden: the sharded fused batch (a Queries scan of
+// a Reference) must be bit-exact with the serial golden model (one scalar
+// core.Engine per query) and with per-query aligners.
 func TestAlignBatchShardedGolden(t *testing.T) {
 	ref, genes := SyntheticReference(555, 80_000, 6, 45)
 	var queries []*Query
@@ -177,9 +135,13 @@ func TestAlignBatchShardedGolden(t *testing.T) {
 		}
 		queries = append(queries, q)
 	}
-	sharded, err := AlignBatch(queries, ref, 0.8)
+	res, err := Scan(context.Background(), ScanRequest{Queries: queries, Reference: ref, ThresholdFrac: 0.8})
 	if err != nil {
 		t.Fatal(err)
+	}
+	sharded := make([][]Hit, len(res.PerQuery))
+	for qi, qh := range res.PerQuery {
+		sharded[qi] = qh.Hits
 	}
 	letters := ref.d.Seq()
 	serial := make([][]core.Hit, len(queries))
@@ -219,7 +181,7 @@ func TestAlignBatchShardedGolden(t *testing.T) {
 }
 
 // TestBatchValidationNamesEveryBadQuery: a batch with several invalid
-// queries must fail up front naming all of them, for AlignBatch and
+// queries must fail up front naming all of them, for a Queries scan and
 // Session.RunBatch alike.
 func TestBatchValidationNamesEveryBadQuery(t *testing.T) {
 	ref, genes := SyntheticReference(606, 70_000, 2, 40)
@@ -228,7 +190,11 @@ func TestBatchValidationNamesEveryBadQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	queries := []*Query{good, nil, good, nil}
-	_, err = AlignBatch(queries, ref, 0.8)
+	batch := func(qs []*Query, frac float64) error {
+		_, err := Scan(context.Background(), ScanRequest{Queries: qs, Reference: ref, ThresholdFrac: frac})
+		return err
+	}
+	err = batch(queries, 0.8)
 	if err == nil {
 		t.Fatal("batch with nil queries must fail")
 	}
@@ -241,16 +207,18 @@ func TestBatchValidationNamesEveryBadQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.RunBatch(queries, 0.8); err == nil ||
+	if _, _, err := s.RunBatch(context.Background(), queries, 0.8); err == nil ||
 		!strings.Contains(err.Error(), "1") || !strings.Contains(err.Error(), "3") {
 		t.Errorf("session batch must name indices 1 and 3: %v", err)
 	}
 
-	// A bad fraction fails the whole batch before any scanning.
-	if _, err := AlignBatch([]*Query{good}, ref, 1.5); err == nil {
+	// A bad fraction fails the whole batch before any scanning. A zero
+	// fraction is ScanRequest's 0.8 default, but out of range for
+	// RunBatch.
+	if err := batch([]*Query{good}, 1.5); err == nil {
 		t.Error("fraction above 1 must fail")
 	}
-	if _, err := AlignBatch([]*Query{good}, ref, 0); err == nil {
+	if _, _, err := s.RunBatch(context.Background(), []*Query{good}, 0); err == nil {
 		t.Error("zero fraction must fail")
 	}
 }
@@ -310,7 +278,7 @@ func TestSessionReusesCachedPlanes(t *testing.T) {
 	d.EvictPlanes()
 	packs := bitpar.PackCount()
 	for round := 0; round < 3; round++ {
-		perQuery, _, err := s.RunBatch(queries, 0.9)
+		perQuery, _, err := s.RunBatch(context.Background(), queries, 0.9)
 		if err != nil {
 			t.Fatal(err)
 		}

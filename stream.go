@@ -153,29 +153,3 @@ func scanChunks(ctx context.Context, r io.Reader, m, mFinal int, pool *sched.Poo
 		}
 	}
 }
-
-// AlignBatchStream scans one nucleotide stream with many queries in a
-// single fused pass over each chunk: the stream is read and packed into
-// bit-planes once per chunk, and the fused batch kernel scores all K
-// queries from those shared plane words — K queries cost one read+pack,
-// not K, exactly as AlignBatch fuses a database scan. Hits are delivered
-// to emit with their query index, in position order per query within each
-// chunk. Thresholds are the given fraction, in (0, 1], of each query's own
-// maximum score; every query is validated before any reading starts.
-// Return an error from emit to stop early. It is AlignBatchStreamContext
-// under context.Background().
-func AlignBatchStream(queries []*Query, r io.Reader, thresholdFrac float64, emit func(query int, h Hit) error) error {
-	return AlignBatchStreamContext(context.Background(), queries, r, thresholdFrac, emit)
-}
-
-// AlignBatchStreamContext is AlignBatchStream with cooperative
-// cancellation: the context is checked before every chunk read and at
-// shard boundaries within each chunk, so the call returns ctx.Err()
-// without reading the rest of the stream. Aborts are recorded on
-// align.canceled / align.deadline.exceeded. It is Scan of
-// ScanRequest{Queries, Stream, Emit, ThresholdFrac}, which also takes a
-// RetryPolicy for reads and shards.
-func AlignBatchStreamContext(ctx context.Context, queries []*Query, r io.Reader, thresholdFrac float64, emit func(query int, h Hit) error) error {
-	_, err := batchScan(ctx, ScanRequest{Queries: queries, Stream: r, Emit: emit, ThresholdFrac: thresholdFrac})
-	return err
-}

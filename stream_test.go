@@ -302,8 +302,8 @@ func TestAlignStreamSteadyStateZeroChunkAllocs(t *testing.T) {
 
 // TestAlignStreamInvalidLetterPosition: an invalid byte inside a large
 // read — one the front end decodes as parallel spans at GOMAXPROCS 2 —
-// fails AlignStream and AlignBatchStream with exactly the serial decoder's
-// positioned error: the global letter count before the byte, and the
+// fails AlignStream and a Queries scan of a Stream with exactly the
+// serial decoder's positioned error: the global letter count before the byte, and the
 // byte itself. It covers a bad byte in the first read's second span, at
 // the end of a read, in a read after chunk carries, and a second bad byte
 // in a later span, which must not win over the first. The error matches
@@ -354,15 +354,17 @@ func TestAlignStreamInvalidLetterPosition(t *testing.T) {
 		if err == nil || err.Error() != want || !errors.Is(err, ErrBadQuery) {
 			t.Errorf("%s: AlignStream error %v, want %q matching ErrBadQuery", tc.name, err, want)
 		}
-		err = AlignBatchStream([]*Query{q0, q1}, bytes.NewReader(src), 0.9, func(int, Hit) error { return nil })
+		_, err = Scan(context.Background(), ScanRequest{Queries: []*Query{q0, q1}, Stream: bytes.NewReader(src),
+			ThresholdFrac: 0.9, Emit: func(int, Hit) error { return nil }})
 		if err == nil || err.Error() != want || !errors.Is(err, ErrBadQuery) {
-			t.Errorf("%s: AlignBatchStream error %v, want %q matching ErrBadQuery", tc.name, err, want)
+			t.Errorf("%s: Scan{Queries, Stream} error %v, want %q matching ErrBadQuery", tc.name, err, want)
 		}
 	}
 }
 
-// TestAlignBatchStreamMatchesAlignBatch: the fused streaming batch over a
-// chunked reader must reproduce the in-memory fused batch hit for hit,
+// TestAlignBatchStreamMatchesAlignBatch: the fused streaming batch (a
+// Queries scan of a Stream) over a chunked reader must reproduce the
+// in-memory fused batch (a Queries scan of the Reference) hit for hit,
 // per query, including mixed query lengths (per-query window clamping at
 // the final flush).
 func TestAlignBatchStreamMatchesAlignBatch(t *testing.T) {
@@ -385,13 +387,15 @@ func TestAlignBatchStreamMatchesAlignBatch(t *testing.T) {
 	}
 	queries = append(queries, qs)
 
-	want, err := AlignBatch(queries, ref, 0.7)
+	res, err := Scan(context.Background(), ScanRequest{Queries: queries, Reference: ref, ThresholdFrac: 0.7})
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := make([][]Hit, len(queries))
 	nonEmpty := 0
-	for _, hits := range want {
-		if len(hits) > 0 {
+	for qi, qh := range res.PerQuery {
+		want[qi] = qh.Hits
+		if len(qh.Hits) > 0 {
 			nonEmpty++
 		}
 	}
@@ -400,8 +404,8 @@ func TestAlignBatchStreamMatchesAlignBatch(t *testing.T) {
 	}
 
 	got := make([][]Hit, len(queries))
-	if err := AlignBatchStream(queries, strings.NewReader(ref.String()), 0.7,
-		func(qi int, h Hit) error { got[qi] = append(got[qi], h); return nil }); err != nil {
+	if _, err := Scan(context.Background(), ScanRequest{Queries: queries, Stream: strings.NewReader(ref.String()), ThresholdFrac: 0.7,
+		Emit: func(qi int, h Hit) error { got[qi] = append(got[qi], h); return nil }}); err != nil {
 		t.Fatal(err)
 	}
 	for qi := range want {
@@ -419,18 +423,22 @@ func TestAlignBatchStreamMatchesAlignBatch(t *testing.T) {
 	// words packed.
 	snap := DefaultMetrics().Snapshot()
 	if snap.Counters["stream.chunks.processed"] == 0 {
-		t.Error("stream.chunks.processed is 0 after AlignBatchStream")
+		t.Error("stream.chunks.processed is 0 after a batch stream scan")
 	}
 	if snap.Counters["stream.planes.packed_words"] == 0 {
-		t.Error("stream.planes.packed_words is 0 after AlignBatchStream")
+		t.Error("stream.planes.packed_words is 0 after a batch stream scan")
 	}
 }
 
-// TestAlignBatchStreamValidation pins the edge contracts: an empty batch
-// fails up front, an emit error stops the scan, and cancellation surfaces
-// ctx.Err().
+// TestAlignBatchStreamValidation pins the edge contracts of a Queries scan
+// of a Stream: an empty batch fails up front, an emit error stops the
+// scan, and cancellation surfaces ctx.Err().
 func TestAlignBatchStreamValidation(t *testing.T) {
-	if err := AlignBatchStream(nil, strings.NewReader("ACGU"), 0.8,
+	stream := func(ctx context.Context, queries []*Query, r io.Reader, emit func(int, Hit) error) error {
+		_, err := Scan(ctx, ScanRequest{Queries: queries, Stream: r, ThresholdFrac: 0.7, Emit: emit})
+		return err
+	}
+	if err := stream(context.Background(), []*Query{}, strings.NewReader("ACGU"),
 		func(int, Hit) error { return nil }); err == nil || !strings.Contains(err.Error(), "empty batch") {
 		t.Fatalf("empty batch: err %v", err)
 	}
@@ -441,7 +449,7 @@ func TestAlignBatchStreamValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	stop := errors.New("stop")
-	err = AlignBatchStream([]*Query{q}, strings.NewReader(ref.String()), 0.7,
+	err = stream(context.Background(), []*Query{q}, strings.NewReader(ref.String()),
 		func(int, Hit) error { return stop })
 	if !errors.Is(err, stop) {
 		t.Fatalf("emit error: got %v", err)
@@ -449,7 +457,7 @@ func TestAlignBatchStreamValidation(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err = AlignBatchStreamContext(ctx, []*Query{q}, strings.NewReader(ref.String()), 0.7,
+	err = stream(ctx, []*Query{q}, strings.NewReader(ref.String()),
 		func(int, Hit) error { return nil })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled ctx: got %v", err)

@@ -97,7 +97,7 @@ func TestWithTelemetryPrivateCollector(t *testing.T) {
 	if got := s.Latencies["scan.shard.latency"].Count; got != planned {
 		t.Errorf("shard latency count %d, want %d", got, planned)
 	}
-	for _, g := range []string{"pool.tasks.queued", "pool.tasks.running", "pool.merge.backlog"} {
+	for _, g := range []string{"pool.tasks.queued", "pool.tasks.running"} {
 		if v := s.Gauges[g]; v != 0 {
 			t.Errorf("gauge %s = %d after quiesce, want 0", g, v)
 		}
